@@ -5,8 +5,8 @@
    service role (own WSDL, UDDI-registered) and an animation job — 12
    frames of the galleon orbiting — is submitted to it.
 2. Two idle render services pull frames, **one at a time**, over the
-   simulated network; each pull pays the lease transfer, renders on its
-   own scratch clock, and ships the frame back.
+   simulated network; each pull pays the lease transfer, renders in its
+   own clock branch (``Simulator.branch``), and ships the frame back.
 3. One second in, the fault injector kills the worker holding frame 1
    mid-render.  Heartbeats declare it dead, the queue re-queues the
    lost lease at the front, and the surviving worker re-renders it —

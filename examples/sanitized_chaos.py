@@ -8,7 +8,7 @@ to the simulator the whole time.  The sanitizer checks, at every
 simulation event:
 
 - **clock hygiene** — simulated time never moves backwards and no
-  scratch clock leaks past its scope;
+  clock branch leaks past its scope;
 - **re-entrancy** — no nested callback mutates a registered shared
   ledger behind an outer frame's back;
 - **conservation** — the frame ledger always sums to the job

@@ -16,7 +16,10 @@ This rule therefore flags, anywhere under ``src/repro``:
 - module-level RNG calls that use the interpreter's hidden global state
   (``random.random()``, ``numpy.random.shuffle()``, ...);
 - RNG constructors created *without a seed* (``random.Random()``,
-  ``numpy.random.default_rng()``, ``RandomState()``, ``SeedSequence()``).
+  ``numpy.random.default_rng()``, ``RandomState()``, ``SeedSequence()``);
+- a second simulated clock: ``SimClock(...)`` constructed anywhere but
+  ``network/clock.py`` forks simulated time by hand — overlap goes
+  through ``Simulator.branch`` / ``fork_join``.
 
 Seeded constructors pass, as do calls on locally held generator objects
 (``self.rng.random()`` resolves to a variable, not an import).
@@ -64,6 +67,14 @@ SEED_REQUIRED = {
     "numpy.random.SeedSequence",
 }
 
+#: the clock constructor (and its package re-export): only
+#: ``network/clock.py`` itself, where the bare name resolves to no import,
+#: may build one
+CLOCK_CONSTRUCTORS = {
+    "repro.network.clock.SimClock",
+    "repro.network.SimClock",
+}
+
 #: modules whose bare functions mutate interpreter-global RNG state
 GLOBAL_RNG_MODULES = ("random", "numpy.random")
 
@@ -79,7 +90,9 @@ class DeterminismChecker(Checker):
         "not read wall-clock time (time.time, datetime.now, "
         "perf_counter...) or use unseeded randomness (random.random, "
         "np.random.*) — route timing through SimClock and randomness "
-        "through an explicitly seeded Random/Generator instance.")
+        "through an explicitly seeded Random/Generator instance.  Only "
+        "network/clock.py constructs a SimClock; everything else overlaps "
+        "activities with Simulator.branch / fork_join.")
     example = ("import time\n"
                "stamp = time.time()   # determinism: wall clock leaks\n"
                "                      # into simulated results\n")
@@ -105,6 +118,13 @@ class DeterminismChecker(Checker):
                 f"{reason} {target}() — all timing/entropy must flow "
                 f"through the simulated clock (network/clock.SimClock) "
                 f"or a seeded RNG",
+                symbol=target)
+            return
+        if target in CLOCK_CONSTRUCTORS:
+            yield self.finding(
+                sf, node.lineno,
+                "a second clock forks simulated time — use "
+                "Simulator.branch/fork_join",
                 symbol=target)
             return
         if target in SEED_REQUIRED:

@@ -7,10 +7,11 @@ workers against one :class:`~repro.farm.queue_service.FrameQueueService`:
   worker a pull; a worker that delivers a result immediately pulls
   again, so the pool stays saturated without waiting for the tick;
 - each pull pays the lease transfer (queue → worker) on the simulated
-  network, renders the frame on a **scratch clock** (the
-  :meth:`~repro.services.render_service.RenderService.render_views_parallel`
-  idiom), and ships the result back via :meth:`Network.send` — so N
-  workers render concurrently and farm throughput scales with the pool;
+  network, renders the frame inside a
+  :meth:`~repro.network.clock.Simulator.branch`, and ships the result
+  back via :meth:`Network.send` once the branch's elapsed time has
+  passed — so N workers render concurrently and farm throughput scales
+  with the pool;
 - every worker emits heartbeats to a lease-based
   :class:`~repro.core.health.HeartbeatMonitor`; a worker declared dead
   has its in-flight frames re-queued at once (the fault path the chaos
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 from repro.core.health import HeartbeatMonitor, HeartbeatSource
 from repro.errors import NetworkError, ServiceError, SessionError
-from repro.network.clock import SimClock
 from repro.obs import active as _obs
 from repro.services.protocol import (
     FarmResult,
@@ -212,8 +212,8 @@ class RenderFarmController:
         The paper's container instance-creation cost (seconds of JVM
         start-up plus the scene transfer) dwarfs a single frame render,
         so the farm pays it once per worker up front rather than inside
-        the first pull.  Bootstraps run on scratch clocks — concurrent
-        in simulated time — and each worker stays busy until its own
+        the first pull.  Each bootstrap runs in its own clock branch —
+        concurrent in simulated time — and the worker stays busy until its
         bootstrap delay elapses.  Returns the number of bootstraps
         started.
         """
@@ -222,22 +222,18 @@ class RenderFarmController:
             if (worker.name, session_id) in self._rsids:
                 continue
             self._busy.add(worker.name)
-            real_clock = self.sim.clock
-            scratch = SimClock(real_clock.now)
-            self.sim.clock = scratch
             try:
-                self._render_session(worker, session_id)
+                with self.sim.branch() as branch:
+                    self._render_session(worker, session_id)
             except (NetworkError, ServiceError, SessionError):
                 self._busy.discard(worker.name)
                 continue
-            finally:
-                self.sim.clock = real_clock
 
             def ready(name: str = worker.name) -> None:
                 self._busy.discard(name)
                 self.dispatch()
 
-            self.sim.schedule(scratch.now - real_clock.now, ready)
+            self.sim.schedule(branch.elapsed, ready)
             started += 1
         return started
 
@@ -266,38 +262,33 @@ class RenderFarmController:
         lease = unframe_farm_lease(lease_bytes)
         job = self.queue.job(lease.job_id)
         self._busy.add(worker.name)
-        # render on a scratch clock so concurrent workers overlap in
+        # render in a clock branch so concurrent workers overlap in
         # simulated time — the global clock only sees the scheduled
         # delivery, which is what makes frames/sec scale with the pool
-        real_clock = self.sim.clock
-        scratch = SimClock(real_clock.now)
-        self.sim.clock = scratch
         try:
-            rsid = self._render_session(worker, lease.session_id)
-            fb, timing = worker.render_view(
-                rsid, job.camera_for(lease.frame), job.width, job.height,
-                offscreen=True)
+            with self.sim.branch() as branch:
+                rsid = self._render_session(worker, lease.session_id)
+                fb, timing = worker.render_view(
+                    rsid, job.camera_for(lease.frame), job.width,
+                    job.height, offscreen=True)
         except (NetworkError, ServiceError, SessionError):
             self._busy.discard(worker.name)
             return False
-        finally:
-            self.sim.clock = real_clock
-        elapsed = scratch.now - real_clock.now
         obs = _obs()
         if obs.enabled and lease.trace is not None:
             # the worker's render span joins the submitting request's
             # trace; the span id came with the lease, so a re-issued
             # lease shows up as a distinct span on the same trace
             obs.tracer.record(
-                "farm-render", real_clock.now + lease_transfer,
-                real_clock.now + lease_transfer + timing.total_seconds,
+                "farm-render", self.sim.now + lease_transfer,
+                self.sim.now + lease_transfer + timing.total_seconds,
                 service=worker.name, job=lease.job_id, frame=lease.frame,
                 attempt=lease.attempt, trace=lease.trace.trace_id)
         result_bytes = frame_farm_result(FarmResult(
             job_id=lease.job_id, frame=lease.frame, worker=worker.name,
             render_seconds=timing.total_seconds, nbytes=fb.color.nbytes,
             attempt=lease.attempt, trace=lease.trace))
-        self.sim.schedule(lease_transfer + elapsed,
+        self.sim.schedule(lease_transfer + branch.elapsed,
                           lambda: self._ship(worker, result_bytes))
         return True
 

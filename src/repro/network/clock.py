@@ -11,6 +11,13 @@ deliberately simple — the network model computes most transfer times
 analytically and only uses events where ordering matters (overlapping a
 service bootstrap with scene updates, interleaved off-screen rendering,
 workload-migration triggers).
+
+Overlap in simulated time has one primitive: :meth:`Simulator.branch`
+runs an activity on a child clock and reports how long it took without
+moving the parent, and :meth:`Simulator.fork_join` runs a list of
+activities that way and charges the parent the critical path only.
+:class:`SimClock` is constructed, and a simulator's ``clock`` assigned,
+in this module and nowhere else.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from typing import Any
 
 
@@ -65,15 +72,18 @@ class _Event:
     #: daemon events (recurring heartbeat/monitor ticks) never keep
     #: :meth:`Simulator.run` alive on their own
     daemon: bool = field(default=False, compare=False)
+    #: set when :meth:`Simulator.step` pops the event to run it
+    fired: bool = field(default=False, compare=False)
 
 
 class EventHandle:
     """Handle returned by :meth:`Simulator.schedule`; allows cancellation."""
 
-    __slots__ = ("_event",)
+    __slots__ = ("_event", "_sim")
 
-    def __init__(self, event: _Event) -> None:
+    def __init__(self, event: _Event, sim: Simulator) -> None:
         self._event = event
+        self._sim = sim
 
     @property
     def time(self) -> float:
@@ -84,8 +94,50 @@ class EventHandle:
         return self._event.cancelled
 
     def cancel(self) -> None:
-        """Prevent the event's callback from running."""
-        self._event.cancelled = True
+        """Prevent the event's callback from running.
+
+        A cancelled non-daemon event stops keeping :meth:`Simulator.run`
+        alive at once, not when its slot is eventually popped.
+        Idempotent; a no-op once the event has run.
+        """
+        event = self._event
+        if event.cancelled or event.fired:
+            return
+        event.cancelled = True
+        if not event.daemon:
+            self._sim._nondaemon_pending -= 1
+
+
+class ClockBranch:
+    """One activity's private timeline, forked from a simulator's clock.
+
+    Entering swaps a child :class:`SimClock` started at
+    ``parent.now + offset`` onto the simulator; leaving always puts the
+    parent clock *object* back (``Testbed.clock``, tracers and the
+    sanitizer hold it by reference) and never advances it — the caller
+    decides what the parent pays from :attr:`elapsed`.  Branches nest.
+    """
+
+    __slots__ = ("_sim", "_offset", "_parent", "_child", "start")
+
+    def __init__(self, sim: Simulator, offset: float = 0.0) -> None:
+        self._sim = sim
+        self._offset = offset
+
+    def __enter__(self) -> ClockBranch:
+        sim = self._sim
+        self._parent = sim.clock
+        self.start = self._parent.now + self._offset
+        self._child = sim.clock = SimClock(self.start)
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._sim.clock = self._parent
+
+    @property
+    def elapsed(self) -> float:
+        """Simulated seconds the branch has consumed since it started."""
+        return self._child.now - self.start
 
 
 class Simulator:
@@ -141,16 +193,17 @@ class Simulator:
         heapq.heappush(self._queue, event)
         if not daemon:
             self._nondaemon_pending += 1
-        return EventHandle(event)
+        return EventHandle(event, self)
 
     def step(self) -> bool:
         """Execute the next event.  Returns ``False`` when the queue is empty."""
         while self._queue:
             event = heapq.heappop(self._queue)
-            if not event.daemon:
-                self._nondaemon_pending -= 1
             if event.cancelled:
                 continue
+            event.fired = True
+            if not event.daemon:
+                self._nondaemon_pending -= 1
             self.clock.advance_to(event.time)
             event.callback()
             self._processed += 1
@@ -190,3 +243,39 @@ class Simulator:
             raise RuntimeError(f"simulation did not drain within {max_events} events")
         self.clock.advance_to(t)
         return executed
+
+    def branch(self, offset: float = 0.0) -> ClockBranch:
+        """Fork a private timeline starting ``offset`` seconds from now.
+
+        ``with sim.branch() as b: ...`` runs the body against a child
+        clock (events it schedules are stamped with branch time) and
+        leaves ``b.elapsed`` for the caller to charge or schedule.
+        """
+        return ClockBranch(self, offset)
+
+    def fork_join(self, activities: Iterable[Callable[[], Any]],
+                  width: int | None = None) -> list[Any]:
+        """Run ``activities`` overlapped in simulated time; join on the clock.
+
+        Thunks run in batches of ``width`` (default: all at once), each on
+        its own :meth:`branch`; a batch costs its slowest member, batches
+        serialise, and the clock advances once by the total.  Returns the
+        results in input order.  An activity that raises propagates with
+        the clock restored and not advanced.
+        """
+        activities = list(activities)
+        if width is None:
+            width = max(1, len(activities))
+        elif width < 1:
+            raise ValueError(f"fork_join width must be >= 1, got {width!r}")
+        results: list[Any] = []
+        total = 0.0
+        for first in range(0, len(activities), width):
+            slowest = 0.0
+            for activity in activities[first:first + width]:
+                with self.branch(total) as branch:
+                    results.append(activity())
+                slowest = max(slowest, branch.elapsed)
+            total += slowest
+        self.clock.advance(total)
+        return results

@@ -10,9 +10,9 @@ boundaries:
 
 - **monotonic time**: the clock never moves backwards across an event,
   and the clock *object* installed on the simulator is the same one
-  after every event — a bootstrap that swaps in a scratch
-  :class:`~repro.network.clock.SimClock` and forgets to restore the
-  real one corrupts every later timestamp silently;
+  after every event — a :meth:`~repro.network.clock.Simulator.branch`
+  left open across an event, or a hand-rolled swap that forgets to
+  restore the real clock, corrupts every later timestamp silently;
 - **re-entrant mutation**: a callback that re-enters the event loop
   (``sim.run_until`` inside a callback) must not mutate any registered
   shared object from the nested execution — that is exactly the

@@ -21,9 +21,10 @@ Mirroring lives in :class:`~repro.services.data_service.DataService`
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.core.cost import node_cost
-from repro.errors import SessionError
+from repro.errors import RaveError, SessionError
 from repro.scenegraph.tree import SceneTree
 from repro.scenegraph.updates import SceneUpdate
 from repro.services.data_service import BootstrapTiming, DataService
@@ -121,39 +122,41 @@ class DataFederation:
         marshal on their own data servers simultaneously, so the combined
         bootstrap takes max-over-shards, not sum — the federation's point.
         """
-        from repro.network.clock import SimClock
-
         session = self.session(session_id)
-        sim = self.network.sim
-        real_clock = sim.clock
-        merged: SceneTree | None = None
-        slowest = 0.0
-        totals = dict(instance=0.0, handshake=0.0, marshal=0.0,
-                      transfer=0.0, demarshal=0.0)
-        nbytes = 0
+        joined: list[ShardInfo] = []
+
+        def join(shard: ShardInfo) -> tuple[SceneTree, BootstrapTiming]:
+            part = shard.member.subscribe(
+                shard.shard_session_id, subscriber_name, host,
+                introspective=introspective,
+                subscriber_cpu_factor=subscriber_cpu_factor,
+                on_update=on_update)
+            joined.append(shard)
+            return part
+
         try:
-            for shard in session.shards:
-                # each shard's work runs against a scratch clock so the
-                # members genuinely proceed in parallel; the real clock
-                # then advances by the critical path only
-                scratch = SimClock(real_clock.now)
-                sim.clock = scratch
-                tree, timing = shard.member.subscribe(
-                    shard.shard_session_id, subscriber_name, host,
-                    introspective=introspective,
-                    subscriber_cpu_factor=subscriber_cpu_factor,
-                    on_update=on_update)
-                slowest = max(slowest, scratch.now - real_clock.now)
-                totals["handshake"] += timing.handshake_seconds
-                totals["marshal"] += timing.marshal_seconds
-                totals["transfer"] += timing.transfer_seconds
-                totals["demarshal"] += timing.demarshal_seconds
-                nbytes += timing.nbytes
-                merged = (tree if merged is None
-                          else _merge_trees(merged, tree))
-        finally:
-            sim.clock = real_clock
-        real_clock.advance(slowest)
+            # one branch per shard: the members genuinely proceed in
+            # parallel and the clock advances by the critical path only
+            parts = self.network.sim.fork_join(
+                [partial(join, shard) for shard in session.shards])
+        except RaveError:
+            # all or nothing: a half-joined subscriber could never retry
+            # under the same name
+            for shard in joined:
+                shard.member.unsubscribe(shard.shard_session_id,
+                                         subscriber_name)
+            raise
+        merged: SceneTree | None = None
+        totals = dict(handshake=0.0, marshal=0.0, transfer=0.0,
+                      demarshal=0.0)
+        nbytes = 0
+        for tree, timing in parts:
+            totals["handshake"] += timing.handshake_seconds
+            totals["marshal"] += timing.marshal_seconds
+            totals["transfer"] += timing.transfer_seconds
+            totals["demarshal"] += timing.demarshal_seconds
+            nbytes += timing.nbytes
+            merged = tree if merged is None else _merge_trees(merged, tree)
         assert merged is not None
         timing = BootstrapTiming(
             instance_seconds=0.0,

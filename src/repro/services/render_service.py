@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 from repro.core.capacity import (
     DEFAULT_TARGET_FPS,
@@ -371,33 +372,11 @@ class RenderService:
         simulated clock advances by the total schedule, not the sum of
         frame times.
         """
-        from repro.network.clock import SimClock
-
-        if not requests:
-            return []
-        pipes = max(1, self.profile.graphics_pipes)
-        sim = self.network.sim
-        real_clock = sim.clock
-        results: list[tuple[FrameBuffer, RenderTiming]] = []
-        total = 0.0
-        try:
-            for start in range(0, len(requests), pipes):
-                batch = requests[start:start + pipes]
-                slowest = 0.0
-                for rsid, camera, width, height in batch:
-                    scratch = SimClock(real_clock.now + total)
-                    sim.clock = scratch
-                    fb, timing = self.render_view(
-                        rsid, camera, width, height, offscreen=offscreen,
-                        background=background)
-                    results.append((fb, timing))
-                    slowest = max(slowest,
-                                  scratch.now - (real_clock.now + total))
-                total += slowest
-        finally:
-            sim.clock = real_clock
-        real_clock.advance(total)
-        return results
+        return self.network.sim.fork_join(
+            [partial(self.render_view, rsid, camera, width, height,
+                     offscreen=offscreen, background=background)
+             for rsid, camera, width, height in requests],
+            width=max(1, self.profile.graphics_pipes))
 
     def render_tile(self, rsid: str, camera: CameraNode | Camera,
                     tile: Tile, full_width: int, full_height: int,

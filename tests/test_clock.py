@@ -1,6 +1,7 @@
 """SimClock and the discrete-event Simulator."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.network.clock import SimClock, Simulator
 
@@ -130,3 +131,170 @@ class TestSimulator:
             sim.schedule(1.0, lambda: None)
         sim.run()
         assert sim.processed == 3
+
+    def test_cancelled_nondaemon_event_does_not_keep_run_alive(self):
+        sim = Simulator()
+        ticks = []
+
+        def tick():
+            ticks.append(sim.now)
+            sim.schedule(0.5, tick, daemon=True)
+
+        sim.schedule(0.5, tick, daemon=True)
+        handle = sim.schedule(100.0, lambda: None)
+        handle.cancel()
+        handle.cancel()                     # idempotent
+        assert sim.run() == 0
+        assert ticks == [] and sim.now == 0.0
+
+    def test_cancel_after_the_event_ran_is_a_noop(self):
+        sim = Simulator()
+        ran = []
+        first = sim.schedule(1.0, lambda: ran.append("first"))
+        sim.schedule(2.0, lambda: ran.append("second"))
+        sim.step()
+        first.cancel()                      # too late: must not release again
+        assert not first.cancelled
+        sim.run()
+        assert ran == ["first", "second"]
+
+
+def _work(sim, seconds, result=None):
+    """An activity that costs ``seconds`` on whatever clock is installed."""
+    def activity():
+        sim.clock.advance(seconds)
+        return result
+    return activity
+
+
+class TestBranch:
+    def test_elapsed_is_exact_and_parent_does_not_move(self):
+        sim = Simulator(SimClock(0.1))
+        parent = sim.clock
+        with sim.branch() as branch:
+            assert sim.clock is not parent
+            assert sim.now == branch.start == 0.1
+            sim.clock.advance(0.2)
+            sim.clock.advance(0.7)
+        assert sim.clock is parent and parent.now == 0.1
+        # child.now - start, in that float order
+        assert branch.elapsed == ((0.1 + 0.2) + 0.7) - 0.1
+
+    def test_offset_starts_the_child_later(self):
+        sim = Simulator(SimClock(3.0))
+        with sim.branch(1.25) as branch:
+            assert sim.now == 4.25
+            sim.clock.advance(0.5)
+        assert branch.elapsed == 0.5 and sim.now == 3.0
+
+    def test_restores_on_exception(self):
+        sim = Simulator(SimClock(2.0))
+        parent = sim.clock
+        with pytest.raises(KeyError):
+            with sim.branch():
+                sim.clock.advance(5.0)
+                raise KeyError("boom")
+        assert sim.clock is parent and parent.now == 2.0
+
+    def test_nests(self):
+        sim = Simulator(SimClock(1.0))
+        parent = sim.clock
+        with sim.branch() as outer:
+            outer_clock = sim.clock
+            sim.clock.advance(1.0)
+            with sim.branch() as inner:
+                assert inner.start == 2.0
+                sim.clock.advance(4.0)
+            assert sim.clock is outer_clock and sim.now == 2.0
+            sim.clock.advance(inner.elapsed)
+        assert sim.clock is parent and parent.now == 1.0
+        assert inner.elapsed == 4.0 and outer.elapsed == 5.0
+
+    def test_events_scheduled_inside_are_stamped_with_branch_time(self):
+        sim = Simulator(SimClock(10.0))
+        with sim.branch() as branch:
+            sim.clock.advance(2.0)
+            handle = sim.schedule(1.0, lambda: None)
+        assert handle.time == 13.0
+        assert sim.now == 10.0 and branch.elapsed == 2.0
+        sim.run()
+        assert sim.now == 13.0
+
+
+class TestForkJoin:
+    COSTS = [0.3, 0.1, 0.4, 0.2, 0.5]
+
+    @pytest.mark.parametrize("width, expected", [
+        (None, 0.5),                        # one batch: the slowest member
+        (1, (((0.3 + 0.1) + 0.4) + 0.2) + 0.5),
+        (2, (0.3 + 0.4) + 0.5),
+        (5, 0.5),
+        (9, 0.5),                           # wider than the list
+    ])
+    def test_charges_each_batch_its_slowest_member(self, width, expected):
+        sim = Simulator()
+        results = sim.fork_join(
+            [_work(sim, c, result=i) for i, c in enumerate(self.COSTS)],
+            width=width)
+        assert results == [0, 1, 2, 3, 4]
+        assert sim.now == expected
+
+    @pytest.mark.parametrize("width", [None, 1, 3])
+    def test_empty_list(self, width):
+        sim = Simulator(SimClock(7.0))
+        assert sim.fork_join([], width=width) == []
+        assert sim.now == 7.0
+
+    def test_width_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            Simulator().fork_join([lambda: None], width=0)
+
+    def test_later_batches_start_after_earlier_ones(self):
+        sim = Simulator(SimClock(1.0))
+        starts = []
+
+        def activity():
+            starts.append(sim.now)
+            sim.clock.advance(2.0)
+
+        sim.fork_join([activity] * 3, width=2)
+        assert starts == [1.0, 1.0, 3.0]
+        assert sim.now == 5.0
+
+    def test_raising_activity_restores_and_does_not_advance(self):
+        sim = Simulator(SimClock(4.0))
+        parent = sim.clock
+
+        def boom():
+            sim.clock.advance(1.0)
+            raise RuntimeError("shard down")
+
+        with pytest.raises(RuntimeError):
+            sim.fork_join([_work(sim, 3.0), boom, _work(sim, 9.0)])
+        assert sim.clock is parent and parent.now == 4.0
+
+    def test_nested_fork_join_charges_the_enclosing_branch(self):
+        sim = Simulator()
+        inner = lambda: sim.fork_join([_work(sim, 1.0), _work(sim, 2.0)])
+        sim.fork_join([inner, _work(sim, 0.5)])
+        assert sim.now == 2.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(costs=st.lists(st.floats(min_value=0.0, max_value=1e3,
+                                    allow_nan=False), max_size=12),
+           width=st.one_of(st.none(), st.integers(min_value=1, max_value=15)),
+           start=st.floats(min_value=0.0, max_value=1e4, allow_nan=False))
+    def test_parent_pays_sum_of_batch_maxima_in_input_order(
+            self, costs, width, start):
+        sim = Simulator(SimClock(start))
+        results = sim.fork_join(
+            [_work(sim, c, result=i) for i, c in enumerate(costs)],
+            width=width)
+        assert results == list(range(len(costs)))
+        step = width or max(1, len(costs))
+        total = 0.0
+        for first in range(0, len(costs), step):
+            offset = start + total
+            total += max((offset + c) - offset
+                         for c in costs[first:first + step])
+        assert sim.now == start + total

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data.generators import galleon, skeleton
-from repro.errors import SessionError
+from repro.errors import NetworkError, SessionError
 from repro.scenegraph.nodes import MeshNode
 from repro.scenegraph.tree import SceneTree
 from repro.scenegraph.updates import SetProperty
@@ -127,6 +127,30 @@ class TestParallelBootstrap:
         with pytest.raises(SessionError):
             federation.subscribe("err", "ok", "centrino")  # duplicate name
         assert tb.network.sim.clock is real_clock
+
+    def test_partial_failure_rolls_back_joined_shards(self, fed):
+        """Shard k failing must not leave shards 0..k-1 subscribed, or a
+        retry under the same name is refused forever."""
+        tb, federation = fed
+        session = federation.create_session("p", sharded_scene(3))
+        last_host = session.shards[-1].member.host
+        t0 = tb.clock.now
+        tb.network.set_host_up(last_host, False)
+        with pytest.raises(NetworkError):
+            federation.subscribe("p", "sub", "centrino")
+        assert tb.clock.now == t0
+        for shard in session.shards:
+            assert "sub" not in shard.member.session(
+                shard.shard_session_id).subscribers
+        tb.network.set_host_up(last_host, True)
+        merged, _ = federation.subscribe("p", "sub", "centrino")
+        assert len(merged.geometry_nodes()) == 3
+        # a refused duplicate rolls back nothing it did not join itself
+        with pytest.raises(SessionError):
+            federation.subscribe("p", "sub", "centrino")
+        for shard in session.shards:
+            assert "sub" in shard.member.session(
+                shard.shard_session_id).subscribers
 
 
 class TestRoutedUpdates:

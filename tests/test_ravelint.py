@@ -115,6 +115,38 @@ class TestDeterminismRule:
             """})
         assert not lint(root, "determinism").findings
 
+    def test_flags_a_second_clock_outside_network_clock(self, tmp_path):
+        root = make_tree(tmp_path, {"src/repro/services/farmish.py": """
+            from repro.network.clock import SimClock
+
+            def pull(sim):
+                real = sim.clock
+                sim.clock = SimClock(real.now)
+            """})
+        result = lint(root, "determinism")
+        assert symbols(result) == {"repro.network.clock.SimClock"}
+        assert "Simulator.branch" in result.findings[0].message
+
+    def test_clock_module_and_branch_users_pass(self, tmp_path):
+        root = make_tree(tmp_path, {
+            "src/repro/network/clock.py": """
+                class SimClock:
+                    pass
+
+                class Simulator:
+                    def __init__(self):
+                        self.clock = SimClock()
+                """,
+            "src/repro/services/farmish.py": """
+                from repro.network.clock import SimClock, Simulator
+
+                def pull(sim: Simulator, clock: SimClock):
+                    with sim.branch() as branch:
+                        clock.advance(1.0)
+                    return branch.elapsed
+                """})
+        assert not lint(root, "determinism").findings
+
 
 # -- metric-registry ------------------------------------------------------------------
 
