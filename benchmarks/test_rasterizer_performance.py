@@ -14,7 +14,7 @@ from repro.data.generators import make_model
 from repro.network.marshalling import BinaryMarshaller
 from repro.render.camera import Camera
 from repro.render.compositor import depth_composite
-from repro.render.framebuffer import FrameBuffer
+from repro.render.framebuffer import FrameBuffer, Tile
 from repro.render.rasterizer import rasterize_mesh
 
 
@@ -46,6 +46,25 @@ def test_rasterize_50k_at_400(benchmark, elle_mesh, cam):
 
     fb = benchmark(run)
     assert fb.coverage() > 0.02
+
+
+def test_rasterize_one_fifth_tile_at_400(benchmark, elle_mesh, cam):
+    """What one of five framebuffer-distribution services pays: the whole
+    model's geometry and its tile's share of the fill (this tile cuts the
+    figure roughly in half; its neighbours get next to nothing)."""
+    tile = Tile(x0=200, y0=0, width=80, height=400)
+
+    def run():
+        fb = FrameBuffer(400, 400)
+        return fb, rasterize_mesh(elle_mesh, cam, fb, clip=tile)
+
+    fb, stats = benchmark(run)
+    assert stats.faces_rasterized > 40_000
+    assert 0 < stats.fragments
+    rows, cols = tile.slices
+    outside = np.ones((400, 400), dtype=bool)
+    outside[rows, cols] = False
+    assert not np.isfinite(fb.depth[outside]).any()
 
 
 def test_rasterize_gouraud_overhead(benchmark, elle_mesh, cam):

@@ -98,6 +98,14 @@ class FrameBuffer:
         """Fraction of pixels something was rendered into."""
         return float(np.isfinite(self.depth).mean())
 
+    def scissor(self, clip: Tile | None) -> tuple[int, int, int, int]:
+        """Pixel bounds ``(x0, y0, x1, y1)``, upper ones exclusive, a draw
+        scissored to ``clip`` may touch: the whole buffer for ``None``."""
+        if clip is None:
+            return 0, 0, self.width, self.height
+        return (clip.x0, clip.y0, min(self.width, clip.x0 + clip.width),
+                min(self.height, clip.y0 + clip.height))
+
     def extract(self, tile: Tile) -> FrameBuffer:
         """Copy out a tile-sized sub-framebuffer."""
         if (tile.x0 + tile.width > self.width

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.errors import RenderError
 from repro.render.camera import Camera
-from repro.render.framebuffer import FrameBuffer
+from repro.render.framebuffer import FrameBuffer, Tile
 
 
 @dataclass(frozen=True)
@@ -30,11 +30,15 @@ def rasterize_points(points: np.ndarray, camera: Camera, fb: FrameBuffer,
                      colors: np.ndarray | None = None,
                      base_color=(230, 220, 180),
                      point_size: int = 1,
-                     depth_fade: bool = True) -> PointStats:
+                     depth_fade: bool = True,
+                     clip: Tile | None = None) -> PointStats:
     """Splat a point cloud into ``fb``.
 
     ``depth_fade`` dims distant points slightly, a cheap depth cue matching
-    what Java3D point rendering looked like.
+    what Java3D point rendering looked like.  ``clip`` scissors the splats
+    to one tile of ``fb``, as in :func:`rasterize_mesh`: every point is
+    still projected and faded, only pixels inside the tile are written and
+    counted in ``fragments``.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3:
@@ -80,12 +84,13 @@ def rasterize_points(points: np.ndarray, camera: Camera, fb: FrameBuffer,
     depth_flat = fb.depth.reshape(-1)
     color_flat = fb.color.reshape(-1, 3)
     half = (point_size - 1) // 2
+    x_lo, y_lo, x_hi, y_hi = fb.scissor(clip)
     fragments = 0
     for dy in range(point_size):
         for dx in range(point_size):
             qx = px + dx - half
             qy = py + dy - half
-            ok = (qx >= 0) & (qx < width) & (qy >= 0) & (qy < height)
+            ok = (qx >= x_lo) & (qx < x_hi) & (qy >= y_lo) & (qy < y_hi)
             if not ok.any():
                 continue
             pix = qy[ok] * width + qx[ok]

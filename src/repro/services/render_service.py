@@ -296,9 +296,11 @@ class RenderService:
     # -- rendering ---------------------------------------------------------------------
 
     def _draw_tree(self, session: RenderSession, camera: Camera,
-                   fb: FrameBuffer, include_avatars: bool = True) -> int:
+                   fb: FrameBuffer, include_avatars: bool = True,
+                   clip: Tile | None = None) -> int:
         """Rasterize the session's (assigned part of the) tree; returns
-        polygons drawn."""
+        polygons drawn.  ``clip`` scissors mesh, avatar and point fill to
+        one tile of ``fb``; volumes are ray-marched over the whole frame."""
         tree = session.tree
         drawn = 0
         allowed = session.assigned_ids
@@ -312,14 +314,15 @@ class RenderService:
             is_identity = np.allclose(world, np.eye(4))
             if isinstance(node, MeshNode):
                 mesh = node.mesh if is_identity else node.mesh.transformed(world)
-                rasterize_mesh(mesh, camera, fb, shading="flat")
+                rasterize_mesh(mesh, camera, fb, shading="flat", clip=clip)
                 drawn += mesh.n_triangles
             elif isinstance(node, PointCloudNode):
                 pts = node.points if is_identity else (
                     node.points @ world[:3, :3].T + world[:3, 3]).astype(
                         np.float32)
                 rasterize_points(pts, camera, fb, colors=node.colors,
-                                 point_size=max(1, int(node.point_size)))
+                                 point_size=max(1, int(node.point_size)),
+                                 clip=clip)
             elif isinstance(node, VolumeNode):
                 img = raymarch_volume(node.volume, camera, fb.width,
                                       fb.height,
@@ -333,7 +336,7 @@ class RenderService:
             elif isinstance(node, AvatarNode) and include_avatars:
                 cone = node.cone_geometry()
                 rasterize_mesh(cone, camera, fb, shading="flat",
-                               base_color=(240, 180, 60))
+                               base_color=(240, 180, 60), clip=clip)
                 drawn += cone.n_triangles
         session.frames_rendered += 1
         return drawn
@@ -384,14 +387,18 @@ class RenderService:
                     ) -> tuple[FrameBuffer, RenderTiming]:
         """Render one tile of the shared view (framebuffer distribution).
 
-        The whole view is rasterized at full resolution and the tile
-        extracted — geometry work is not reduced by tiling, exactly the
-        trade-off the cost model charges.
+        Every assigned polygon is still transformed, projected and culled
+        against the whole view — geometry work is not reduced by tiling —
+        but fill is scissored to ``tile``: only pixels inside it are
+        tested and written.  That is the trade-off the cost model charges
+        (``core/cost.py::tile_cost``: full geometry, the tile's share of
+        fill) and what the simulated timing below has always billed.
+        Volume nodes are the exception and are ray-marched full-frame.
         """
         session = self.render_session(rsid)
         cam = camera if isinstance(camera, Camera) else Camera.from_node(camera)
         full = FrameBuffer(full_width, full_height, background=background)
-        self._draw_tree(session, cam, full)
+        self._draw_tree(session, cam, full, clip=tile)
         timing = self.engine.timing(session.assigned_polygons(), tile.pixels,
                                     offscreen=True)
         self.network.sim.clock.advance(timing.total_seconds)

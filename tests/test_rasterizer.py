@@ -6,7 +6,7 @@ import pytest
 from repro.data.meshes import Mesh, merge_meshes
 from repro.errors import RenderError
 from repro.render.camera import Camera
-from repro.render.framebuffer import FrameBuffer
+from repro.render.framebuffer import FrameBuffer, split_tiles
 from repro.render.rasterizer import rasterize_mesh
 from repro.render.shading import flat_intensity, gouraud_intensity
 
@@ -98,6 +98,82 @@ class TestOcclusion:
         assert fb.coverage() > cov1
 
 
+def coplanar_pair(big_first: bool) -> Mesh:
+    """A red triangle tens of pixels wide and a blue one under four pixels
+    (on a 64x64 frame) inside it, both in the z=0 plane."""
+    big = [[-1.5, -1.5, 0], [1.5, -1.5, 0], [0, 1.5, 0]]
+    small = [[0.0, 0.0, 0], [0.16, 0.0, 0], [0.0, 0.16, 0]]
+    red, blue = [[1.0, 0, 0]] * 3, [[0, 0, 1.0]] * 3
+    verts, colors = (big + small, red + blue) if big_first \
+        else (small + big, blue + red)
+    return Mesh(np.array(verts, dtype=np.float32),
+                np.array([[0, 1, 2], [3, 4, 5]], dtype=np.int32),
+                colors=np.array(colors, dtype=np.float32))
+
+
+class TestDepthTie:
+    """Coplanar overlap: equal depths, so colour is decided by the stated
+    rule -- the highest face index wins -- however the work is cut up."""
+
+    @pytest.mark.parametrize("big_first", [True, False])
+    def test_highest_face_index_wins_however_it_is_cut(self, cam, big_first):
+        mesh = coplanar_pair(big_first)
+        alone = []
+        for face in mesh.faces:
+            fb = FrameBuffer(64, 64)
+            rasterize_mesh(Mesh(mesh.vertices, [face], colors=mesh.colors),
+                           cam, fb, shading="none")
+            alone.append(fb)
+        # the old size buckets: one box of at most 4 px, one above 16 px
+        widths = sorted(int(np.isfinite(fb.depth).any(axis=0).sum())
+                        for fb in alone)
+        assert widths[0] <= 4 and widths[1] > 16
+        tie = (alone[0].depth == alone[1].depth) & np.isfinite(alone[0].depth)
+        assert tie.sum() >= 3
+
+        whole = FrameBuffer(64, 64)
+        rasterize_mesh(mesh, cam, whole, shading="none")
+        assert (whole.color[tie] == alone[1].color[tie]).all()
+        assert (whole.color[tie] != alone[0].color[tie]).any()
+
+        one_by_one = FrameBuffer(64, 64)
+        rasterize_mesh(mesh, cam, one_by_one, shading="none", max_fragments=1)
+        tiled = FrameBuffer(64, 64)
+        for tile in split_tiles(64, 64, 2, 2):
+            fb = FrameBuffer(64, 64)
+            rasterize_mesh(mesh, cam, fb, shading="none", clip=tile)
+            tiled.paste(tile, fb.extract(tile))
+        for other in (one_by_one, tiled):
+            assert other.color.tobytes() == whole.color.tobytes()
+            assert other.depth.tobytes() == whole.depth.tobytes()
+
+
+class TestMemoryBound:
+    """Peak memory follows the face count, not the candidate-pixel count."""
+
+    #: chunk scratch, the frame-sized tie-rule scratch and slack, plus the
+    #: per-face rows (corners, boxes, spans, edge constants, colours)
+    FIXED, PER_FACE = 16 << 20, 400
+
+    @pytest.mark.parametrize("triangles", [300_000, 600_000])
+    def test_peak_is_bounded_at_1024x768(self, triangles):
+        import tracemalloc
+
+        from repro.data.generators import elle
+
+        mesh = elle(triangles).normalized()
+        fb = FrameBuffer(1024, 768)
+        tracemalloc.start()
+        try:
+            stats = rasterize_mesh(mesh, Camera.looking_at((2.2, 1.4, 1.2)),
+                                   fb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.fragments > 100_000
+        assert peak < self.FIXED + self.PER_FACE * mesh.n_triangles
+
+
 class TestCulling:
     def test_behind_camera_culled(self, cam):
         fb = FrameBuffer(32, 32)
@@ -160,6 +236,28 @@ class TestShading:
         quad = facing_quad(0.0)
         i = flat_intensity(quad, light_direction=(0, 0, -1))
         assert np.allclose(i, 1.0)
+
+    def test_flat_shade_of_survivors_is_the_whole_meshs(self, cam,
+                                                        small_galleon):
+        """Faces are shaded after the culls; every drawn pixel must still
+        carry one of the colours shading the whole mesh would have given,
+        wherever the culled faces sit in the index order."""
+        culled = [facing_quad(10.0), facing_quad(0.0).translated((100, 0, 0))]
+        mesh = merge_meshes(culled + [small_galleon])
+        base = np.array([200, 180, 90], dtype=np.float64)
+        cam2 = Camera.looking_at((2.2, 1.4, 1.2))
+        fb = FrameBuffer(96, 96)
+        stats = rasterize_mesh(mesh, cam2, fb, base_color=base)
+        other = FrameBuffer(96, 96)
+        rasterize_mesh(merge_meshes([small_galleon] + culled), cam2, other,
+                       base_color=base)
+        assert other.color.tobytes() == fb.color.tobytes()
+        assert stats.faces_culled_near + stats.faces_culled_offscreen >= 4
+        palette = np.clip(flat_intensity(mesh)[:, None] * base,
+                          0.0, 255.0).astype(np.uint8)
+        drawn = fb.color[np.isfinite(fb.depth)]
+        assert len(drawn) > 500
+        assert {tuple(c) for c in drawn} <= {tuple(c) for c in palette}
 
     def test_gouraud_rendering_smooth(self, cam, small_galleon):
         flat_fb = FrameBuffer(96, 96)

@@ -1,13 +1,15 @@
 """Property-based robustness tests for the rendering pipeline."""
 
+import dataclasses
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.data.meshes import Mesh
 from repro.render.camera import Camera
-from repro.render.framebuffer import FrameBuffer
+from repro.render.framebuffer import FrameBuffer, split_tiles
 from repro.render.points import rasterize_points
-from repro.render.rasterizer import rasterize_mesh
+from repro.render.rasterizer import RasterStats, rasterize_mesh
 
 
 @st.composite
@@ -81,3 +83,128 @@ class TestRasterizerRobustness:
         rasterize_mesh(mesh, camera, flat, shading="flat")
         rasterize_mesh(mesh, camera, smooth, shading="gouraud")
         assert np.array_equal(flat.depth, smooth.depth)
+
+
+def _frame(mesh, camera, width, height, **kw):
+    fb = FrameBuffer(width, height, background=(7, 7, 7))
+    stats = rasterize_mesh(mesh, camera, fb, **kw)
+    return fb.color.tobytes(), fb.depth.tobytes(), stats
+
+
+def _dense_reference(mesh, camera, width, height):
+    """Every face against every pixel centre, no spans and no chunks: the
+    culls, the fragment count and the depth buffer as the bucket
+    rasterizer defined them."""
+    screen, w = camera.project_vertices(mesh.vertices, width, height)
+    p = screen[mesh.faces]                                 # (m, 3, 3)
+    x, y = p[:, :, 0], p[:, :, 1]
+    near = ~(w[mesh.faces] > camera.near).all(axis=1)
+    area = ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+            - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))
+    flat = ~near & ~(np.abs(area) > 1e-12)
+    off = ~near & ~flat & ~(
+        (np.ceil(x.max(axis=1)) >= 0) & (np.floor(x.min(axis=1)) < width)
+        & (np.ceil(y.max(axis=1)) >= 0) & (np.floor(y.min(axis=1)) < height))
+    live = np.nonzero(~near & ~flat & ~off)[0]
+    depth = np.full((height, width), np.inf, dtype=np.float32)
+    cy, cx = np.mgrid[0:height, 0:width] + 0.5
+    fragments = 0
+    for f in live:
+        (x0, y0), (x1, y1), (x2, y2) = p[f, :, :2]
+        l0 = (x1 - x0) * (cy - y0) - (y1 - y0) * (cx - x0)
+        l1 = (x2 - x1) * (cy - y1) - (y2 - y1) * (cx - x1)
+        l2 = (x0 - x2) * (cy - y2) - (y0 - y2) * (cx - x2)
+        b0, b1, b2 = l1 * (1.0 / area[f]), l2 * (1.0 / area[f]), \
+            l0 * (1.0 / area[f])
+        inside = (b0 >= 0) & (b1 >= 0) & (b2 >= 0)
+        iw = 1.0 / w[mesh.faces[f]]
+        z = (1.0 / (b0 * iw[0] + b1 * iw[1] + b2 * iw[2])).astype(np.float32)
+        depth[inside] = np.minimum(depth[inside], z[inside])
+        fragments += int(inside.sum())
+    return (int(near.sum()), int(flat.sum()), int(off.sum()), len(live),
+            fragments, depth)
+
+
+def _whole_against_tiles(draw, width, height, nx, ny):
+    """``draw(fb, clip)`` once unclipped and once per tile of the grid: the
+    tiles must paste to the whole frame byte for byte, touch nothing outside
+    their scissor and share out its fragments.  Returns the stats of the
+    whole draw and of each tile's."""
+    whole = FrameBuffer(width, height, background=(7, 7, 7))
+    stats = draw(whole, None)
+    pasted = FrameBuffer(width, height)
+    parts = []
+    for tile in split_tiles(width, height, nx, ny):
+        fb = FrameBuffer(width, height, background=(7, 7, 7))
+        parts.append(draw(fb, tile))
+        pasted.paste(tile, fb.extract(tile))
+        fb.paste(tile, FrameBuffer(tile.width, tile.height,
+                                   background=(7, 7, 7)))
+        assert not np.isfinite(fb.depth).any()
+        assert (fb.color == 7).all()
+    assert pasted.color.tobytes() == whole.color.tobytes()
+    assert pasted.depth.tobytes() == whole.depth.tobytes()
+    assert sum(part.fragments for part in parts) == stats.fragments
+    return stats, parts
+
+
+class TestRasterizerInvariance:
+    """Neither the chunk size nor a tile scissor may change a pixel."""
+
+    @given(scenes(), st.integers(4, 14), st.integers(4, 14),
+           st.sampled_from(["flat", "gouraud", "none"]), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_chunk_size_changes_nothing(self, scene, width, height, shading,
+                                        cull):
+        mesh, camera = scene
+        kw = dict(shading=shading, cull_backfaces=cull)
+        default = _frame(mesh, camera, width, height, **kw)
+        for max_fragments in (1, 7, 4096):
+            assert _frame(mesh, camera, width, height,
+                          max_fragments=max_fragments, **kw) == default
+
+    @given(scenes(), st.integers(4, 40), st.integers(4, 40),
+           st.integers(1, 4), st.integers(1, 4),
+           st.sampled_from(["flat", "gouraud"]))
+    @settings(max_examples=40, deadline=None)
+    def test_clipped_tiles_paste_to_the_unclipped_frame(
+            self, scene, width, height, nx, ny, shading):
+        mesh, camera = scene
+        stats, parts = _whole_against_tiles(
+            lambda fb, clip: rasterize_mesh(mesh, camera, fb, shading=shading,
+                                            clip=clip),
+            width, height, nx, ny)
+        # the culls are about the whole view, whatever the scissor
+        assert all(dataclasses.replace(part, fragments=stats.fragments)
+                   == stats for part in parts)
+
+    @given(scenes(), st.integers(4, 32), st.integers(4, 32))
+    @settings(max_examples=40, deadline=None)
+    def test_unclipped_stats_and_depth_match_a_dense_evaluation(
+            self, scene, width, height):
+        mesh, camera = scene
+        fb = FrameBuffer(width, height)
+        stats = rasterize_mesh(mesh, camera, fb)
+        near, flat, off, live, fragments, depth = _dense_reference(
+            mesh, camera, width, height)
+        assert stats == RasterStats(
+            faces_in=mesh.n_triangles, faces_culled_near=near,
+            faces_culled_backface=flat, faces_culled_offscreen=off,
+            faces_rasterized=live, fragments=fragments)
+        assert fb.depth.tobytes() == depth.tobytes()
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 4),
+           st.integers(1, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_clipped_point_tiles_paste_to_the_unclipped_frame(
+            self, seed, size, nx, ny):
+        rng = np.random.default_rng(seed)
+        pts = (rng.normal(0, 1, (80, 3)) * rng.uniform(0.1, 3)).astype(
+            np.float32)
+        colors = rng.random((80, 3))
+        camera = Camera.looking_at((0, 0, 5))
+        stats, parts = _whole_against_tiles(
+            lambda fb, clip: rasterize_points(pts, camera, fb, colors=colors,
+                                              point_size=size, clip=clip),
+            24, 20, nx, ny)
+        assert all(part.points_drawn == stats.points_drawn for part in parts)

@@ -5,8 +5,14 @@ import pytest
 
 from repro.data.generators import galleon
 from repro.errors import ServiceError, SessionError
-from repro.render.framebuffer import Tile
-from repro.scenegraph.nodes import MeshNode
+from repro.core.session import CollaborativeSession
+from repro.render.framebuffer import split_tiles
+from repro.scenegraph.nodes import (
+    AvatarNode,
+    CameraNode,
+    MeshNode,
+    PointCloudNode,
+)
 from repro.scenegraph.tree import SceneTree
 from repro.scenegraph.updates import SetProperty
 
@@ -16,6 +22,22 @@ def demo(small_testbed):
     tree = SceneTree("demo")
     tree.add(MeshNode(galleon().normalized(), name="ship"))
     small_testbed.publish_tree("demo", tree)
+    return small_testbed
+
+
+@pytest.fixture
+def mixed(small_testbed):
+    """Every primitive the tile scissor touches: a mesh, a point cloud in
+    front of it and a collaborator's avatar cone."""
+    rng = np.random.default_rng(11)
+    tree = SceneTree("mixed")
+    tree.add(MeshNode(galleon().normalized(), name="ship"))
+    tree.add(PointCloudNode(rng.normal(0, 0.5, (400, 3)),
+                            colors=rng.random((400, 3)), point_size=3,
+                            name="spray"))
+    tree.add(AvatarNode("ann", position=(0.9, 0.6, 0.5),
+                        view_direction=(-1.0, -0.6, -0.4)))
+    small_testbed.publish_tree("mixed", tree)
     return small_testbed
 
 
@@ -91,16 +113,37 @@ class TestRendering:
         assert demo.clock.now == pytest.approx(
             before + timing.total_seconds)
 
-    def test_render_tile_matches_full_view(self, demo):
-        rs = demo.render_service("centrino")
-        session, _ = rs.create_render_session(demo.data_service, "demo")
-        cam = demo.thin_client("v").camera
+    def test_render_tile_matches_full_view(self, mixed):
+        """Mesh + point cloud + avatar: every scissored tile of a 3x2 split
+        is the matching rectangle of the full view, colour and depth."""
+        rs = mixed.render_service("centrino")
+        session, _ = rs.create_render_session(mixed.data_service, "mixed")
+        cam = mixed.thin_client("v").camera
         cam.look(position=(2.2, 1.4, 1.2))
-        full, _ = rs.render_view(session.render_session_id, cam, 96, 96)
-        tile = Tile(x0=48, y0=0, width=48, height=96)
-        part, _ = rs.render_tile(session.render_session_id, cam, tile,
-                                 96, 96)
-        assert np.array_equal(part.color, full.color[:, 48:])
+        rsid = session.render_session_id
+        full, _ = rs.render_view(rsid, cam, 96, 80)
+        assert len({tuple(c) for c in full.color.reshape(-1, 3)}) > 50
+        for tile in split_tiles(96, 80, 3, 2):
+            part, timing = rs.render_tile(rsid, cam, tile, 96, 80)
+            want = full.extract(tile)
+            assert part.color.tobytes() == want.color.tobytes()
+            assert part.depth.tobytes() == want.depth.tobytes()
+            # the model bills full geometry and the tile's share of fill
+            assert timing == rs.engine.timing(
+                session.assigned_polygons(), tile.pixels, offscreen=True)
+
+    def test_render_tiled_equals_one_render_view(self, mixed):
+        cs = CollaborativeSession(mixed.data_service, "mixed")
+        for host in ("centrino", "athlon"):
+            cs.connect(mixed.render_service(host))
+        cam = CameraNode(position=(2.2, 1.4, 1.2))
+        tiled, plan, _ = cs.render_tiled(cam, 96, 80)
+        assert len(plan.assignments) == 2
+        reference = mixed.render_service("centrino")
+        whole, _ = reference.render_view(
+            cs.attachment(reference).render_session_id, cam, 96, 80)
+        assert tiled.color.tobytes() == whole.color.tobytes()
+        assert tiled.depth.tobytes() == whole.depth.tobytes()
 
     def test_subset_rendering_draws_only_share(self, demo):
         rs = demo.render_service("centrino")
