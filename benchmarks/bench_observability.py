@@ -6,16 +6,17 @@ migration pressure and a mid-run crash with heartbeat-driven recovery —
 under an installed :mod:`repro.obs` bundle and a deployed
 :class:`~repro.services.monitor.MonitorService` scraping every service
 over the simulated network, then exports everything the instrumentation
-captured as one JSON snapshot
-(``benchmarks/results/BENCH_observability.json``).
+captured as one JSON snapshot (``BENCH_observability.json``, by default
+under the untracked ``benchmarks/out/``; ``benchmarks/results/`` holds the
+committed snapshot, rewritten only when ``--out`` names it).
 
 The snapshot is the artifact: counters for every subsystem, latency
 histograms, the per-frame span chains that let a trace viewer (or a
 regression diff) reconstruct exactly where each frame's time went, the
 monitor's federated view (alerts + SLO attainment report), and the
 flight-recorder dumps (also written separately as
-``BENCH_flight_recorder.json`` so CI can upload the post-mortem on its
-own).
+``BENCH_flight_recorder.json`` beside the snapshot so CI can upload the
+post-mortem on its own).
 
 Usage::
 
@@ -45,9 +46,8 @@ from repro.scenegraph.tree import SceneTree
 from repro.services.streaming import FrameStreamer
 from repro.testbed import build_testbed
 
-DEFAULT_OUT = Path(__file__).parent / "results" / "BENCH_observability.json"
-DEFAULT_DUMP_OUT = (Path(__file__).parent / "results"
-                    / "BENCH_flight_recorder.json")
+#: untracked, so that running the benchmark leaves the checkout clean
+DEFAULT_OUT = Path(__file__).parent / "out" / "BENCH_observability.json"
 
 
 def build_session(tb, polygons_per_part: int, parts: int
@@ -202,9 +202,10 @@ def crash_and_recover(tb, cs) -> None:
     tb.network.sim.run_until(now + 10.0)
 
 
-def run(smoke: bool, out: Path,
-        dump_out: Path = DEFAULT_DUMP_OUT) -> Path:
+def run(smoke: bool, out: Path) -> Path:
     import json
+
+    dump_out = out.with_name("BENCH_flight_recorder.json")
 
     polygons = 4_000 if smoke else 40_000
     frames = 3 if smoke else 12

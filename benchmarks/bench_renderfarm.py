@@ -11,7 +11,9 @@ prewarmed first so the measurement isolates the steady-state pull →
 render → ship cycle from the paper's container instance-creation cost
 (JVM start-up plus scene transfer), which is paid once per worker.
 
-The artifact is ``benchmarks/results/BENCH_renderfarm.json``: measured
+The artifact is ``BENCH_renderfarm.json`` (by default under the untracked
+``benchmarks/out/``; ``benchmarks/results/`` holds the committed
+snapshot, rewritten only when ``--out`` names it): measured
 frames/sec per pool size, the speedup relative to one worker, and the
 end-of-job queue state (audit must be empty — the farm never loses a
 frame to scheduling alone).  Speedups are measured and reported, not
@@ -49,7 +51,8 @@ from repro.farm import RenderJob
 from repro.sanitizer import RaveSanitizer
 from repro.testbed import build_testbed
 
-DEFAULT_OUT = Path(__file__).parent / "results" / "BENCH_renderfarm.json"
+#: untracked, so that running the benchmark leaves the checkout clean
+DEFAULT_OUT = Path(__file__).parent / "out" / "BENCH_renderfarm.json"
 
 #: pool size -> worker hosts (drawn from the testbed's render pool)
 POOLS = {

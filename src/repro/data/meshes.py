@@ -3,12 +3,15 @@
 A :class:`Mesh` stores float32 vertices ``(n, 3)`` and int32 faces ``(m, 3)``
 — the layout both the rasterizer and the binary marshaller consume without
 copies (views, not copies, per the HPC guide).  Optional per-vertex colors
-ride along for Gouraud shading.
+ride along for Gouraud shading.  A mesh never changes after construction,
+which is what lets it keep what is derived from it (:meth:`Mesh.kept`).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -31,8 +34,33 @@ class MeshStats:
         return tuple(b - a for a, b in zip(self.bounds_min, self.bounds_max))
 
 
+def homogeneous_rows(vertices: np.ndarray) -> np.ndarray:
+    """``(n, 3)`` positions as float64 ``(n, 4)`` rows ``(x, y, z, 1)``, the
+    operand of a 4x4 transform."""
+    vh = np.empty((len(vertices), 4))
+    vh[:, :3] = vertices
+    vh[:, 3] = 1.0
+    return vh
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """A read-only view (the caller's own array keeps its flags)."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
 class Mesh:
-    """An indexed triangle mesh.
+    """An indexed triangle mesh, immutable once built.
+
+    ``vertices``, ``faces``, ``colors`` and ``uv`` are read-only views:
+    writing through them raises, and ``transformed`` / ``translated`` /
+    ``scaled`` / ``submesh`` return new meshes.  Because nothing can change
+    under it, a mesh keeps what is derived from it alone -- the corner-index
+    arrays, the homogeneous vertices, the face normals, and whatever a
+    renderer prepares through :meth:`kept` -- computed on first use.  Kept
+    data belongs to one mesh object: it is not marshalled, not counted in
+    ``byte_size`` and not carried over to a transformed copy.
 
     Parameters
     ----------
@@ -51,7 +79,8 @@ class Mesh:
         human-readable label carried through scene graphs and services.
     """
 
-    __slots__ = ("vertices", "faces", "colors", "uv", "texture", "name")
+    __slots__ = ("vertices", "faces", "colors", "uv", "texture", "name",
+                 "_kept")
 
     def __init__(
         self,
@@ -88,12 +117,13 @@ class Mesh:
                     f"uv must be ({len(vertices)}, 2); got {uv.shape}")
         if texture is not None and uv is None:
             raise DataFormatError("a textured mesh needs uv coordinates")
-        self.vertices = vertices
-        self.faces = faces
-        self.colors = colors
-        self.uv = uv
+        self.vertices = _frozen(vertices)
+        self.faces = _frozen(faces)
+        self.colors = None if colors is None else _frozen(colors)
+        self.uv = None if uv is None else _frozen(uv)
         self.texture = texture
         self.name = name
+        self._kept: dict[str, tuple[Any, Any]] = {}
 
     # -- basic properties ---------------------------------------------------
 
@@ -136,21 +166,51 @@ class Mesh:
 
     # -- derived geometry ---------------------------------------------------
 
+    def kept(self, name: str, build: Callable[[], Any], key: Any = None):
+        """Data derived from this mesh alone, built on first use and kept.
+
+        One value per ``name``; it is rebuilt when ``key`` (whatever else
+        it was built from, e.g. a light direction) differs from the last
+        one, so a mesh never holds more than one value per name.  Arrays
+        come back read-only, like the mesh's own.
+        """
+        hit = self._kept.get(name)
+        if hit is None or hit[0] != key:
+            value = build()
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            hit = self._kept[name] = (key, value)
+        return hit[1]
+
+    def corner_indices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The three columns of ``faces`` as contiguous ``(m,)`` index
+        arrays -- what a gather per corner (``x[f0]``) wants."""
+        return self.kept("corners", lambda: tuple(
+            _frozen(np.ascontiguousarray(self.faces[:, k], dtype=np.intp))
+            for k in range(3)))
+
+    def homogeneous(self) -> np.ndarray:
+        """:func:`homogeneous_rows` of the vertices."""
+        return self.kept("homogeneous",
+                         lambda: homogeneous_rows(self.vertices))
+
     def triangle_corners(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The three ``(m, 3)`` corner arrays — fancy-indexed views for the
-        rasterizer's vectorized edge functions."""
+        """The three ``(m, 3)`` corner arrays, one gathered copy each."""
         v = self.vertices
         f = self.faces
-        return v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
+        return (v.take(f[:, 0], axis=0), v.take(f[:, 1], axis=0),
+                v.take(f[:, 2], axis=0))
 
     def face_normals(self) -> np.ndarray:
         """Unit face normals, ``(m, 3)``; degenerate faces get a zero normal."""
-        a, b, c = self.triangle_corners()
-        n = np.cross(b - a, c - a)
-        length = np.linalg.norm(n, axis=1, keepdims=True)
-        # Avoid divide-by-zero on degenerate (zero-area) triangles.
-        np.maximum(length, np.finfo(np.float32).tiny, out=length)
-        return (n / length).astype(np.float32)
+        def build():
+            a, b, c = self.triangle_corners()
+            n = np.cross(b - a, c - a)
+            length = np.linalg.norm(n, axis=1, keepdims=True)
+            # Avoid divide-by-zero on degenerate (zero-area) triangles.
+            np.maximum(length, np.finfo(np.float32).tiny, out=length)
+            return (n / length).astype(np.float32)
+        return self.kept("face_normals", build)
 
     def face_areas(self) -> np.ndarray:
         a, b, c = self.triangle_corners()

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.data.meshes import homogeneous_rows
 from repro.errors import RenderError
 from repro.scenegraph.nodes import CameraNode
 
@@ -82,29 +83,32 @@ class Camera:
 
     # -- vertex pipeline --------------------------------------------------------
 
+    def project_homogeneous(self, vh: np.ndarray, width: int, height: int
+                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Homogeneous world-space ``(n, 4)`` float64 rows → contiguous
+        ``x_px``, ``y_px`` and clip-space ``w``, one ``(n,)`` array each.
+
+        Screen y grows downward.  ``w`` is the view-space distance
+        (positive in front of the camera) — what the z-buffer compares and
+        what depth compositing exchanges between render services.
+        """
+        view = self.view_matrix()
+        clip = vh @ (self.projection_matrix(width / height) @ view).T
+        w = np.ascontiguousarray(clip[:, 3])   # = -z_view
+        safe_w = np.where(np.abs(w) < 1e-12, 1e-12, w)
+        x_px = (clip[:, 0] / safe_w + 1.0) * 0.5 * width
+        y_px = (1.0 - clip[:, 1] / safe_w) * 0.5 * height
+        return x_px, y_px, w
+
     def project_vertices(self, vertices: np.ndarray, width: int, height: int
                          ) -> tuple[np.ndarray, np.ndarray]:
         """World-space ``(n, 3)`` → screen ``(n, 3)`` of (x_px, y_px, depth)
-        plus the clip-space w (camera distance) for culling/interpolation.
-
-        Screen y grows downward.  ``depth`` is the view-space distance
-        (positive in front of the camera) — what the z-buffer compares and
-        what depth compositing exchanges between render services.
+        plus the clip-space w (camera distance) for culling/interpolation;
+        :meth:`project_homogeneous` stacked.
         """
         v = np.asarray(vertices, dtype=np.float64)
         if v.ndim != 2 or v.shape[1] != 3:
             raise RenderError(f"vertices must be (n, 3); got {v.shape}")
-        view = self.view_matrix()
-        proj = self.projection_matrix(width / height)
-        vh = np.empty((len(v), 4))
-        vh[:, :3] = v
-        vh[:, 3] = 1.0
-        clip = vh @ (proj @ view).T
-        w = clip[:, 3]                      # = -z_view = distance along view
-        safe_w = np.where(np.abs(w) < 1e-12, 1e-12, w)
-        ndc = clip[:, :3] / safe_w[:, None]
-        screen = np.empty((len(v), 3))
-        screen[:, 0] = (ndc[:, 0] + 1.0) * 0.5 * width
-        screen[:, 1] = (1.0 - ndc[:, 1]) * 0.5 * height
-        screen[:, 2] = w                    # view-space depth
-        return screen, w
+        x_px, y_px, w = self.project_homogeneous(homogeneous_rows(v), width,
+                                                 height)
+        return np.stack([x_px, y_px, w], axis=1), w

@@ -97,10 +97,8 @@ def pick_tree(ray: Ray, tree: SceneTree) -> PickHit | None:
     for node in tree:
         if not isinstance(node, MeshNode):
             continue
-        world = tree.world_transform(node)
-        mesh = node.mesh
-        if not np.allclose(world, np.eye(4)):
-            mesh = mesh.transformed(world)
+        world = tree.placement(node)
+        mesh = node.mesh if world is None else node.mesh.transformed(world)
         res = intersect_mesh(ray, mesh)
         if res is None:
             continue

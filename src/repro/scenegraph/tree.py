@@ -10,6 +10,7 @@ exactly that contract.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
+from functools import reduce
 
 import numpy as np
 
@@ -112,19 +113,32 @@ class SceneTree:
     def cameras(self) -> list[CameraNode]:
         return [n for n in self if isinstance(n, CameraNode)]
 
-    def world_transform(self, node: SceneNode | int) -> np.ndarray:
-        """Accumulated 4x4 transform from the root down to ``node``."""
-        target = self._resolve(node)
+    def _transform_chain(self, node: SceneNode | int) -> list[np.ndarray]:
+        """Matrices of the transform nodes from the root down to ``node``."""
         chain: list[np.ndarray] = []
-        cur: SceneNode | None = target
+        cur: SceneNode | None = self._resolve(node)
         while cur is not None:
             if isinstance(cur, TransformNode):
                 chain.append(cur.matrix)
             cur = cur.parent
-        m = np.eye(4)
-        for t in reversed(chain):
-            m = m @ t
-        return m
+        return chain[::-1]
+
+    def world_transform(self, node: SceneNode | int) -> np.ndarray:
+        """Accumulated 4x4 transform from the root down to ``node``."""
+        return reduce(np.matmul, self._transform_chain(node), np.eye(4))
+
+    def placement(self, node: SceneNode | int) -> np.ndarray | None:
+        """:meth:`world_transform`, or None where it moves nothing.
+
+        A node with no transform node above it is where its payload says
+        by construction; only a chain that exists is multiplied out and
+        compared with the identity (``np.allclose`` tolerance).
+        """
+        chain = self._transform_chain(node)
+        if not chain:
+            return None
+        world = reduce(np.matmul, chain, np.eye(4))
+        return None if np.allclose(world, np.eye(4)) else world
 
     def total_polygons(self) -> int:
         return sum(n.n_polygons for n in self)

@@ -310,14 +310,14 @@ class RenderService:
                 if not any(a.node_id in allowed
                            for a in tree.path_to_root(node)):
                     continue
-            world = tree.world_transform(node)
-            is_identity = np.allclose(world, np.eye(4))
+            world = tree.placement(node)
             if isinstance(node, MeshNode):
-                mesh = node.mesh if is_identity else node.mesh.transformed(world)
+                mesh = (node.mesh if world is None
+                        else node.mesh.transformed(world))
                 rasterize_mesh(mesh, camera, fb, shading="flat", clip=clip)
                 drawn += mesh.n_triangles
             elif isinstance(node, PointCloudNode):
-                pts = node.points if is_identity else (
+                pts = node.points if world is None else (
                     node.points @ world[:3, :3].T + world[:3, 3]).astype(
                         np.float32)
                 rasterize_points(pts, camera, fb, colors=node.colors,

@@ -27,6 +27,17 @@ class TestCamera:
         assert np.allclose(w, [5.0, 3.0, 8.0])
         assert np.allclose(screen[:, 2], w)
 
+    def test_homogeneous_core_is_what_project_vertices_stacks(self):
+        cam = Camera.looking_at((2.2, 1.4, 1.2), fov_degrees=50)
+        pts = np.random.default_rng(0).normal(size=(50, 3))
+        screen, w = cam.project_vertices(pts, 120, 90)
+        vh = np.hstack([pts, np.ones((50, 1))])
+        columns = cam.project_homogeneous(vh, 120, 90)
+        assert all(c.flags.c_contiguous and c.shape == (50,)
+                   for c in columns)
+        assert np.array_equal(np.stack(columns, axis=1), screen)
+        assert np.array_equal(columns[2], w)
+
     def test_right_is_positive_x(self):
         cam = self.make()
         screen, _ = cam.project_vertices(np.array([[1.0, 0, 0]]), 200, 200)

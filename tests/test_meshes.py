@@ -76,6 +76,94 @@ class TestGeometry:
         assert s.extent == pytest.approx((2.0, 2.0, 0.0))
 
 
+class TestImmutability:
+    @pytest.fixture
+    def full(self, quad):
+        from repro.data.textures import checkerboard
+
+        return Mesh(quad.vertices, quad.faces,
+                    colors=np.full((4, 3), 0.5), uv=np.zeros((4, 2)),
+                    texture=checkerboard(8, 2))
+
+    @pytest.mark.parametrize("attr", ["vertices", "faces", "colors", "uv"])
+    def test_arrays_are_read_only(self, full, attr):
+        with pytest.raises(ValueError):
+            getattr(full, attr)[0, 0] = 1
+
+    def test_callers_array_keeps_its_flags(self):
+        verts = np.zeros((3, 3), np.float32)
+        m = Mesh(verts, np.array([[0, 1, 2]], np.int32))
+        assert verts.flags.writeable and not m.vertices.flags.writeable
+
+    def test_derived_arrays_are_kept_and_read_only(self, quad):
+        for derived in (quad.face_normals, quad.homogeneous,
+                        lambda: quad.corner_indices()[1]):
+            first = derived()
+            assert derived() is first
+            with pytest.raises(ValueError):
+                first[0] = 0
+        assert np.array_equal(quad.homogeneous()[:, :3], quad.vertices)
+        assert np.all(quad.homogeneous()[:, 3] == 1.0)
+        assert quad.homogeneous().dtype == np.float64
+        for k, column in enumerate(quad.corner_indices()):
+            assert column.flags.c_contiguous
+            assert np.array_equal(column, quad.faces[:, k])
+
+    def test_kept_holds_one_value_per_name(self, quad):
+        builds = []
+
+        def build():
+            builds.append(1)
+            return np.arange(3)
+
+        assert quad.kept("x", build, key="a") is quad.kept("x", build, key="a")
+        assert len(builds) == 1
+        quad.kept("x", build, key="b")
+        quad.kept("x", build, key="a")          # "a" was not held on to
+        assert len(builds) == 3
+
+    def test_derived_data_is_not_payload(self, full):
+        from repro.network.marshalling import BinaryMarshaller
+        from repro.scenegraph.nodes import MeshNode, node_from_wire, \
+            node_to_wire
+
+        def wire(mesh):
+            return BinaryMarshaller().marshal(
+                node_to_wire(MeshNode(mesh, name="n"))).data
+
+        fresh_bytes, fresh_size = wire(full), full.byte_size
+        assert fresh_size == sum(a.nbytes for a in (
+            full.vertices, full.faces, full.colors, full.uv,
+            full.texture.image))
+        for prepare in (full.face_normals, full.homogeneous,
+                        full.corner_indices):
+            prepare()
+        full.kept("anything", lambda: np.zeros(1000))
+        assert wire(full) == fresh_bytes
+        assert full.byte_size == fresh_size == full.stats().byte_size
+        value, _ = BinaryMarshaller().demarshal(fresh_bytes)
+        back = node_from_wire(value).mesh
+        for attr in ("vertices", "faces", "colors", "uv"):
+            assert getattr(back, attr).tobytes() == \
+                getattr(full, attr).tobytes()
+        assert back.face_normals() is not full.face_normals()
+
+    def test_derived_data_belongs_to_one_mesh(self, quad):
+        faces = quad.faces
+        flipped = Mesh(quad.vertices * np.float32(-2.0), faces)
+        assert np.shares_memory(flipped.faces, quad.faces)
+        n0, h0 = quad.face_normals(), quad.homogeneous()
+        assert flipped.homogeneous() is not h0
+        assert np.array_equal(flipped.homogeneous()[:, :3], flipped.vertices)
+        moved = quad.transformed(np.diag([1.0, 1.0, -1.0, 1.0]))
+        assert moved.face_normals() is not n0
+        assert np.array_equal(moved.face_normals(),
+                              Mesh(moved.vertices, faces).face_normals())
+        assert np.array_equal(quad.face_normals(), n0)
+        marker = quad.kept("marker", lambda: "quad's")
+        assert moved.kept("marker", lambda: "moved's") != marker
+
+
 class TestTransforms:
     def test_translated(self, quad):
         t = quad.translated((1.0, 2.0, 3.0))

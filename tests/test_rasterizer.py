@@ -298,6 +298,88 @@ class TestShading:
             rasterize_mesh(quad, cam, FrameBuffer(8, 8), base_color=(1, 2))
 
 
+class TestPreparedData:
+    """What a mesh keeps between frames (corner indices, homogeneous
+    vertices, normals, the shade tables) never shows: any frame equals the
+    same frame drawn from a mesh nothing was prepared on."""
+
+    LOOKS = [dict(light_direction=None, base_color=(200, 200, 210)),
+             dict(light_direction=(1.0, 0.2, -0.3), base_color=(255, 40, 10))]
+
+    @staticmethod
+    def variants(base: Mesh) -> dict:
+        from repro.data.textures import checkerboard, planar_uv
+
+        rng = np.random.default_rng(3)
+        colors = rng.random(base.vertices.shape)
+        return {
+            "flat": (lambda: Mesh(base.vertices, base.faces), "flat"),
+            "none": (lambda: Mesh(base.vertices, base.faces), "none"),
+            "gouraud": (lambda: Mesh(base.vertices, base.faces), "gouraud"),
+            "vertex-colour": (
+                lambda: Mesh(base.vertices, base.faces, colors), "flat"),
+            "vertex-colour-gouraud": (
+                lambda: Mesh(base.vertices, base.faces, colors), "gouraud"),
+            "textured": (
+                lambda: Mesh(base.vertices, base.faces,
+                             uv=planar_uv(base.vertices),
+                             texture=checkerboard(16, 4)), "flat"),
+        }
+
+    @staticmethod
+    def frame(mesh, camera, shading, look, clip=None):
+        fb = FrameBuffer(80, 60)
+        stats = rasterize_mesh(mesh, camera, fb, shading=shading, clip=clip,
+                               **look)
+        return fb.color.tobytes(), fb.depth.tobytes(), stats
+
+    @pytest.mark.parametrize("kind", ["flat", "none", "gouraud",
+                                      "vertex-colour",
+                                      "vertex-colour-gouraud", "textured"])
+    def test_frames_do_not_depend_on_what_was_drawn_before(
+            self, kind, small_galleon):
+        make, shading = self.variants(small_galleon)[kind]
+        cams = [Camera.looking_at((2.2, 1.4, 1.2)),
+                Camera.looking_at((-1.5, 2.0, 0.4))]
+        kept = make()
+        # same look twice, the other look, back again, from two cameras
+        for look in (self.LOOKS[0], self.LOOKS[0], self.LOOKS[1],
+                     self.LOOKS[0], self.LOOKS[1]):
+            for camera in cams:
+                assert self.frame(kept, camera, shading, look) == \
+                    self.frame(make(), camera, shading, look)
+        if kind in ("flat", "gouraud"):
+            a, b = (self.frame(kept, cams[0], shading, look)[0]
+                    for look in self.LOOKS)
+            assert a != b                       # the key is looked at
+
+    def test_transformed_copy_shares_nothing(self, small_galleon):
+        camera = Camera.looking_at((2.2, 1.4, 1.2))
+        look = self.LOOKS[0]
+        matrix = np.eye(4)
+        matrix[:3, :3] = [[0, -1, 0], [1, 0, 0], [0, 0, 1]]
+        matrix[:3, 3] = [0.1, 0.0, -0.2]
+        before = self.frame(small_galleon, camera, "flat", look)
+        moved = small_galleon.transformed(matrix)
+        fresh = Mesh(moved.vertices.copy(), moved.faces.copy())
+        assert self.frame(moved, camera, "flat", look) == \
+            self.frame(fresh, camera, "flat", look) != before
+        assert self.frame(small_galleon, camera, "flat", look) == before
+
+    def test_shared_faces_array(self, small_galleon):
+        camera = Camera.looking_at((2.2, 1.4, 1.2))
+        look = self.LOOKS[1]
+        other = Mesh(small_galleon.vertices * np.float32(0.5),
+                     small_galleon.faces)
+        assert np.shares_memory(other.faces, small_galleon.faces)
+        first = self.frame(small_galleon, camera, "flat", look)
+        second = self.frame(other, camera, "flat", look)
+        assert second == self.frame(
+            Mesh(other.vertices.copy(), other.faces.copy()), camera, "flat",
+            look) != first
+        assert self.frame(small_galleon, camera, "flat", look) == first
+
+
 class TestChunking:
     def test_small_fragment_budget_same_result(self, cam, small_galleon):
         """Chunked processing must be invisible in the output."""

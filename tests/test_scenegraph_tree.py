@@ -108,6 +108,20 @@ class TestWorldTransforms:
         p = w @ np.array([1.0, 0, 0, 1.0])
         assert np.allclose(p[:3], [3, 0, 0])
 
+    def test_placement_is_none_where_nothing_moves(self, simple_tree, quad):
+        cam = simple_tree.cameras()[0]
+        assert simple_tree.placement(cam) is None      # no transform above
+        mesh = simple_tree.find_by_name("quad")[0]
+        assert np.array_equal(simple_tree.placement(mesh),
+                              simple_tree.world_transform(mesh))
+        tree = SceneTree()
+        there = tree.add(TransformNode.from_translation((1, 0, 0)))
+        back = tree.add(TransformNode.from_translation((-1, 0, 1e-12)),
+                        parent=there)
+        still = tree.add(MeshNode(quad), parent=back)
+        assert tree.placement(still) is None           # within tolerance
+        assert tree.placement(there) is not None
+
 
 class TestSubtreeExtraction:
     def test_parent_chain_preserved(self, simple_tree):
