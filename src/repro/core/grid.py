@@ -894,13 +894,14 @@ class SessionGridManager:
         registry.gauge("rave_admission_pool_utilisation",
                        "committed fraction of the pool's polygon rate"
                        ).set(self.utilisation())
-        counts: dict[str, int] = {}
+        # every known tenant: one whose last session ended must read 0
+        counts = dict.fromkeys(self.tenants(), 0)
         for gs in self._sessions.values():
-            counts[gs.tenant] = counts.get(gs.tenant, 0) + 1
-        for tenant in sorted(counts):
+            counts[gs.tenant] += 1
+        for tenant, count in counts.items():
             registry.gauge("rave_tenant_sessions",
                            "admitted sessions per tenant",
-                           tenant=tenant).set(counts[tenant])
+                           tenant=tenant).set(count)
 
     def describe(self) -> dict:
         """JSON-serialisable admission state (dashboard / tests)."""

@@ -13,7 +13,9 @@ refreshed by registered *collectors* at scrape time, so the hot paths
 only touch counters/histograms they already compute.  :meth:`scrape`
 produces a plain-dict payload; :meth:`scrape_frame` wraps it in the
 binary data-plane framing (``services/protocol.py``) so a scrape has a
-real wire size and pays simulated transfer cost.
+real wire size and pays simulated transfer cost.  The event stream is a
+*cursor read* (see :meth:`ServiceTelemetry.scrape`), so a steady-state
+scrape does not grow with the service's history.
 
 :func:`federate` merges scraped payloads into one labelled metrics dict
 — every series gains ``service``/``host`` labels — which is what the
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.quantiles import (
@@ -47,7 +50,12 @@ class TelemetryEvent:
 
 
 class ServiceTelemetry:
-    """One service's own metrics registry + bounded event stream."""
+    """One service's own metrics registry + bounded event stream.
+
+    Events are numbered from 0 in emission order; the ring keeps the
+    newest ``event_capacity`` and ``events_seen`` counts them all.  No
+    per-scraper state: a scraper names the event number to resume from.
+    """
 
     def __init__(self, service: str, host: str, kind: str,
                  event_capacity: int = 256) -> None:
@@ -82,10 +90,24 @@ class ServiceTelemetry:
 
     # -- scraping -----------------------------------------------------------------
 
-    def scrape(self, now: float = 0.0) -> dict:
-        """Collect, then return the full payload a scraper would receive."""
+    def scrape(self, now: float = 0.0, since: int = 0) -> dict:
+        """Collect, then return the payload a scraper would receive.
+
+        ``since`` is the scraper's cursor: the number of this service's
+        events it has already received.  Only ring entries numbered
+        ``>= since`` are shipped, so ``since == events_seen`` ships
+        ``[]``; ``events_seen`` is the running total either way, and the
+        receiver numbers what it got as ``events_seen - len(events)``
+        onwards.  A cursor the ring cannot honour ships the whole ring:
+        ``since <= 0`` (the default — a first contact or a direct
+        caller), ``since`` older than the oldest entry kept (the ring
+        overflowed in between), and ``since > events_seen`` (the cursor
+        belongs to an earlier instance of a restarted service).
+        """
         self.collect()
         self.scrapes += 1
+        oldest = self.events_seen - len(self._events)
+        skip = max(since - oldest, 0) if since <= self.events_seen else 0
         return {
             "format": TELEMETRY_FORMAT,
             "service": self.service,
@@ -96,17 +118,17 @@ class ServiceTelemetry:
             "registry": self.registry.stats(),
             "events": [
                 {"time": e.time, "kind": e.kind, "detail": e.detail}
-                for e in self._events
+                for e in islice(self._events, skip, None)
             ],
             "events_seen": self.events_seen,
             "scrapes": self.scrapes,
         }
 
-    def scrape_frame(self, now: float = 0.0) -> bytes:
+    def scrape_frame(self, now: float = 0.0, since: int = 0) -> bytes:
         """The scrape as wire bytes (binary framing + JSON payload)."""
         from repro.services.protocol import frame_telemetry
 
-        return frame_telemetry(self.scrape(now))
+        return frame_telemetry(self.scrape(now, since))
 
 
 def flatten_metrics(metrics: dict) -> dict[str, float]:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.errors import NetworkError, ServiceError
+from repro.errors import MarshallingError, NetworkError, ServiceError
 from repro.obs import active as _obs
 from repro.obs.quantiles import (
     buckets_from_snapshot,
@@ -93,7 +93,15 @@ FEDERATED_QUANTILES = (0.95, 0.99)
 
 
 class MonitorService:
-    """Scrapes per-service telemetry; evaluates alerts and SLOs."""
+    """Scrapes per-service telemetry; evaluates alerts and SLOs.
+
+    Per watched service the monitor keeps the latest payload, its
+    flattened view (computed once, at ingest) and an *acknowledged event
+    cursor*: the number of that service's events it has received.  Each
+    scrape asks for events from the cursor on, and the cursor advances
+    only when a frame arrives — so a dropped scrape is re-covered by the
+    next one, and overlapping scrapes are de-duplicated on arrival.
+    """
 
     def __init__(self, name: str, container: ServiceContainer,
                  period: float = 1.0, rules=None,
@@ -112,7 +120,9 @@ class MonitorService:
         self._targets: dict[str, object] = {}
         #: last successfully ingested payload per service
         self._latest: dict[str, dict] = {}
-        #: per-service high-water mark of forwarded remote events
+        #: ``flatten_metrics`` of each latest payload, taken at ingest
+        self._flat: dict[str, dict[str, float]] = {}
+        #: per-service count of remote events received (the scrape cursor)
         self._forwarded: dict[str, int] = {}
         self.scrapes = 0
         self.scrape_failures = 0
@@ -217,18 +227,28 @@ class MonitorService:
     def scrape_one(self, telemetry) -> None:
         """Scrape one target over the simulated network.
 
-        The payload is framed (real wire size), sent host-to-host via
-        :meth:`Network.send`, and ingested when the transfer completes.
-        A down host, missing route or in-flight drop counts as a scrape
-        failure — monitoring traffic is traffic.
+        The payload — metrics plus the events past this monitor's
+        acknowledged cursor — is framed (real wire size), sent
+        host-to-host via :meth:`Network.send`, and ingested when the
+        transfer completes.  A down host, missing route or in-flight
+        drop counts as a scrape failure — monitoring traffic is traffic —
+        and so does a frame that does not parse or names no service: one
+        bad target must not end monitoring for the rest of the grid.
         """
         network = self.network
         if not network.host_is_up(telemetry.host):
             self.scrape_failures += 1
             return
         now = network.sim.clock.now
-        frame = telemetry.scrape_frame(now)
-        payload = unframe_telemetry(frame)
+        frame = telemetry.scrape_frame(
+            now, self._forwarded.get(telemetry.service, 0))
+        try:
+            payload = unframe_telemetry(frame)
+        except MarshallingError:
+            payload = {}
+        if "service" not in payload:
+            self.scrape_failures += 1
+            return
 
         def deliver(_record) -> None:
             self._ingest(payload, network.sim.now)
@@ -247,7 +267,8 @@ class MonitorService:
     def _ingest(self, payload: dict, arrival: float) -> None:
         service = payload["service"]
         self._latest[service] = payload
-        flat = flatten_metrics(payload.get("metrics", {}))
+        flat = self._flat[service] = flatten_metrics(
+            payload.get("metrics", {}))
         sample_time = payload.get("time", arrival)
         self.engine.observe(service, sample_time, flat)
         self.slo.observe(service, payload.get("kind", ""), sample_time, flat)
@@ -266,10 +287,13 @@ class MonitorService:
             history.append((time, value))
 
     def _forward_events(self, service: str, payload: dict) -> None:
-        """Relay newly-seen remote events into the active flight recorder."""
+        """Acknowledge a payload's events; relay the new ones.
+
+        The cursor advances whether or not a flight recorder is active,
+        so a recorder switched on mid-run receives events from then on,
+        not a replay of what the monitor already acknowledged.
+        """
         obs = _obs()
-        if not obs.enabled:
-            return
         events = payload.get("events", [])
         seen = payload.get("events_seen", len(events))
         watermark = self._forwarded.get(service, 0)
@@ -278,14 +302,15 @@ class MonitorService:
             # the old high-water mark would silently drop everything the
             # replacement emits, starting with its first payload.
             watermark = 0
-        start_index = seen - len(events)       # ring may have overflowed
-        for offset, event in enumerate(events):
-            if start_index + offset < watermark:
-                continue
+        self._forwarded[service] = seen
+        if not obs.enabled:
+            return
+        # the payload's events are numbered seen - len(events) onwards;
+        # those below the watermark came with an overlapping scrape
+        for event in events[max(watermark - (seen - len(events)), 0):]:
             obs.recorder.note(EVENT_TELEMETRY_PREFIX + event["kind"],
                               time=event.get("time", 0.0),
                               detail=f"{service}: {event.get('detail', '')}")
-        self._forwarded[service] = seen
 
     # -- grid-wide aggregates -------------------------------------------------------
 
@@ -299,11 +324,10 @@ class MonitorService:
         rendered exports no fps gauge and does not drag the mean down).
         """
         values: dict[str, float] = {}
-        renders = [self._latest[name] for name in sorted(self._latest)
+        renders = [name for name in sorted(self._latest)
                    if self._latest[name].get("kind") == SERVICE_RENDER]
         if renders:
-            flats = [flatten_metrics(p.get("metrics", {}))
-                     for p in renders]
+            flats = [self._flat[name] for name in renders]
             fps = [f["rave_rs_fps"] for f in flats if "rave_rs_fps" in f]
             utils = [f["rave_rs_utilisation"] for f in flats
                      if "rave_rs_utilisation" in f]
@@ -324,7 +348,7 @@ class MonitorService:
             payload = self._latest[name]
             if payload.get("kind") != SERVICE_GRID:
                 continue
-            flat = flatten_metrics(payload.get("metrics", {}))
+            flat = self._flat[name]
             if "rave_queue_depth" in flat:
                 values[GRID_QUEUE_DEPTH] = flat["rave_queue_depth"]
             if "rave_admission_rejection_rate" in flat:
@@ -337,7 +361,7 @@ class MonitorService:
             payload = self._latest[name]
             if payload.get("kind") != SERVICE_FARM:
                 continue
-            flat = flatten_metrics(payload.get("metrics", {}))
+            flat = self._flat[name]
             if "rave_farm_queue_depth" in flat:
                 values[GRID_FARM_BACKLOG] = (
                     values.get(GRID_FARM_BACKLOG, 0.0)
@@ -438,7 +462,7 @@ class MonitorService:
                 "host": payload.get("host", "?"),
                 "kind": payload.get("kind", "?"),
                 "time": payload.get("time", 0.0),
-                "metrics": flatten_metrics(payload.get("metrics", {})),
+                "metrics": dict(self._flat[name]),
                 "events_seen": payload.get("events_seen", 0),
             }
         federate_stats: dict = {}

@@ -366,3 +366,64 @@ class TestMonitorUnderServiceRestart:
                 "the replacement's first events never reached the recorder"
             # and the watermark tracks the new counter, not the old one
             assert tb.monitor._forwarded["rs-onyx"] == 1
+
+
+class TestMonitorCursorUnderFaults:
+    """The scrape cursor is acknowledged state: it moves when a frame
+    arrives, so whatever the network does to a scrape, the next one
+    covers it."""
+
+    KIND = "render-session-created"
+
+    def forwarded(self, bundle):
+        return [e.detail for e in
+                bundle.recorder.events("telemetry:" + self.KIND)
+                if e.detail.startswith("rs-onyx: n")]
+
+    def test_a_dropped_scrape_loses_no_event(self):
+        tb = build_testbed(monitor_host="registry-host")
+        inj = FaultInjector(tb.network, seed=5)
+        with obs.observed(clock=tb.clock) as bundle:
+            telemetry = tb.render_service("onyx").telemetry
+            sim = tb.network.sim
+            sim.run_until(sim.now + 1.5)           # first contact made
+            cursor = tb.monitor._forwarded["rs-onyx"]
+            telemetry.event(self.KIND, time=sim.now, detail="n0")
+            # one tick with the link down (no route), one with every
+            # frame lost in flight, then the network heals
+            inj.set_link("onyx", "switch", up=False)
+            sim.run_until(sim.now + 1.0)
+            inj.set_link("onyx", "switch", up=True)
+            inj.set_loss("onyx", "registry-host", 1.0)
+            telemetry.event(self.KIND, time=sim.now, detail="n1")
+            failures = tb.monitor.scrape_failures
+            sim.run_until(sim.now + 1.0)
+            assert tb.monitor.scrape_failures > failures
+            assert tb.monitor._forwarded["rs-onyx"] == cursor
+            assert self.forwarded(bundle) == []
+            inj.set_loss("onyx", "registry-host", 0.0)
+            sim.run_until(sim.now + 1.5)
+            assert self.forwarded(bundle) == ["rs-onyx: n0", "rs-onyx: n1"]
+            assert tb.monitor._forwarded["rs-onyx"] == cursor + 2
+            # and the scrape after that has nothing left to ship
+            sim.run_until(sim.now + 1.0)
+            assert tb.monitor._latest["rs-onyx"]["events"] == []
+
+    def test_two_scrapes_in_flight_forward_no_event_twice(self):
+        tb = build_testbed(monitor_host="registry-host")
+        with obs.observed(clock=tb.clock) as bundle:
+            telemetry = tb.render_service("onyx").telemetry
+            sim = tb.network.sim
+            sim.run_until(sim.now + 1.5)
+            tb.monitor.stop()
+            cursor = tb.monitor._forwarded["rs-onyx"]
+            telemetry.event(self.KIND, time=sim.now, detail="n0")
+            tb.monitor.scrape_one(telemetry)
+            telemetry.event(self.KIND, time=sim.now, detail="n1")
+            # the first frame has not arrived: same cursor, so the second
+            # frame carries n0 again
+            tb.monitor.scrape_one(telemetry)
+            assert tb.monitor._forwarded["rs-onyx"] == cursor
+            sim.run_until(sim.now + 1.0)
+            assert self.forwarded(bundle) == ["rs-onyx: n0", "rs-onyx: n1"]
+            assert tb.monitor._forwarded["rs-onyx"] == cursor + 2

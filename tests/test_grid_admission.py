@@ -557,6 +557,32 @@ class TestGridObservability:
                    payload["metrics"]["rave_tenant_sessions"]["series"]}
         assert tenants == {"acme": 1.0, "beta": 1.0}
 
+    def test_tenant_gauge_returns_to_zero_after_the_last_release(self):
+        """A tenant whose last session ended used to keep its old count
+        for good: the gauge was only set for tenants holding a session."""
+        from repro.obs.telemetry import flatten_metrics
+
+        tb = build_testbed()
+        grid = small_grid(tb)
+        open_tenants(grid, "acme")
+        # "walk-in" has no registered quota: it runs on the default one
+        for tenant in ("acme", "walk-in"):
+            grid.request_session(tenant, f"s-{tenant}", scene(0, nu=8))
+
+        def tenant_gauges():
+            payload = grid.telemetry.scrape(now=grid.now)
+            return ({s["labels"]["tenant"]: s["value"] for s in
+                     payload["metrics"]["rave_tenant_sessions"]["series"]},
+                    flatten_metrics(payload["metrics"]))
+
+        assert tenant_gauges()[0] == {"acme": 1.0, "walk-in": 1.0}
+        grid.release_session("s-acme")
+        assert tenant_gauges()[0] == {"acme": 0.0, "walk-in": 1.0}
+        grid.release_session("s-walk-in")
+        gauges, flat = tenant_gauges()
+        assert gauges == {"acme": 0.0, "walk-in": 0.0}
+        assert flat["rave_admission_sessions"] == sum(gauges.values()) == 0
+
     def test_monitor_scrapes_the_grid_like_any_service(self):
         tb = build_testbed(monitor_host="registry-host")
         grid = small_grid(tb, queue_capacity=1)

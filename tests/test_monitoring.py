@@ -10,18 +10,25 @@ scrapeable telemetry it federates (``obs/telemetry.py``):
   scraped telemetry raises a sustained alert, the alert drives
   ``WorkloadMigrator.plan(session, alerts=...)``, the SLO report records
   the violation and its recovery — and the whole story is deterministic;
-- the no-monitor testbed stays monitoring-free (no scrape traffic).
+- the no-monitor testbed stays monitoring-free (no scrape traffic);
+- the event cursor: a scrape ships only the events the monitor has not
+  acknowledged, whatever is dropped, overlapped or restarted in between;
+- one unparseable target does not end monitoring for the others.
 """
 
 import json
+from collections import deque
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.core.session import CollaborativeSession
 from repro.data.generators import skeleton
 from repro.errors import ServiceError
 from repro.network.faults import FaultInjector
+from repro.network.simnet import Network
 from repro.obs.dashboard import render_dashboard
 from repro.obs.telemetry import (
     TELEMETRY_FORMAT,
@@ -32,6 +39,7 @@ from repro.obs.telemetry import (
 from repro.render.camera import Camera
 from repro.scenegraph.nodes import MeshNode
 from repro.scenegraph.tree import SceneTree
+from repro.services.container import ServiceContainer
 from repro.services.monitor import MONITOR_SNAPSHOT_FORMAT, MonitorService
 from repro.services.protocol import frame_telemetry, unframe_telemetry
 from repro.testbed import build_testbed
@@ -209,6 +217,257 @@ class TestMonitorService:
         pump(tb, 5.0)
         assert tb.network.transfers == []   # zero scrape traffic
         assert not hasattr(tb.data_service, "monitor")
+
+
+# -- the event cursor ---------------------------------------------------------------
+
+
+def two_host_monitor() -> MonitorService:
+    """A monitor on ``mon`` with one 100 Mbit link to ``svc``."""
+    network = Network()
+    network.add_host("svc")
+    network.add_host("mon")
+    network.add_link("svc", "mon", bandwidth_bps=100e6, latency_s=1e-4)
+    return MonitorService("monitor", ServiceContainer("mon", network))
+
+
+def numbered_events(count: int, capacity: int = 256) -> ServiceTelemetry:
+    """A service that has emitted events with details "0" .. "count-1"."""
+    telemetry = ServiceTelemetry("rs-x", "svc", "render",
+                                 event_capacity=capacity)
+    for i in range(count):
+        telemetry.event("e", time=float(i), detail=str(i))
+    return telemetry
+
+
+class TestEventCursor:
+    def test_steady_state_frame_does_not_grow_with_history(self):
+        short, long = numbered_events(10), numbered_events(10_000)
+        frames = [t.scrape_frame(now=1.0, since=t.events_seen)
+                  for t in (short, long)]
+        payloads = [unframe_telemetry(f) for f in frames]
+        assert [p["events"] for p in payloads] == [[], []]
+        assert [p["events_seen"] for p in payloads] == [10, 10_000]
+        # only the digits of the counter tell the two frames apart
+        assert len(frames[1]) - len(frames[0]) == len("10000") - len("10")
+
+    @pytest.mark.parametrize("since, shipped", [
+        (0, [6, 7, 8, 9]),        # no cursor: the whole ring
+        (-3, [6, 7, 8, 9]),
+        (2, [6, 7, 8, 9]),        # cursor fell off the ring (overflow)
+        (6, [6, 7, 8, 9]),
+        (7, [7, 8, 9]),
+        (9, [9]),
+        (10, []),                 # nothing new
+        (11, [6, 7, 8, 9]),       # cursor of an earlier instance (restart)
+    ])
+    def test_since_ships_exactly_the_documented_slice(self, since, shipped):
+        telemetry = numbered_events(10, capacity=4)
+        payload = telemetry.scrape(now=0.0, since=since)
+        assert [int(e["detail"]) for e in payload["events"]] == shipped
+        assert payload["events_seen"] == 10
+        # what the receiver derives as the first shipped event's number
+        if shipped:
+            assert payload["events_seen"] - len(payload["events"]) \
+                == shipped[0]
+
+    def test_scrape_without_a_cursor_is_the_full_ring(self):
+        telemetry = numbered_events(5)
+        assert telemetry.scrape()["events"] \
+            == telemetry.scrape(since=0)["events"] \
+            == [{"time": e.time, "kind": e.kind, "detail": e.detail}
+                for e in telemetry.events()]
+
+    def test_monitor_scrapes_from_its_acknowledged_cursor(self):
+        monitor = two_host_monitor()
+        telemetry = numbered_events(3)
+        sim = monitor.network.sim
+        monitor.scrape_one(telemetry)
+        sim.run_until(sim.now + 1.0)
+        assert monitor._forwarded["rs-x"] == 3
+        telemetry.event("e", detail="3")
+        monitor.scrape_one(telemetry)
+        sim.run_until(sim.now + 1.0)
+        latest = monitor._latest["rs-x"]
+        assert [e["detail"] for e in latest["events"]] == ["3"]
+        assert latest["events_seen"] == monitor._forwarded["rs-x"] == 4
+
+    def test_cursor_advances_with_no_recorder_installed(self):
+        """Without a flight recorder the monitor still acknowledges what
+        it received (it used to re-fetch and re-parse the whole ring on
+        every scrape for as long as no recorder was active) — so a
+        recorder switched on mid-run gets events from then on, not a
+        replay of the ring."""
+        monitor = two_host_monitor()
+        telemetry = numbered_events(3)
+        sim = monitor.network.sim
+        monitor.scrape_one(telemetry)
+        sim.run_until(sim.now + 1.0)
+        assert monitor._forwarded["rs-x"] == 3
+        with obs.observed() as bundle:
+            telemetry.event("e", detail="3")
+            monitor.scrape_one(telemetry)
+            sim.run_until(sim.now + 1.0)
+            assert [e.detail for e in bundle.recorder.events("telemetry:e")] \
+                == ["rs-x: 3"]
+
+
+class HeldWire:
+    """Replaces one network's ``send``: a transfer completes or is lost
+    when the test says so, oldest first."""
+
+    def __init__(self, network) -> None:
+        self.held: deque = deque()
+        network.send = self.send
+
+    def send(self, src, dst, nbytes, on_complete=None, on_drop=None):
+        record = SimpleNamespace(nbytes=nbytes)
+        self.held.append((record, on_complete, on_drop))
+        return record
+
+    def deliver(self) -> None:
+        record, on_complete, _ = self.held.popleft()
+        on_complete(record)
+
+    def drop(self) -> None:
+        record, _, on_drop = self.held.popleft()
+        on_drop(record)
+
+
+class FullRing:
+    """A scrape target that ignores the cursor (the pre-cursor wire)."""
+
+    def __init__(self, telemetry) -> None:
+        self.telemetry = telemetry
+        self.service, self.host = telemetry.service, telemetry.host
+
+    def scrape_frame(self, now=0.0, since=0):
+        return self.telemetry.scrape_frame(now)
+
+
+CURSOR_OPS = st.lists(st.one_of(
+    st.tuples(st.just("emit"), st.integers(1, 6)),
+    st.tuples(st.sampled_from(["scrape", "deliver", "drop", "restart"]),
+              st.just(0)),
+), max_size=40)
+
+
+def forwarded_by(ops, wrap) -> tuple[list[int], bool]:
+    """Run ``ops`` against a fresh monitor; the event numbers the recorder
+    received, and whether each delivery left the ring it saw forwarded."""
+    monitor = two_host_monitor()
+    wire = HeldWire(monitor.network)
+    rings: deque = deque()          # ring contents at each held scrape
+    complete, restarted, emitted = True, False, 0
+    telemetry = ServiceTelemetry("rs-x", "svc", "render", event_capacity=4)
+    with obs.observed() as bundle:
+        def received() -> list[int]:
+            return [int(e.detail.split(": ")[1])
+                    for e in bundle.recorder.events("telemetry:e")]
+
+        for op, count in ops:
+            if op == "emit":
+                for _ in range(count):
+                    telemetry.event("e", detail=str(emitted))
+                    emitted += 1
+            elif op == "scrape":
+                monitor.scrape_one(wrap(telemetry))
+                rings.append([int(e.detail) for e in telemetry.events()])
+            elif op == "restart":
+                telemetry = ServiceTelemetry("rs-x", "svc", "render",
+                                             event_capacity=4)
+                restarted = True
+            elif wire.held:
+                ring = rings.popleft()
+                if op == "drop":
+                    wire.drop()
+                else:
+                    wire.deliver()
+                    # a restart is only detectable as a counter that went
+                    # backwards, so completeness is claimed without one
+                    complete &= restarted or set(ring) <= set(received())
+        return received(), complete
+
+
+class TestCursorProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(ops=CURSOR_OPS)
+    def test_any_interleaving_forwards_each_ring_event_once_in_order(
+            self, ops):
+        got, complete = forwarded_by(ops, wrap=lambda t: t)
+        # event numbers only ever go up: nothing twice, nothing reordered
+        assert got == sorted(set(got))
+        assert complete, "a delivered scrape left ring events unforwarded"
+        assert got == forwarded_by(ops, wrap=FullRing)[0]
+
+
+# -- hostile scrape targets ---------------------------------------------------------
+
+
+class TestBadFrames:
+    def test_one_bad_target_does_not_end_monitoring(self):
+        """A frame that fails ``unframe_telemetry`` or a payload naming
+        no service used to unwind ``_tick`` before it rescheduled itself:
+        one bad target ended monitoring for the whole grid."""
+        monitor = two_host_monitor()
+        healthy = numbered_events(2)
+        truncated = SimpleNamespace(
+            service="rs-truncated", host="svc",
+            scrape_frame=lambda now=0.0, since=0:
+                healthy.scrape_frame(now)[:-5])
+        empty = SimpleNamespace(
+            service="rs-empty", host="svc",
+            scrape_frame=lambda now=0.0, since=0: frame_telemetry({}))
+        for target in (healthy, truncated, empty):
+            monitor.watch(SimpleNamespace(telemetry=target))
+        sim = monitor.network.sim
+        monitor.start()
+        sim.run_until(sim.now + 3.5)          # three ticks
+        assert monitor.scrape_failures == 6   # two bad scrapes per tick
+        assert monitor.scrapes == 3           # the healthy one, every tick
+        assert sorted(monitor.snapshot()["services"]) == ["rs-x"]
+        sim.run_until(sim.now + 1.0)          # and the tick is still alive
+        assert monitor.scrapes == 4
+
+
+# -- flatten once -------------------------------------------------------------------
+
+
+class TestFlattenOnce:
+    """``grid_values`` and ``snapshot`` read the flattened view kept at
+    ingest; it must always be the flattening of the *latest* payload."""
+
+    def assert_views_match_latest_payloads(self, monitor):
+        flats = {name: flatten_metrics(payload["metrics"])
+                 for name, payload in monitor._latest.items()}
+        snap = monitor.snapshot()
+        assert {name: entry["metrics"]
+                for name, entry in snap["services"].items()} == flats
+        grid = monitor.grid_values()
+        assert grid == snap["grid"]
+        fps = [flat["rave_rs_fps"] for name, flat in flats.items()
+               if monitor._latest[name]["kind"] == "render"]
+        assert grid["rave_grid_render_services"] == len(fps)
+        assert grid["rave_grid_mean_fps"] == pytest.approx(
+            sum(fps) / len(fps))
+        assert grid["rave_grid_min_fps"] == min(fps)
+
+    def test_views_equal_flatten_of_each_latest_payload(self):
+        tb = monitored_testbed()
+        assert len(tb.monitor.targets()) >= 5
+        for i, rs in enumerate(tb.render_services.values()):
+            rs.reported_fps = 10.0 + i
+        pump(tb, 2.0)
+        assert len(tb.monitor._latest) == len(tb.monitor.targets())
+        self.assert_views_match_latest_payloads(tb.monitor)
+        before = tb.monitor.grid_values()
+        # a later scrape replaces a service's payload: the view follows
+        tb.render_service("onyx").reported_fps = 1.0
+        pump(tb, 2.0)
+        snap = tb.monitor.snapshot()
+        assert snap["services"]["rs-onyx"]["metrics"]["rave_rs_fps"] == 1.0
+        assert tb.monitor.grid_values() != before
+        self.assert_views_match_latest_payloads(tb.monitor)
 
 
 # -- the closed loop ----------------------------------------------------------------
