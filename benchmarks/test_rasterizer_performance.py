@@ -17,6 +17,7 @@ from repro.render.camera import Camera
 from repro.render.compositor import depth_composite
 from repro.render.framebuffer import FrameBuffer, Tile
 from repro.render.rasterizer import rasterize_mesh
+from repro.scenegraph.nodes import CameraNode
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +66,19 @@ def test_rasterize_box_at_32x24(benchmark):
 
     fb = benchmark(run)
     assert fb.coverage() > 0.02
+
+
+def test_project_box_at_32x24(benchmark):
+    """The camera's share of the call above: a fresh camera per round, as
+    every farm frame has, and the projection of the box's eight vertices."""
+    vh = box().homogeneous()
+    node = CameraNode(position=(3.0, 0.0, 0.5))
+
+    def run():
+        return Camera.from_node(node).project_homogeneous(vh, 32, 24)
+
+    x_px, y_px, w = benchmark(run)
+    assert (w > 0).all()
 
 
 def test_rasterize_50k_at_400(benchmark, elle_mesh, cam):

@@ -11,6 +11,7 @@ times the fault layer makes the farm try.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.errors import ServiceError
@@ -45,7 +46,14 @@ class FrameRecord:
 
 @dataclass
 class RenderJob:
-    """An animation range: frames ``start_frame..end_frame`` inclusive."""
+    """An animation range: frames ``start_frame..end_frame`` inclusive.
+
+    ``done_frames`` / ``progress`` / ``finished`` read ``state_counts``
+    and cost the same whatever the job's length; the counts follow a
+    frame only through the queue's transitions, not through a
+    hand-written ``record.state``.  ``missing_frames()`` and
+    ``describe()`` walk the records: they are the independent recount.
+    """
 
     job_id: str
     session_id: str
@@ -71,6 +79,9 @@ class RenderJob:
     #: submitting request's trace id; leases derive per-frame spans from it
     trace_id: str = ""
     frames: dict[int, FrameRecord] = field(default_factory=dict)
+    #: frames per lifecycle state: counted once at construction, then
+    #: kept by the queue's three transitions (lease, complete, re-queue)
+    state_counts: Counter = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.end_frame < self.start_frame:
@@ -85,6 +96,7 @@ class RenderJob:
             self.frames = {i: FrameRecord(index=i)
                            for i in range(self.start_frame,
                                           self.end_frame + 1)}
+        self.state_counts = Counter(f.state for f in self.frames.values())
 
     # -- progress -------------------------------------------------------------------
 
@@ -94,8 +106,7 @@ class RenderJob:
 
     @property
     def done_frames(self) -> int:
-        return sum(1 for f in self.frames.values()
-                   if f.state == FRAME_DONE)
+        return self.state_counts[FRAME_DONE]
 
     @property
     def progress(self) -> float:

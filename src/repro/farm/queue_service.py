@@ -23,9 +23,10 @@ long animation starve every job submitted after it):
   before never-leased ones;
 - :meth:`complete` accepts a result frame and is idempotent: a result
   for a frame that is not leased to that worker any more (the lease
-  expired and was re-issued, or the frame already completed) is counted
-  and dropped — a frame is never marked done twice.  A hostile result
-  whose frame index lies outside the job's range is counted as
+  expired and was re-issued, or the frame already completed), or that
+  names any attempt but the one out on lease (none and 0 included), is
+  counted and dropped — a frame is never marked done twice.  A hostile
+  result whose frame index lies outside the job's range is counted as
   ``invalid_results`` and dropped, never raised;
 - :meth:`requeue_expired` / :meth:`requeue_worker` put lost leases back
   at the *front of their job's queue*, **in frame order** (a batch of
@@ -34,6 +35,16 @@ long animation starve every job submitted after it):
   ``pending``;
 - :meth:`audit` is the ``checkframes`` pass: the sorted list of frame
   indexes a finished-looking job is still missing.
+
+A frame changes state in three places — :meth:`lease`,
+:meth:`complete` and the batch re-queue — and the ledger's summaries are
+kept there: each job's per-state counts and one index of the frames out
+on lease.  So :meth:`progress`, ``job.finished``, :meth:`active_leases`
+and :meth:`backlog` are O(1), and the two ``requeue_*`` calls read the
+lease index (bounded by the pool, not by the jobs): a frame costs the
+same in a 100-frame job as in a 10 000-frame one.  :meth:`audit` and
+:meth:`describe` stay walks of one job's records — the recount
+``RaveSanitizer`` holds the counts and the index to.
 
 Starvation is observable, not silent: every lease records the frame's
 queue wait into the ``rave_farm_job_wait_seconds`` histogram (job +
@@ -52,7 +63,13 @@ from collections import deque
 
 from repro.core.grid import TenantQuota
 from repro.errors import ServiceError
-from repro.farm.job import FRAME_DONE, FRAME_LEASED, FRAME_PENDING, RenderJob
+from repro.farm.job import (
+    FRAME_DONE,
+    FRAME_LEASED,
+    FRAME_PENDING,
+    FrameRecord,
+    RenderJob,
+)
 from repro.obs import active as _obs
 from repro.obs.telemetry import ServiceTelemetry
 from repro.obs.tracing import TraceContext
@@ -105,6 +122,9 @@ class FrameQueueService:
         #: per-job pending frame indexes; re-queues go to the front of
         #: the owning job's deque, in frame order
         self._job_pending: dict[str, deque[int]] = {}
+        #: the frames out on lease right now, by ``(job_id, index)``:
+        #: entered by lease(), left by complete() and re-queue
+        self._leased: dict[tuple[str, int], FrameRecord] = {}
         #: deficit-round-robin rings, one per priority class: the job at
         #: the left serves while its deficit lasts, then rotates away
         self._rings: dict[int, deque[str]] = {}
@@ -216,9 +236,7 @@ class FrameQueueService:
         return sum(len(q) for q in self._job_pending.values())
 
     def active_leases(self) -> int:
-        return sum(1 for job in self._jobs.values()
-                   for f in job.frames.values()
-                   if f.state == FRAME_LEASED)
+        return len(self._leased)
 
     def backlog(self) -> int:
         """Frames not yet done (pending + leased) — the autoscaler signal."""
@@ -323,6 +341,9 @@ class FrameQueueService:
         now = self.now
         wait = max(0.0, now - record.queued_at)
         record.state = FRAME_LEASED
+        job.state_counts[FRAME_PENDING] -= 1
+        job.state_counts[FRAME_LEASED] += 1
+        self._leased[job_id, index] = record
         record.attempts += 1
         record.worker = worker
         record.lease_deadline = now + self.lease_timeout
@@ -354,8 +375,9 @@ class FrameQueueService:
         """Accept a worker's result frame; False when dropped.
 
         Exactly-once: only the worker currently holding the lease may
-        complete a frame.  A straggler whose lease expired and was
-        re-issued (or whose frame already completed) is dropped, so a
+        complete a frame, and only with a result naming that lease's
+        attempt.  A straggler whose lease expired and was re-issued
+        (or whose frame already completed) is dropped, so a
         re-rendered frame never lands twice.  A corrupt or hostile
         result naming a frame outside the job's range is counted as
         ``invalid_results`` and dropped — never raised into the
@@ -389,10 +411,11 @@ class FrameQueueService:
                        f"{result.job_id}#{result.frame} from "
                        f"{result.worker} dropped ({record.state})")
             return False
-        if result.attempt and result.attempt != record.attempts:
+        if result.attempt != record.attempts:
             # the same worker can hold a *re-issued* lease for a frame it
             # already lost: an expired attempt's result passes the
             # state+worker check above but must not complete the frame
+            # (nor does one that names no attempt at all)
             self.duplicates_dropped += 1
             self._note("duplicate",
                        f"{result.job_id}#{result.frame} from "
@@ -402,6 +425,9 @@ class FrameQueueService:
             return False
         now = self.now
         record.state = FRAME_DONE
+        job.state_counts[FRAME_LEASED] -= 1
+        job.state_counts[FRAME_DONE] += 1
+        del self._leased[job.job_id, record.index]
         record.render_seconds = result.render_seconds
         record.nbytes = result.nbytes
         record.completed_at = now
@@ -431,23 +457,15 @@ class FrameQueueService:
     def requeue_expired(self) -> list[tuple[str, int]]:
         """Re-queue every lease the simulated clock has outlived."""
         now = self.now
-        expired = [
-            (job_id, f.index)
-            for job_id, job in sorted(self._jobs.items())
-            for f in job.frames.values()
-            if f.state == FRAME_LEASED and f.lease_deadline <= now
-        ]
+        expired = sorted(key for key, f in self._leased.items()
+                         if f.lease_deadline <= now)
         self._requeue_batch(expired, "lease expired")
         return expired
 
     def requeue_worker(self, worker: str) -> list[tuple[str, int]]:
         """Re-queue every frame leased to a worker declared dead."""
-        lost = [
-            (job_id, f.index)
-            for job_id, job in sorted(self._jobs.items())
-            for f in job.frames.values()
-            if f.state == FRAME_LEASED and f.worker == worker
-        ]
+        lost = sorted(key for key, f in self._leased.items()
+                      if f.worker == worker)
         self._requeue_batch(lost, f"worker {worker} lost")
         return lost
 
@@ -476,6 +494,9 @@ class FrameQueueService:
                 if record.state != FRAME_LEASED:
                     continue
                 record.state = FRAME_PENDING
+                job.state_counts[FRAME_LEASED] -= 1
+                job.state_counts[FRAME_PENDING] += 1
+                del self._leased[job_id, index]
                 record.requeues += 1
                 record.lease_deadline = 0.0
                 record.queued_at = now

@@ -14,12 +14,18 @@ import numpy as np
 
 from repro.data.meshes import homogeneous_rows
 from repro.errors import RenderError
-from repro.scenegraph.nodes import CameraNode
+from repro.scenegraph.nodes import CameraNode, look_at_basis
 
 
 @dataclass
 class Camera:
-    """An immutable-ish camera with cached matrices."""
+    """A look-at camera: position, target, up, field of view, clip planes.
+
+    A plain mutable record — callers assign its fields — so nothing is
+    kept between calls: :meth:`view_matrix` and
+    :meth:`projection_matrix` build their matrix from the current
+    fields every time they are asked.
+    """
 
     position: np.ndarray
     target: np.ndarray
@@ -53,14 +59,7 @@ class Camera:
         if norm == 0:
             raise RenderError("camera position and target coincide")
         fwd = fwd / norm
-        upn = self.up / np.linalg.norm(self.up)
-        if abs(float(fwd @ upn)) > 0.999:
-            # Degenerate up vector: pick any perpendicular axis.
-            upn = (np.array([1.0, 0.0, 0.0])
-                   if abs(fwd[0]) < 0.9 else np.array([0.0, 1.0, 0.0]))
-        right = np.cross(fwd, upn)
-        right /= np.linalg.norm(right)
-        true_up = np.cross(right, fwd)
+        right, true_up = look_at_basis(fwd, self.up)
         m = np.eye(4)
         m[0, :3] = right
         m[1, :3] = true_up

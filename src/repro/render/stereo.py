@@ -20,6 +20,7 @@ import numpy as np
 from repro.errors import RenderError
 from repro.render.camera import Camera
 from repro.render.framebuffer import FrameBuffer
+from repro.scenegraph.nodes import look_at_basis
 
 #: human interpupillary distance in scene units (meters-scaled scenes)
 DEFAULT_EYE_SEPARATION = 0.065
@@ -85,13 +86,7 @@ def stereo_cameras(camera: Camera,
     if norm == 0:
         raise RenderError("camera position and target coincide")
     fwd = fwd / norm
-    up = camera.up / np.linalg.norm(camera.up)
-    if abs(float(fwd @ up)) > 0.999:
-        up = (np.array([1.0, 0.0, 0.0])
-              if abs(fwd[0]) < 0.9 else np.array([0.0, 1.0, 0.0]))
-    right = np.cross(fwd, up)
-    right /= np.linalg.norm(right)
-    true_up = np.cross(right, fwd)
+    right, true_up = look_at_basis(fwd, camera.up)
     head = (np.asarray(head_offset, dtype=np.float64)[0] * right
             + np.asarray(head_offset, dtype=np.float64)[1] * true_up
             + np.asarray(head_offset, dtype=np.float64)[2] * fwd)

@@ -21,6 +21,7 @@ from scipy import ndimage
 from repro.data.volumes import VoxelVolume
 from repro.errors import RenderError
 from repro.render.camera import Camera
+from repro.scenegraph.nodes import look_at_basis
 
 
 @dataclass
@@ -66,13 +67,7 @@ def raymarch_volume(volume: VoxelVolume, camera: Camera, width: int,
     # Ray directions through each pixel center (same math as picking).
     fwd = camera.target - camera.position
     fwd = fwd / np.linalg.norm(fwd)
-    upn = camera.up / np.linalg.norm(camera.up)
-    if abs(float(fwd @ upn)) > 0.999:
-        upn = (np.array([1.0, 0.0, 0.0])
-               if abs(fwd[0]) < 0.9 else np.array([0.0, 1.0, 0.0]))
-    right = np.cross(fwd, upn)
-    right /= np.linalg.norm(right)
-    true_up = np.cross(right, fwd)
+    right, true_up = look_at_basis(fwd, camera.up)
     aspect = w_pix / h
     tan_half = np.tan(np.radians(camera.fov_degrees) / 2.0)
     xs = (2.0 * (np.arange(w_pix) + 0.5) / w_pix - 1.0) * tan_half * aspect

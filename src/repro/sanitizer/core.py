@@ -237,10 +237,15 @@ class RaveSanitizer:
         pending deque holds exactly the pending-state frames once each,
         completions are exactly-once (``frames_completed`` equals the
         count of done frames), and the per-tenant lease ledger matches
-        the leased-state frames tenant by tenant.
+        the leased-state frames tenant by tenant.  The summaries the
+        queue keeps at its transitions are held to the same recount:
+        every job's ``state_counts`` equals it state by state, and the
+        lease index holds exactly the leased-state records.
         """
         self.register_shared(f"farm:{queue.name}:pending",
                              queue._job_pending)
+        self.register_shared(f"farm:{queue.name}:leased", queue._leased,
+                             fingerprint=lambda d: repr(sorted(d)))
         self.register_shared(f"farm:{queue.name}:tenant-leases",
                              queue._tenant_leases)
         self.register_invariant(f"farm:{queue.name}",
@@ -252,6 +257,7 @@ class RaveSanitizer:
 
         total_done = 0
         tenant_leased: dict[str, int] = {}
+        on_lease = {}
         for job_id, job in sorted(queue._jobs.items()):
             counts = {FRAME_PENDING: 0, FRAME_LEASED: 0, FRAME_DONE: 0}
             for record in job.frames.values():
@@ -259,6 +265,13 @@ class RaveSanitizer:
                     return (f"job {job_id}: frame {record.index} in "
                             f"undeclared state {record.state!r}")
                 counts[record.state] += 1
+                if record.state == FRAME_LEASED:
+                    on_lease[job_id, record.index] = record
+            for state, n in counts.items():
+                if job.state_counts[state] != n:
+                    return (f"job {job_id}: state_counts says "
+                            f"{job.state_counts[state]} {state} frames "
+                            f"but {n} records are {state}")
             if sum(counts.values()) != job.total_frames:
                 return (f"job {job_id}: pending + leased + done = "
                         f"{sum(counts.values())} != total "
@@ -289,4 +302,7 @@ class RaveSanitizer:
             if ledger != leased:
                 return (f"tenant {tenant!r}: lease ledger says {ledger} "
                         f"but {leased} frames are leased")
+        if queue._leased != on_lease:
+            return (f"lease index holds {sorted(queue._leased)} but the "
+                    f"leased records are {sorted(on_lease)}")
         return None

@@ -25,6 +25,33 @@ def _identity4() -> np.ndarray:
     return np.eye(4, dtype=np.float64)
 
 
+def look_at_basis(fwd: np.ndarray, up: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """``(right, true_up)`` of the right-handed frame looking along ``fwd``.
+
+    ``fwd`` is unit length; ``up`` is the caller's raw up vector, swapped
+    for a perpendicular axis when it is within 0.999 of ``fwd``.  The two
+    cross products are written out on Python floats: ``np.cross`` on a
+    pair of 3-vectors is a Python function (≈ 17 µs against ≈ 1 µs here)
+    and rounds the same way — every product and difference once — so the
+    basis is the one ``np.cross`` gives, bit for bit.
+    """
+    upn = up / np.linalg.norm(up)
+    if abs(float(fwd @ upn)) > 0.999:
+        # Degenerate up vector: pick any perpendicular axis.
+        upn = (np.array([1.0, 0.0, 0.0])
+               if abs(fwd[0]) < 0.9 else np.array([0.0, 1.0, 0.0]))
+    fx, fy, fz = fwd.tolist()
+    ux, uy, uz = upn.tolist()
+    right = np.array([fy * uz - fz * uy, fz * ux - fx * uz,
+                      fx * uy - fy * ux])
+    right /= np.linalg.norm(right)
+    rx, ry, rz = right.tolist()
+    true_up = np.array([ry * fz - rz * fy, rz * fx - rx * fz,
+                        rx * fy - ry * fx])
+    return right, true_up
+
+
 class SceneNode:
     """Base scene node.
 

@@ -13,7 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.data.meshes import Mesh
-from repro.scenegraph.nodes import CameraNode, MeshNode, SceneNode
+from repro.scenegraph.nodes import (
+    CameraNode,
+    MeshNode,
+    SceneNode,
+    look_at_basis,
+)
 from repro.scenegraph.tree import SceneTree
 
 
@@ -27,13 +32,7 @@ class Ray:
                       width: int, height: int) -> Ray:
         """Ray from the camera through pixel (px, py) of a width x height view."""
         fwd = camera.view_direction()
-        up = camera.up / np.linalg.norm(camera.up)
-        if abs(float(fwd @ up)) > 0.999:
-            up = (np.array([1.0, 0.0, 0.0])
-                  if abs(fwd[0]) < 0.9 else np.array([0.0, 1.0, 0.0]))
-        right = np.cross(fwd, up)
-        right /= np.linalg.norm(right)
-        true_up = np.cross(right, fwd)
+        right, true_up = look_at_basis(fwd, camera.up)
         aspect = width / height
         tan_half = np.tan(np.radians(camera.fov_degrees) / 2.0)
         # NDC in [-1, 1], y up

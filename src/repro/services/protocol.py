@@ -205,8 +205,8 @@ class FarmResult:
     worker: str
     render_seconds: float
     nbytes: int
-    #: which lease attempt produced this result; 0 is the legacy
-    #: wildcard (pre-attempt senders) and matches any live lease
+    #: which lease attempt produced this result; the queue completes a
+    #: frame only for the attempt it currently has out on lease
     attempt: int = 0
     trace: TraceContext | None = None
 

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.errors import RenderError
 from repro.render.camera import Camera
 from repro.render.framebuffer import FrameBuffer, Tile, split_tiles
-from repro.scenegraph.nodes import CameraNode
+from repro.scenegraph.nodes import CameraNode, look_at_basis
 
 
 class TestCamera:
@@ -82,6 +83,124 @@ class TestCamera:
     def test_bad_vertex_shape(self):
         with pytest.raises(RenderError):
             self.make().project_vertices(np.zeros((3, 2)), 10, 10)
+
+
+def reference_basis(fwd, up):
+    """The ``np.cross`` formulation ``look_at_basis`` writes out in
+    scalars — kept here as the reference it must equal bit for bit."""
+    upn = up / np.linalg.norm(up)
+    if abs(float(fwd @ upn)) > 0.999:
+        upn = (np.array([1.0, 0.0, 0.0])
+               if abs(fwd[0]) < 0.9 else np.array([0.0, 1.0, 0.0]))
+    right = np.cross(fwd, upn)
+    right /= np.linalg.norm(right)
+    return right, np.cross(right, fwd)
+
+
+def reference_view_matrix(camera):
+    fwd = camera.target - camera.position
+    fwd = fwd / np.linalg.norm(fwd)
+    right, true_up = reference_basis(fwd, camera.up)
+    m = np.eye(4)
+    m[0, :3] = right
+    m[1, :3] = true_up
+    m[2, :3] = -fwd
+    m[:3, 3] = -m[:3, :3] @ camera.position
+    return m
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+#: signed coordinates over six decades, zero included
+coordinate = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, mantissa, exponent:
+              sign * mantissa * 10.0 ** exponent,
+              st.sampled_from((-1.0, 1.0)), st.floats(1.0, 10.0),
+              st.integers(-3, 2)))
+point = st.tuples(coordinate, coordinate, coordinate)
+
+
+class TestLookAtBasis:
+    """``look_at_basis`` is ``np.cross`` bit for bit, so every frame,
+    table and replay downstream of a view matrix keeps its bytes."""
+
+    @staticmethod
+    def check(camera):
+        fwd = camera.target - camera.position
+        fwd = fwd / np.linalg.norm(fwd)
+        for got, want in zip(look_at_basis(fwd, camera.up),
+                             reference_basis(fwd, camera.up)):
+            assert same_bytes(got, want)
+        assert same_bytes(camera.view_matrix(),
+                          reference_view_matrix(camera))
+        return fwd
+
+    @given(point, point, point, st.floats(1e-3, 1e3),
+           st.sampled_from((0.0, 1e-9, 1e-4, 1e-2, 1.0)))
+    @example((0.0, 0.0, 5.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 3.0, 0.0)
+    @example((5.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 0.5, 0.0)
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_the_cross_products(self, position, target,
+                                                 wobble, length, blend):
+        """Non-unit ``up`` everywhere; ``blend`` 0 puts ``up`` along the
+        view direction (the degenerate branch), small blends put it
+        just either side of the 0.999 threshold."""
+        position, target, wobble = map(np.array, (position, target, wobble))
+        fwd = target - position
+        assume(np.linalg.norm(fwd) > 0)
+        up = length * ((1.0 - blend) * fwd / np.linalg.norm(fwd)
+                       + blend * wobble)
+        assume(np.linalg.norm(up) > 0)
+        self.check(Camera(position=position, target=target, up=up,
+                          fov_degrees=45.0))
+
+    @pytest.mark.parametrize("position, axis", [
+        ((0.0, 0.0, 5.0), (0.0, -1.0, 0.0)),   # |fwd.x| < 0.9: x stands in
+        ((5.0, 0.0, 0.0), (0.0, 0.0, -1.0)),   # otherwise y does
+    ])
+    def test_degenerate_up_falls_back_on_both_axes(self, position, axis):
+        camera = Camera.looking_at(position, up=position)
+        fwd = self.check(camera)
+        right, _ = look_at_basis(fwd, camera.up)
+        assert np.array_equal(right, np.array(axis))
+
+    def test_the_farm_orbit(self):
+        from repro.farm import RenderJob
+
+        job = RenderJob(job_id="orbit", session_id="scene", start_frame=1,
+                        end_frame=2000, orbit_step_degrees=3.1)
+        for index in job.frames:
+            self.check(Camera.from_node(job.camera_for(index)))
+
+    def test_the_callers_match_a_run_on_the_reference(self, monkeypatch):
+        from repro.data.volumes import VoxelVolume
+        from repro.render import stereo, volume
+        from repro.scenegraph import picking
+
+        node = CameraNode(position=(2.2, -1.4, 1.2), target=(0.1, 0.0, -0.2),
+                          up=(0.1, 0.3, 2.0))
+        camera = Camera.from_node(node)
+        density = np.random.default_rng(3).random((6, 6, 6),
+                                                  dtype=np.float32)
+        vol = VoxelVolume(density, spacing=(0.4,) * 3, origin=(-1, -1, -1))
+
+        def run():
+            ray = picking.Ray.through_pixel(node, 3, 17, 32, 24)
+            left, right = stereo.stereo_cameras(
+                camera, head_offset=(0.1, -0.2, 0.3))
+            image = volume.raymarch_volume(vol, camera, 16, 12, n_steps=8)
+            return [ray.origin, ray.direction, left.position,
+                    right.position, image.rgba, image.depth]
+
+        ours = run()
+        for module in (picking, stereo, volume):
+            monkeypatch.setattr(module, "look_at_basis", reference_basis)
+        for got, want in zip(ours, run()):
+            assert same_bytes(got, want)
 
 
 class TestFrameBuffer:

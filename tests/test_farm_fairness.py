@@ -175,7 +175,8 @@ class TestBoundedWaitProperty:
             for w, lease in list(held.items()):
                 queue.complete(frame_farm_result(FarmResult(
                     job_id=lease.job_id, frame=lease.frame, worker=w,
-                    render_seconds=0.1, nbytes=64)))
+                    render_seconds=0.1, nbytes=64,
+                    attempt=lease.attempt)))
                 del held[w]
             if all(j.finished for j in queue.jobs()):
                 break

@@ -119,7 +119,7 @@ class TestHostileFarmResults:
     def result(job_id="anim", frame=1, worker="w0"):
         return frame_farm_result(FarmResult(
             job_id=job_id, frame=frame, worker=worker,
-            render_seconds=0.01, nbytes=64))
+            render_seconds=0.01, nbytes=64, attempt=1))
 
     def test_out_of_range_frame_is_counted_and_dropped(self):
         # regression: a result naming frame 99 of a 4-frame job used to
@@ -168,15 +168,18 @@ class TestFarmResultAttemptOnTheWire:
                             render_seconds=0.01, nbytes=64, attempt=2)
         assert unframe_farm_result(frame_farm_result(result)).attempt == 2
 
-    def test_legacy_result_body_defaults_to_wildcard_attempt(self):
-        # results emitted before lease fencing carried no attempt field;
-        # 0 is the wildcard that matches any live lease
-        body = json.dumps({
-            "type": "result", "job_id": "anim", "frame": 3,
+    def test_body_without_attempt_is_dropped(self):
+        # a body with no attempt field parses (as attempt 0), and the
+        # queue drops it: 0 names no lease the queue ever issued
+        data = frame_message(json.dumps({
+            "type": "result", "job_id": "anim", "frame": 1,
             "worker": "w0", "render_seconds": 0.01, "nbytes": 64,
-        }).encode()
-        result = unframe_farm_result(frame_message(body, flags=FLAG_FARM))
-        assert result.attempt == 0
+        }).encode(), flags=FLAG_FARM)
+        assert unframe_farm_result(data).attempt == 0
+        queue = TestHostileFarmResults().queue()
+        unframe_farm_lease(queue.lease("w0"))
+        assert queue.complete(data) is False
+        assert (queue.duplicates_dropped, queue.frames_completed) == (1, 0)
 
 
 class TestUnframeTelemetry:

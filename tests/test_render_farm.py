@@ -18,7 +18,9 @@ The farm contract under test, layer by layer:
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.grid import TenantQuota
 from repro.errors import MarshallingError, ServiceError
 from repro.data.generators import galleon
 from repro.farm import (
@@ -26,6 +28,7 @@ from repro.farm import (
     FRAME_LEASED,
     FRAME_PENDING,
     FrameQueueService,
+    FrameRecord,
     RenderFarmController,
     RenderJob,
 )
@@ -38,6 +41,7 @@ from repro.services.protocol import (
     unframe_farm_lease,
     unframe_farm_result,
 )
+from repro.sanitizer import RaveSanitizer
 from repro.testbed import build_testbed
 
 JOB = "anim-001"
@@ -55,11 +59,38 @@ def job(start=1, end=8, **kwargs):
                      start_frame=start, end_frame=end, **kwargs)
 
 
-def result_for(lease, worker=None, attempt=0):
+def result_for(lease, worker=None, attempt=None):
     return frame_farm_result(FarmResult(
         job_id=lease.job_id, frame=lease.frame,
         worker=worker if worker is not None else "w0",
-        render_seconds=0.01, nbytes=160 * 120 * 3, attempt=attempt))
+        render_seconds=0.01, nbytes=160 * 120 * 3,
+        attempt=lease.attempt if attempt is None else attempt))
+
+
+class TripwireFrames(dict):
+    """A frame ledger that refuses to be walked once armed."""
+
+    armed = False
+
+    def _trip(self):
+        if self.armed:
+            raise AssertionError("whole-job walk of the frame ledger")
+
+    def __iter__(self):
+        self._trip()
+        return super().__iter__()
+
+    def keys(self):
+        self._trip()
+        return super().keys()
+
+    def values(self):
+        self._trip()
+        return super().values()
+
+    def items(self):
+        self._trip()
+        return super().items()
 
 
 class TestRenderJob:
@@ -72,15 +103,36 @@ class TestRenderJob:
                       start_frame=5, end_frame=3)
 
     def test_audit_reports_exactly_the_not_done_frames(self):
+        # missing_frames() is the independent recount: it reads the
+        # records, whoever wrote them
         j = job(start=1, end=4)
         j.frames[2].state = FRAME_DONE
         j.frames[4].state = FRAME_LEASED
         assert j.missing_frames() == [1, 3, 4]
-        assert not j.finished
         for f in j.frames.values():
             f.state = FRAME_DONE
         assert j.missing_frames() == []
+        # finished / progress read the counts the queue's transitions keep
+        queue = farm_testbed().farm_queue
+        j = job(start=1, end=4)
+        queue.submit(j)
+        for done in range(1, 5):
+            assert not j.finished and j.progress == (done - 1) / 4
+            lease = unframe_farm_lease(queue.lease("w0"))
+            assert j.missing_frames() == list(range(done, 5))
+            queue.complete(result_for(lease))
+        assert j.missing_frames() == []
         assert j.finished and j.progress == 1.0
+
+    def test_prepopulated_frames_are_counted_at_construction(self):
+        frames = {i: FrameRecord(index=i) for i in (7, 3, 5, 9)}
+        frames[3].state = FRAME_DONE
+        frames[9].state = FRAME_LEASED
+        j = job(start=3, end=9, frames=frames)
+        assert (j.done_frames, j.total_frames) == (1, 4)
+        assert j.progress == 0.25 and not j.finished
+        assert j.state_counts == {FRAME_PENDING: 2, FRAME_LEASED: 1,
+                                  FRAME_DONE: 1}
 
     def test_cameras_are_deterministic_per_frame(self):
         import numpy as np
@@ -198,7 +250,7 @@ class TestFrameQueue:
         when the *same* worker lost a lease and won the re-issued one,
         its straggling first-attempt result passed both checks and
         completed the frame with stale data.  Results now carry the
-        attempt that produced them (0 = pre-attempt wire compat).
+        attempt that produced them.
         """
         tb, queue = self.queue()
         queue.submit(job(start=1, end=1))
@@ -218,6 +270,26 @@ class TestFrameQueue:
         assert queue.complete(result_for(second, "w0",
                                          attempt=second.attempt)) is True
         assert queue.progress(JOB) == (1, 1)
+
+    def test_attempt_zero_is_no_wildcard(self):
+        """A result naming attempt 0 (or none) used to match any live
+        lease — so the same-worker straggler above got through by
+        saying 0.  There is no pre-attempt peer in this tree: it is
+        dropped and counted like any other stale result."""
+        tb, queue = self.queue()
+        queue.submit(job(start=1, end=1))
+        first = unframe_farm_lease(queue.lease("w0"))
+        tb.network.sim.clock.advance(queue.lease_timeout + 1.0)
+        assert queue.requeue_expired() == [(JOB, 1)]
+        second = unframe_farm_lease(queue.lease("w0"))
+        assert queue.complete(result_for(first, "w0", attempt=0)) is False
+        assert queue.duplicates_dropped == 1
+        assert queue.frames_completed == 0
+        assert queue.job(JOB).frame(1).state == FRAME_LEASED
+        assert queue.complete(result_for(second, "w0")) is True
+        assert queue.complete(result_for(second, "w0")) is False
+        assert queue.progress(JOB) == (1, 1)
+        assert queue.frames_completed == 1
 
     def test_dead_worker_requeues_all_its_leases(self):
         tb, queue = self.queue()
@@ -239,6 +311,39 @@ class TestFrameQueue:
         assert j.finished and j.finished_at is not None
         assert queue.audit(JOB) == []
 
+    def test_the_per_frame_paths_never_walk_a_jobs_ledger(self):
+        """Lease, complete, re-queue, the progress reads and a scrape
+        cost the same in a 5 000-frame job as in a 50-frame one: none
+        of them may iterate ``job.frames``.  Only the per-job recounts
+        (``audit`` / ``describe``) walk it."""
+        tb, queue = self.queue()
+        frames = TripwireFrames(
+            (i, FrameRecord(index=i)) for i in range(1, 5001))
+        j = job(start=1, end=5000, frames=frames)
+        queue.submit(j)
+        frames.armed = True
+        with pytest.raises(AssertionError, match="whole-job walk"):
+            j.missing_frames()              # the wire is live
+        for _ in range(50):
+            lease = unframe_farm_lease(queue.lease("w0"))
+            assert queue.complete(result_for(lease)) is True
+        queue.lease("w1")
+        queue.lease("w2")
+        tb.network.sim.clock.advance(queue.lease_timeout + 1.0)
+        queue.lease("w3")
+        queue.lease("w3")
+        assert queue.active_leases() == 4
+        assert queue.requeue_expired() == [(JOB, 51), (JOB, 52)]
+        assert queue.requeue_worker("w3") == [(JOB, 53), (JOB, 54)]
+        assert queue.active_leases() == 0
+        assert queue.backlog() == 4950
+        assert queue.progress(JOB) == (50, 5000)
+        assert not j.finished and j.progress == 0.01
+        queue.telemetry.scrape_frame(tb.network.sim.now)
+        frames.armed = False
+        assert queue.audit(JOB) == list(range(51, 5001))
+        assert queue.describe()["jobs"][0]["requeues"] == 4
+
     def test_telemetry_exports_the_farm_gauges(self):
         tb, queue = self.queue()
         from repro.obs.telemetry import flatten_metrics
@@ -255,6 +360,104 @@ class TestFrameQueue:
         assert flat["rave_farm_frames_per_second"] == 0.0
         progress = payload["metrics"]["rave_farm_job_progress"]["series"]
         assert progress and progress[0]["labels"]["job"] == JOB
+
+
+class TestLedgerProperty:
+    """The counted ledger equals the scanned one, whatever happens.
+
+    Any interleaving of submissions, leases, honest / duplicate / stale
+    / hostile results, clock advances with ``requeue_expired`` and
+    worker losses keeps the sanitizer's recount clean — it compares
+    every job's ``state_counts`` and the lease index with the records —
+    and every summary the queue answers in O(1) equals a by-hand walk
+    of ``job.frames``.
+    """
+
+    @staticmethod
+    def specs():
+        sparse = {i: FrameRecord(index=i) for i in (7, 3, 11, 5)}
+        return [
+            dict(job_id="a", start_frame=1, end_frame=6, tenant="batch"),
+            dict(job_id="b", start_frame=10, end_frame=12, tenant="viz",
+                 priority=1, weight=2.0),
+            # pre-populated, sparse and out of order
+            dict(job_id="c", start_frame=3, end_frame=11, tenant="batch",
+                 frames=sparse),
+        ]
+
+    @staticmethod
+    def leased(queue, keep):
+        return sorted((j.job_id, f.index) for j in queue.jobs()
+                      for f in j.frames.values()
+                      if f.state == FRAME_LEASED and keep(f))
+
+    @staticmethod
+    def is_live(queue, lease, worker, attempt):
+        record = queue.job(lease.job_id).frames[lease.frame]
+        return (record.state == FRAME_LEASED and record.worker == worker
+                and record.attempts == attempt)
+
+    @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7),
+                              st.integers(0, 2)), max_size=80))
+    @settings(max_examples=80, deadline=None)
+    def test_counts_and_lease_index_equal_the_recount(self, ops):
+        tb = build_testbed(farm=True)
+        queue, clock = tb.farm_queue, tb.network.sim.clock
+        queue.register_tenant(TenantQuota("batch", max_share=0.5))
+        specs = self.specs()
+        issued = []                     # every lease ever handed out
+        for kind, arg, variant in ops:
+            if kind == 0:
+                spec = specs[arg % 3]
+                if spec["job_id"] not in [j.job_id for j in queue.jobs()]:
+                    queue.submit(RenderJob(session_id=SCENE, **spec))
+            elif kind == 1:
+                worker = f"w{arg % 4}"
+                data = queue.lease(worker)
+                if data is not None:
+                    issued.append((worker, unframe_farm_lease(data)))
+            elif kind in (2, 3, 4) and issued:
+                # a result for any lease ever issued: honest, duplicate
+                # or outlived (2), naming attempt 0 or a neighbouring
+                # attempt (3), or sent by somebody else (4)
+                worker, lease = issued[arg % len(issued)]
+                attempt = lease.attempt
+                if kind == 3:
+                    attempt = (0, attempt - 1, attempt + 1)[variant]
+                if kind == 4:
+                    worker = "imposter"
+                expect = self.is_live(queue, lease, worker, attempt)
+                done, dropped = (queue.frames_completed,
+                                 queue.duplicates_dropped)
+                assert queue.complete(
+                    result_for(lease, worker, attempt)) is expect
+                assert queue.frames_completed == done + expect
+                assert queue.duplicates_dropped == dropped + (not expect)
+            elif kind == 5:                 # unknown job, unknown frame
+                ghost = FarmLease(job_id=("ghost", "a")[variant % 2],
+                                  frame=99, session_id=SCENE, attempt=1,
+                                  deadline=0.0)
+                assert queue.complete(result_for(ghost)) is False
+            elif kind == 6:
+                clock.advance((0.0, 7.0, 16.0, 31.0)[arg % 4])
+                expect = self.leased(
+                    queue, lambda f: f.lease_deadline <= clock.now)
+                assert queue.requeue_expired() == expect
+            elif kind == 7:
+                worker = f"w{arg % 4}"
+                expect = self.leased(queue, lambda f: f.worker == worker)
+                assert queue.requeue_worker(worker) == expect
+            assert RaveSanitizer._check_farm(queue) is None
+            assert queue.active_leases() == len(
+                self.leased(queue, lambda f: True))
+            for j in queue.jobs():
+                done = sum(f.state == FRAME_DONE
+                           for f in j.frames.values())
+                assert j.done_frames == done
+                assert j.finished == (done == len(j.frames))
+                assert queue.progress(j.job_id) == (done, len(j.frames))
+            assert queue.backlog() == sum(
+                len(j.missing_frames()) for j in queue.jobs())
 
 
 class TestFairScheduler:

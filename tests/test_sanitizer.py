@@ -161,6 +161,28 @@ class TestConservation:
         assert not san.ok
         assert "exactly-once" in san.violations[0].detail
 
+    def test_drifted_counter_and_lease_index_are_each_named(self):
+        # the queue keeps state_counts and the lease index at its three
+        # transitions; the invariant recounts both from the records
+        tb, queue, san = self.farm()
+        queue.lease("w0")
+        job = queue.job("j")
+        job.state_counts["done"] += 1       # a frame nobody completed
+        tb.network.sim.schedule(1.0, lambda: None)
+        tb.network.sim.run()
+        assert "state_counts says 1 done" in san.violations[-1].detail
+        job.state_counts["done"] -= 1
+        record = queue._leased.pop(("j", 1))    # a lease forgotten
+        tb.network.sim.schedule(1.0, lambda: None)
+        tb.network.sim.run()
+        assert len(san.violations) == 2
+        assert "lease index holds []" in san.violations[-1].detail
+        queue._leased["j", 2] = record          # and one misfiled
+        tb.network.sim.schedule(1.0, lambda: None)
+        tb.network.sim.run()
+        assert "lease index holds [('j', 2)]" in san.violations[-1].detail
+        assert {v.kind for v in san.violations} == {"conservation"}
+
     def test_violations_land_in_the_flight_recorder(self):
         recorder = FlightRecorder()
         sim = Simulator()
