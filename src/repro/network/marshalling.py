@@ -25,6 +25,7 @@ models.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -49,6 +50,14 @@ _TAG_DICT = b"d"
 
 _MAX_DEPTH = 32
 
+# the fixed layouts of the wire format; an array's ``<{ndim}q`` shape is
+# the only one built per value
+_U8 = struct.Struct("<B")
+_U32 = struct.Struct("<I")
+_I64 = struct.Struct("<q")
+_U64 = struct.Struct("<Q")
+_F64 = struct.Struct("<d")
+
 
 def _encode_into(out: list[bytes], value, depth: int) -> None:
     if depth > _MAX_DEPTH:
@@ -60,36 +69,36 @@ def _encode_into(out: list[bytes], value, depth: int) -> None:
     elif value is False:
         out.append(_TAG_FALSE)
     elif isinstance(value, (int, np.integer)):
-        out.append(_TAG_INT + struct.pack("<q", int(value)))
+        out.append(_TAG_INT + _I64.pack(int(value)))
     elif isinstance(value, (float, np.floating)):
-        out.append(_TAG_FLOAT + struct.pack("<d", float(value)))
+        out.append(_TAG_FLOAT + _F64.pack(float(value)))
     elif isinstance(value, str):
         raw = value.encode("utf-8")
-        out.append(_TAG_STR + struct.pack("<I", len(raw)) + raw)
+        out.append(_TAG_STR + _U32.pack(len(raw)) + raw)
     elif isinstance(value, (bytes, bytearray, memoryview)):
         raw = bytes(value)
-        out.append(_TAG_BYTES + struct.pack("<I", len(raw)) + raw)
+        out.append(_TAG_BYTES + _U32.pack(len(raw)) + raw)
     elif isinstance(value, np.ndarray):
         # ascontiguousarray promotes 0-d to 1-d; reshape restores the rank
         arr = np.ascontiguousarray(value).reshape(value.shape)
         dt = arr.dtype.str.encode("ascii")
-        out.append(_TAG_ARRAY + struct.pack("<B", len(dt)) + dt)
-        out.append(struct.pack("<B", arr.ndim))
+        out.append(_TAG_ARRAY + _U8.pack(len(dt)) + dt)
+        out.append(_U8.pack(arr.ndim))
         out.append(struct.pack(f"<{arr.ndim}q", *arr.shape))
         raw = arr.tobytes()
-        out.append(struct.pack("<Q", len(raw)))
+        out.append(_U64.pack(len(raw)))
         out.append(raw)
     elif isinstance(value, (list, tuple)):
-        out.append(_TAG_LIST + struct.pack("<I", len(value)))
+        out.append(_TAG_LIST + _U32.pack(len(value)))
         for item in value:
             _encode_into(out, item, depth + 1)
     elif isinstance(value, dict):
-        out.append(_TAG_DICT + struct.pack("<I", len(value)))
+        out.append(_TAG_DICT + _U32.pack(len(value)))
         for key, item in value.items():
             if not isinstance(key, str):
                 raise MarshallingError(f"dict keys must be str; got {key!r}")
             raw = key.encode("utf-8")
-            out.append(struct.pack("<I", len(raw)) + raw)
+            out.append(_U32.pack(len(raw)) + raw)
             _encode_into(out, item, depth + 1)
     else:
         raise MarshallingError(
@@ -104,6 +113,14 @@ def encode_value(value) -> bytes:
 
 
 class _Reader:
+    """A cursor over received bytes that never reads past their end.
+
+    ``take(n)`` returns the next ``n`` bytes; ``unpack(layout)`` reads one
+    precompiled :class:`struct.Struct` in place at ``pos`` (no slice, no
+    format string parsed per field).  Both raise
+    :class:`MarshallingError` when fewer bytes are left than asked for.
+    """
+
     __slots__ = ("data", "pos")
 
     def __init__(self, data: bytes) -> None:
@@ -111,15 +128,18 @@ class _Reader:
         self.pos = 0
 
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
+        pos = self.pos
+        if pos + n > len(self.data):
             raise MarshallingError("truncated wire data")
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
+        self.pos = pos + n
+        return self.data[pos:pos + n]
 
-    def unpack(self, fmt: str):
-        size = struct.calcsize(fmt)
-        return struct.unpack(fmt, self.take(size))
+    def unpack(self, layout: struct.Struct) -> tuple:
+        pos = self.pos
+        if pos + layout.size > len(self.data):
+            raise MarshallingError("truncated wire data")
+        self.pos = pos + layout.size
+        return layout.unpack_from(self.data, pos)
 
 
 def _decode_from(r: _Reader, depth: int):
@@ -132,46 +152,54 @@ def _decode_from(r: _Reader, depth: int):
         return True
     if tag == _TAG_FALSE:
         return False
-    if tag == _TAG_INT:
-        return r.unpack("<q")[0]
-    if tag == _TAG_FLOAT:
-        return r.unpack("<d")[0]
     if tag == _TAG_STR:
-        (n,) = r.unpack("<I")
+        (n,) = r.unpack(_U32)
         return r.take(n).decode("utf-8")
+    if tag == _TAG_INT:
+        return r.unpack(_I64)[0]
+    if tag == _TAG_FLOAT:
+        return r.unpack(_F64)[0]
+    if tag == _TAG_DICT:
+        (n,) = r.unpack(_U32)
+        out = {}
+        for _ in range(n):
+            (klen,) = r.unpack(_U32)
+            key = r.take(klen).decode("utf-8")
+            out[key] = _decode_from(r, depth + 1)
+        return out
+    if tag == _TAG_LIST:
+        (n,) = r.unpack(_U32)
+        return [_decode_from(r, depth + 1) for _ in range(n)]
     if tag == _TAG_BYTES:
-        (n,) = r.unpack("<I")
+        (n,) = r.unpack(_U32)
         return r.take(n)
     if tag == _TAG_ARRAY:
-        (dt_len,) = r.unpack("<B")
+        (dt_len,) = r.unpack(_U8)
         dt = np.dtype(r.take(dt_len).decode("ascii"))
-        (ndim,) = r.unpack("<B")
-        shape = r.unpack(f"<{ndim}q") if ndim else ()
-        (nbytes,) = r.unpack("<Q")
-        expected = dt.itemsize * int(np.prod(shape)) if ndim else dt.itemsize
-        if nbytes != expected:
+        (ndim,) = r.unpack(_U8)
+        shape = r.unpack(struct.Struct(f"<{ndim}q"))
+        (nbytes,) = r.unpack(_U64)
+        if nbytes != dt.itemsize * math.prod(shape):
             raise MarshallingError(
                 f"array byte count {nbytes} does not match shape {shape}")
         raw = r.take(nbytes)
         return np.frombuffer(raw, dtype=dt).reshape(shape).copy()
-    if tag == _TAG_LIST:
-        (n,) = r.unpack("<I")
-        return [_decode_from(r, depth + 1) for _ in range(n)]
-    if tag == _TAG_DICT:
-        (n,) = r.unpack("<I")
-        out = {}
-        for _ in range(n):
-            (klen,) = r.unpack("<I")
-            key = r.take(klen).decode("utf-8")
-            out[key] = _decode_from(r, depth + 1)
-        return out
     raise MarshallingError(f"unknown wire tag {tag!r}")
 
 
 def decode_value(data: bytes):
-    """Decode bytes produced by :func:`encode_value`."""
+    """Decode bytes produced by :func:`encode_value`.
+
+    Raises :class:`MarshallingError`, and nothing else, on bytes that are
+    not such a value.
+    """
     r = _Reader(data)
-    value = _decode_from(r, 0)
+    try:
+        value = _decode_from(r, 0)
+    except (ValueError, TypeError, SyntaxError) as exc:
+        # bad UTF-8, a dtype string numpy refuses (its comma-list parser
+        # raises SyntaxError), a shape the payload cannot be viewed as
+        raise MarshallingError(f"malformed wire value: {exc}") from exc
     if r.pos != len(data):
         raise MarshallingError(
             f"{len(data) - r.pos} trailing bytes after wire value")
@@ -193,8 +221,13 @@ def count_fields(value) -> int:
 
 
 def payload_nbytes(value) -> int:
-    """Bulk payload size (arrays/strings/bytes) of a wire value."""
-    if isinstance(value, np.ndarray):
+    """Bulk payload size (arrays/strings/bytes) of a wire value.
+
+    Arrays and byte strings are billed what :func:`encode_value` ships for
+    them.  A ``str`` is billed its *character* count, not its UTF-8 length:
+    Table 5's bootstrap times were calibrated with it.
+    """
+    if isinstance(value, (np.ndarray, memoryview)):
         return value.nbytes
     if isinstance(value, (bytes, bytearray)):
         return len(value)

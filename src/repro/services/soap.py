@@ -12,21 +12,43 @@ output *is* the bytes the simulated network carries.  Scalars become typed
 elements, numpy arrays become base64 payloads (with the 4/3 size blow-up),
 and the XML scaffolding adds the per-message overhead that motivates RAVE's
 binary data plane.
+
+:func:`soap_encode` writes those bytes directly, and they are specified by
+``ElementTree``'s serialisation of the same envelope: an envelope's length
+is its simulated transfer time, so every table and same-seed replay rests
+on it.  The tree-building reference is ``reference_encode`` in
+``tests/test_soap_properties.py``, compared byte for byte.  The rules:
+
+- the ``<?xml version='1.0' encoding='utf-8'?>`` declaration and a newline;
+- attributes in the order written here;
+- an element with no text and no children is ``<tag ... />`` (an empty
+  ``Header``, string, list, struct, array or fault field; an ``Operation``
+  with no arguments);
+- ``& < >`` are ``&amp; &lt; &gt;`` in text; attribute values escape those
+  and ``" \\r \\n \\t`` as ``&quot; &#13; &#10; &#09;``;
+- what UTF-8 cannot carry (a lone surrogate) is a ``&#N;`` reference.
+
+:func:`soap_decode` leaves hostile bytes to expat and finds elements by
+local name, whatever their namespace.
 """
 
 from __future__ import annotations
 
 import base64
+import math
 from dataclasses import dataclass, field
 from xml.etree import ElementTree as ET
 
 import numpy as np
 
 from repro.errors import MarshallingError, SoapFault
+from repro.network.marshalling import _MAX_DEPTH
 from repro.obs.tracing import TraceContext
 
 _ENV_NS = "http://www.w3.org/2003/05/soap-envelope"
 _RAVE_NS = "urn:rave:sc2004"
+_ENVELOPE_OPEN = ("<?xml version='1.0' encoding='utf-8'?>\n"
+                  f'<Envelope xmlns="{_ENV_NS}" xmlns:rave="{_RAVE_NS}">')
 
 #: simulated CPU seconds per byte of XML text processed (parse/serialise);
 #: calibrated so a warm UDDI scan of a handful of kilobyte-scale responses
@@ -59,49 +81,92 @@ class SoapEnvelope:
             raise SoapFault(*self.fault)
 
 
-def _encode_element(parent: ET.Element, name: str, value) -> None:
-    el = ET.SubElement(parent, name)
+def _text(text: str) -> str:
+    """Escape character data the way ``ElementTree`` does."""
+    if not isinstance(text, str):  # as ElementTree: never stringified
+        raise TypeError(f"cannot serialize {text!r} (type {type(text).__name__})")
+    if "&" in text:
+        text = text.replace("&", "&amp;")
+    if "<" in text:
+        text = text.replace("<", "&lt;")
+    if ">" in text:
+        text = text.replace(">", "&gt;")
+    return text
+
+
+def _attr(text: str) -> str:
+    """Escape an attribute value the way ``ElementTree`` does."""
+    text = _text(text)
+    if '"' in text:
+        text = text.replace('"', "&quot;")
+    if "\r" in text:
+        text = text.replace("\r", "&#13;")
+    if "\n" in text:
+        text = text.replace("\n", "&#10;")
+    if "\t" in text:
+        text = text.replace("\t", "&#09;")
+    return text
+
+
+def _element(head: str, name: str, text: str) -> str:
+    """``<head>text</name>``, or the ``<head />`` short form when empty."""
+    return f"<{head}>{text}</{name}>" if text else f"<{head} />"
+
+
+def _encode_element(out: list[str], name: str, value, depth: int = 0) -> None:
+    """Append the XML of one typed value element to ``out``."""
+    if depth > _MAX_DEPTH:
+        raise MarshallingError("value nesting exceeds maximum depth")
     if value is None:
-        el.set("xsi-nil", "true")
+        out.append(f'<{name} xsi-nil="true" />')
     elif isinstance(value, bool):
-        el.set("type", "xsd:boolean")
-        el.text = "true" if value else "false"
+        text = "true" if value else "false"
+        out.append(f'<{name} type="xsd:boolean">{text}</{name}>')
     elif isinstance(value, (int, np.integer)):
-        el.set("type", "xsd:long")
-        el.text = str(int(value))
+        out.append(f'<{name} type="xsd:long">{int(value)}</{name}>')
     elif isinstance(value, (float, np.floating)):
-        el.set("type", "xsd:double")
-        el.text = repr(float(value))
+        out.append(f'<{name} type="xsd:double">{float(value)!r}</{name}>')
     elif isinstance(value, str):
-        el.set("type", "xsd:string")
-        el.text = value
-    elif isinstance(value, (bytes, bytearray)):
-        el.set("type", "xsd:base64Binary")
-        el.text = base64.b64encode(bytes(value)).decode("ascii")
+        out.append(_element(f'{name} type="xsd:string"', name, _text(value)))
+    elif isinstance(value, (bytes, bytearray, memoryview)):
+        out.append(_element(f'{name} type="xsd:base64Binary"', name,
+                            base64.b64encode(bytes(value)).decode("ascii")))
     elif isinstance(value, np.ndarray):
-        arr = np.ascontiguousarray(value)
-        el.set("type", "rave:ndarray")
-        el.set("dtype", arr.dtype.str)
-        el.set("shape", ",".join(str(s) for s in arr.shape))
-        el.text = base64.b64encode(arr.tobytes()).decode("ascii")
+        # tobytes() is C-order whatever the strides; a 0-d array has shape=""
+        shape = ",".join(map(str, value.shape))
+        out.append(_element(
+            f'{name} type="rave:ndarray" dtype="{_attr(value.dtype.str)}"'
+            f' shape="{shape}"', name,
+            base64.b64encode(value.tobytes()).decode("ascii")))
     elif isinstance(value, (list, tuple)):
-        el.set("type", "rave:list")
-        for item in value:
-            _encode_element(el, "item", item)
+        if value:
+            out.append(f'<{name} type="rave:list">')
+            for item in value:
+                _encode_element(out, "item", item, depth + 1)
+            out.append(f"</{name}>")
+        else:
+            out.append(f'<{name} type="rave:list" />')
     elif isinstance(value, dict):
-        el.set("type", "rave:struct")
-        for key, item in value.items():
-            if not isinstance(key, str) or not key:
-                raise MarshallingError(f"SOAP struct keys must be str: {key!r}")
-            entry = ET.SubElement(el, "entry")
-            entry.set("key", key)
-            _encode_element(entry, "value", item)
+        if value:
+            out.append(f'<{name} type="rave:struct">')
+            for key, item in value.items():
+                if not isinstance(key, str) or not key:
+                    raise MarshallingError(
+                        f"SOAP struct keys must be str: {key!r}")
+                out.append(f'<entry key="{_attr(key)}">')
+                _encode_element(out, "value", item, depth + 1)
+                out.append("</entry>")
+            out.append(f"</{name}>")
+        else:
+            out.append(f'<{name} type="rave:struct" />')
     else:
         raise MarshallingError(
             f"cannot SOAP-encode value of type {type(value).__name__}")
 
 
-def _decode_element(el: ET.Element):
+def _decode_element(el: ET.Element, depth: int = 0):
+    if depth > _MAX_DEPTH:
+        raise MarshallingError("SOAP value nesting exceeds maximum depth")
     if el.get("xsi-nil") == "true":
         return None
     kind = el.get("type", "xsd:string")
@@ -118,23 +183,22 @@ def _decode_element(el: ET.Element):
         return base64.b64decode(text)
     if kind == "rave:ndarray":
         dtype = np.dtype(el.get("dtype", "<f8"))
-        shape_attr = el.get("shape", "")
-        shape = tuple(int(s) for s in shape_attr.split(",") if s != "")
+        shape = tuple(int(s) for s in el.get("shape", "").split(",") if s != "")
         raw = base64.b64decode(text)
-        expected = dtype.itemsize * int(np.prod(shape)) if shape else len(raw)
-        if shape and len(raw) != expected:
+        expected = dtype.itemsize * math.prod(shape)
+        if len(raw) != expected:
             raise MarshallingError(
                 f"ndarray payload is {len(raw)} bytes, expected {expected}")
         return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
     if kind == "rave:list":
-        return [_decode_element(child) for child in el]
+        return [_decode_element(child, depth + 1) for child in el]
     if kind == "rave:struct":
         out = {}
         for entry in el:
             key = entry.get("key")
             if key is None or len(entry) != 1:
                 raise MarshallingError("malformed SOAP struct entry")
-            out[key] = _decode_element(entry[0])
+            out[key] = _decode_element(entry[0], depth + 1)
         return out
     raise MarshallingError(f"unknown SOAP value type {kind!r}")
 
@@ -143,48 +207,62 @@ def soap_encode(operation: str, body: dict | None = None,
                 fault: tuple[str, str] | None = None,
                 trace: TraceContext | None = None) -> bytes:
     """Build a SOAP envelope; returns the XML bytes that go on the wire."""
-    envelope = ET.Element("Envelope")
-    envelope.set("xmlns", _ENV_NS)
-    envelope.set("xmlns:rave", _RAVE_NS)
-    header_el = ET.SubElement(envelope, "Header")
-    if trace is not None:
-        trace_el = ET.SubElement(header_el, "TraceContext")
-        trace_el.set("traceId", trace.trace_id)
-        trace_el.set("spanId", trace.span_id)
-    body_el = ET.SubElement(envelope, "Body")
+    out = [_ENVELOPE_OPEN]
+    if trace is None:
+        out.append("<Header />")
+    else:
+        out.append(f'<Header><TraceContext traceId="{_attr(trace.trace_id)}"'
+                   f' spanId="{_attr(trace.span_id)}" /></Header>')
+    out.append("<Body>")
     if fault is not None:
-        fault_el = ET.SubElement(body_el, "Fault")
-        code_el = ET.SubElement(fault_el, "Code")
-        code_el.text = fault[0]
-        reason_el = ET.SubElement(fault_el, "Reason")
-        reason_el.text = fault[1]
-    op_el = ET.SubElement(body_el, "Operation")
-    op_el.set("name", operation)
-    for key, value in (body or {}).items():
-        entry = ET.SubElement(op_el, "arg")
-        entry.set("key", key)
-        _encode_element(entry, "value", value)
-    return ET.tostring(envelope, encoding="utf-8", xml_declaration=True)
+        out.append("<Fault>" + _element("Code", "Code", _text(fault[0]))
+                   + _element("Reason", "Reason", _text(fault[1])) + "</Fault>")
+    if body:
+        out.append(f'<Operation name="{_attr(operation)}">')
+        for key, value in body.items():
+            out.append(f'<arg key="{_attr(key)}">')
+            _encode_element(out, "value", value)
+            out.append("</arg>")
+        out.append("</Operation></Body></Envelope>")
+    else:
+        out.append(f'<Operation name="{_attr(operation)}" /></Body></Envelope>')
+    return "".join(out).encode("utf-8", "xmlcharrefreplace")
 
 
-def _strip_namespaces(el: ET.Element) -> None:
-    """Drop namespace prefixes in-place so lookups use local names."""
-    for node in el.iter():
-        if "}" in node.tag:
-            node.tag = node.tag.split("}", 1)[1]
+def _child(el: ET.Element, name: str) -> ET.Element | None:
+    """First direct child with local name ``name``, whatever its namespace."""
+    suffix = "}" + name
+    for child in el:
+        if child.tag == name or child.tag.endswith(suffix):
+            return child
+    return None
+
+
+def _child_text(el: ET.Element, name: str, default: str) -> str:
+    """``findtext`` by local name: absent -> ``default``, empty -> ``''``."""
+    child = _child(el, name)
+    return default if child is None else child.text or ""
 
 
 def soap_decode(data: bytes) -> SoapEnvelope:
-    """Parse a SOAP envelope produced by :func:`soap_encode`."""
+    """Parse a SOAP envelope produced by :func:`soap_encode`.
+
+    Raises :class:`MarshallingError`, and nothing else, on bytes that are
+    not such an envelope.
+    """
     try:
-        root = ET.fromstring(data)
-    except ET.ParseError as exc:
+        return _decode_envelope(ET.fromstring(data))
+    except (SyntaxError, ValueError, TypeError, LookupError) as exc:
+        # expat's ParseError is a SyntaxError, an unknown declared encoding
+        # a LookupError; the leaf conversions raise the other two
         raise MarshallingError(f"malformed SOAP XML: {exc}") from exc
-    _strip_namespaces(root)
+
+
+def _decode_envelope(root: ET.Element) -> SoapEnvelope:
     trace = None
-    header_el = root.find("Header")
+    header_el = _child(root, "Header")
     if header_el is not None:
-        trace_el = header_el.find("TraceContext")
+        trace_el = _child(header_el, "TraceContext")
         if trace_el is not None:
             trace_id = trace_el.get("traceId", "")
             span_id = trace_el.get("spanId", "")
@@ -192,16 +270,15 @@ def soap_decode(data: bytes) -> SoapEnvelope:
                 raise MarshallingError(
                     "SOAP TraceContext header needs traceId and spanId")
             trace = TraceContext(trace_id=trace_id, span_id=span_id)
-    body_el = root.find("Body")
+    body_el = _child(root, "Body")
     if body_el is None:
         raise MarshallingError("SOAP envelope has no Body")
     fault = None
-    fault_el = body_el.find("Fault")
+    fault_el = _child(body_el, "Fault")
     if fault_el is not None:
-        code = fault_el.findtext("Code", "Receiver")
-        reason = fault_el.findtext("Reason", "")
-        fault = (code, reason)
-    op_el = body_el.find("Operation")
+        fault = (_child_text(fault_el, "Code", "Receiver"),
+                 _child_text(fault_el, "Reason", ""))
+    op_el = _child(body_el, "Operation")
     if op_el is None:
         raise MarshallingError("SOAP body has no Operation")
     body = {}

@@ -1,4 +1,7 @@
-"""Error paths of the binary wire framing in ``services/protocol.py``.
+"""Error paths of the wire decoders.
+
+Mostly the binary framing in ``services/protocol.py``; the last two
+classes hold ``soap_decode`` and ``decode_value`` to the same contract.
 
 The happy path is exercised everywhere the monitor scrapes; these tests
 pin down the defensive half of the contract: every way a frame can be
@@ -10,13 +13,16 @@ with a diagnosable message instead of propagating a struct/JSON error.
 from __future__ import annotations
 
 import json
+import random
 import struct
 import zlib
 
+import numpy as np
 import pytest
 
-from repro.errors import MarshallingError
+from repro.errors import MarshallingError, RaveError
 from repro.farm import RenderJob
+from repro.network.marshalling import decode_value, encode_value
 from repro.services.protocol import (
     FLAG_FARM,
     FLAG_TELEMETRY,
@@ -32,6 +38,7 @@ from repro.services.protocol import (
     unframe_message,
     unframe_telemetry,
 )
+from repro.services.soap import soap_decode, soap_encode
 
 HEADER = struct.Struct("<IHHIQ")
 MAGIC = 0x52415645
@@ -213,3 +220,105 @@ class TestUnframeTelemetry:
         with pytest.raises(MarshallingError,
                            match="must be a JSON object"):
             unframe_telemetry(frame)
+
+
+def mutations(valid: bytes, n: int, seed: int):
+    """``n`` seeded corruptions of ``valid``: bit flip / truncate / insert /
+    overwrite, up to three deep."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        data = bytearray(valid)
+        for _ in range(rng.randint(1, 3)):
+            if not data:
+                break
+            at = rng.randrange(len(data))
+            kind = rng.randrange(4)
+            if kind == 0:
+                data[at] ^= 1 << rng.randrange(8)
+            elif kind == 1:
+                del data[at:]
+            elif kind == 2:
+                data[at:at] = rng.randbytes(rng.randint(1, 4))
+            else:
+                data[at:at + 4] = rng.randbytes(rng.randint(1, 4))
+        yield bytes(data)
+
+
+def assert_decodes_or_raises_rave_error(decode, valid: bytes, n: int,
+                                        seed: int) -> None:
+    leaked = {}
+    for data in mutations(valid, n, seed):
+        try:
+            decode(data)
+        except RaveError:
+            pass
+        except Exception as exc:  # the sweep's whole point is to find these
+            leaked.setdefault(type(exc).__name__, data)
+    assert not leaked
+
+
+#: a message with one of everything the value grammar has
+WIRE_VALUE = {
+    "session": "s00017", "héllo": "wörld", "n": 7, "rate": 2.5,
+    "ok": True, "no": False, "nothing": None, "blob": b"\x00\x01",
+    "cam": {"pos": [1.0, 2.0, 3.0], "names": ["a", ""], "deep": {"x": []}},
+    "verts": np.arange(6, dtype="<f4").reshape(2, 3),
+    "ids": np.arange(3, dtype="u1"), "scalar": np.array(5.0),
+}
+
+
+class TestSoapDecodeRaisesOnlyMarshallingError:
+    """Every receive path catches ``MarshallingError`` / ``SoapFault``;
+    each case below used to unwind with something else."""
+
+    VALID = soap_encode("op", WIRE_VALUE)
+
+    @pytest.mark.parametrize("old,new", [
+        # binascii.Error: base64 with one pad stripped
+        (b">AAE=<", b">AAE<"),
+        # LookupError: a declared encoding Python has no codec for
+        (b"encoding='utf-8'", b"encoding='utf-9'"),
+        # TypeError: a dtype string numpy refuses
+        (b'dtype="|u1"', b'dtype="&lt;q9"'),
+        # ValueError: shape, integer and float text that do not parse
+        (b'shape="3"', b'shape="x"'),
+        (b">7<", b">3x<"),
+        (b">2.5<", b">1.5.5<"),
+        # ValueError: three u1 relabelled as one 0-d f4 (3 bytes, needs 4)
+        (b'dtype="|u1" shape="3"', b'dtype="&lt;f4" shape=""'),
+    ], ids=["base64-padding", "unknown-encoding", "bad-dtype", "bad-shape",
+            "bad-long", "bad-double", "payload-shorter-than-dtype"])
+    def test_one_bad_field(self, old, new):
+        assert self.VALID.count(old) == 1
+        with pytest.raises(MarshallingError):
+            soap_decode(self.VALID.replace(old, new))
+
+    def test_nesting_past_the_depth_limit(self):
+        deep = (b"<item type='rave:list'>" * 5000 + b"</item>" * 5000)
+        with pytest.raises(MarshallingError, match="depth"):
+            soap_decode(b"<Envelope><Body><Operation name='op'><arg key='k'>"
+                        + deep + b"</arg></Operation></Body></Envelope>")
+
+    def test_mutation_sweep(self):
+        assert_decodes_or_raises_rave_error(soap_decode, self.VALID,
+                                            20_000, seed=2004)
+
+
+class TestDecodeValueRaisesOnlyMarshallingError:
+    VALID = encode_value(WIRE_VALUE)
+
+    @pytest.mark.parametrize("old,new", [
+        # UnicodeDecodeError: bytes that are not UTF-8 inside a string
+        ("wörld".encode(), b"w\xff\xferld"),
+        # TypeError / SyntaxError: dtype strings numpy refuses
+        (b"a\x03|u1", b"a\x03<q9"),
+        (b"a\x03|u1", b"a\x03(,)"),
+    ], ids=["bad-utf8", "bad-dtype", "dtype-syntax"])
+    def test_one_bad_field(self, old, new):
+        assert len(old) == len(new) and self.VALID.count(old) == 1
+        with pytest.raises(MarshallingError):
+            decode_value(self.VALID.replace(old, new))
+
+    def test_mutation_sweep(self):
+        assert_decodes_or_raises_rave_error(decode_value, self.VALID,
+                                            20_000, seed=2004)

@@ -80,6 +80,36 @@ class TestSoapEnvelope:
         with pytest.raises(MarshallingError):
             soap_encode("op", {"bad": object()})
 
+    @pytest.mark.parametrize("open_tag,prefix", [
+        ("<Envelope>", ""),
+        ('<Envelope xmlns="urn:someone:else">', ""),
+        ('<e:Envelope xmlns:e="http://www.w3.org/2003/05/soap-envelope">',
+         "e:"),
+    ], ids=["no-namespace", "foreign-default-namespace", "prefixed"])
+    def test_elements_are_found_by_local_name(self, open_tag, prefix):
+        p = prefix
+        data = (f"{open_tag}<{p}Header><{p}TraceContext traceId='t' "
+                f"spanId='s'/></{p}Header><{p}Body><{p}Fault><{p}Code/>"
+                f"</{p}Fault><{p}Operation name='op'><arg key='n'>"
+                f"<value type='xsd:long'>7</value></arg></{p}Operation>"
+                f"</{p}Body></{p}Envelope>").encode()
+        env = soap_decode(data)
+        assert (env.operation, env.body) == ("op", {"n": 7})
+        assert (env.trace.trace_id, env.trace.span_id) == ("t", "s")
+        # an empty Code is '', an absent Reason is its default
+        assert env.fault == ("", "")
+
+    def test_absent_fault_code_defaults_to_receiver(self):
+        env = soap_decode(b"<Envelope><Body><Fault><Reason>why</Reason>"
+                          b"</Fault><Operation name='op'/></Body></Envelope>")
+        assert env.fault == ("Receiver", "why")
+
+    def test_only_direct_children_are_looked_up(self):
+        # an Operation nested somewhere else is not the body's Operation
+        with pytest.raises(MarshallingError, match="no Operation"):
+            soap_decode(b"<Envelope><Body><x><Operation name='op'/></x>"
+                        b"</Body></Envelope>")
+
     def test_cpu_cost_scales(self):
         assert soap_cpu_seconds(10**6) > soap_cpu_seconds(10**3)
         assert soap_cpu_seconds(1000, cpu_factor=2.0) == pytest.approx(
