@@ -12,12 +12,15 @@ import pytest
 from repro.compression import RleCodec
 from repro.data.generators import box, make_model
 from repro.data.meshes import Mesh
+from repro.data.volumes import visible_human_phantom
 from repro.network.marshalling import BinaryMarshaller
 from repro.render.camera import Camera
 from repro.render.compositor import depth_composite
 from repro.render.framebuffer import FrameBuffer, Tile
 from repro.render.rasterizer import rasterize_mesh
+from repro.render.volume import raymarch_volume
 from repro.scenegraph.nodes import CameraNode
+from repro.testbed import build_testbed
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +82,30 @@ def test_project_box_at_32x24(benchmark):
 
     x_px, y_px, w = benchmark(run)
     assert (w > 0).all()
+
+
+def test_raymarch_phantom_64_at_200x150(benchmark):
+    """A 64-cubed volume ray-marched at 200x150: 64 steps, each one
+    trilinear sample per hitting ray, in NumPy."""
+    volume = visible_human_phantom(64)
+    camera = Camera.looking_at((0.0, 0.0, 3.5), up=(0.0, 1.0, 0.0))
+
+    image = benchmark(raymarch_volume, volume, camera, 200, 150)
+    assert image.coverage > 0.1
+
+
+def test_route_testbed_cold(benchmark):
+    """PDA to render host with nothing cached: a liveness setter drops the
+    routing cache every round, so each lookup rebuilds the usable
+    adjacency and runs the search."""
+    net = build_testbed().network
+
+    def run():
+        net.set_host_up("zaurus", True)
+        return net.path("zaurus", "onyx")
+
+    route = benchmark(run)
+    assert route[0] == "zaurus" and route[-1] == "onyx"
 
 
 def test_rasterize_50k_at_400(benchmark, elle_mesh, cam):

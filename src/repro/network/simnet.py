@@ -23,8 +23,8 @@ Model choices (documented limitations, adequate for the paper's shapes):
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from heapq import heappop, heappush
+from itertools import count
 
 from repro.errors import NetworkError
 from repro.network.clock import Simulator
@@ -38,7 +38,8 @@ class Host:
     name: str
     #: optional machine-profile key (see repro.hardware.profiles)
     profile: str = ""
-    #: False while the machine is crashed (fault injection)
+    #: False while the machine is crashed (fault injection); change it
+    #: through :meth:`Network.set_host_up`, which drops the routing cache
     up: bool = True
 
     def __hash__(self) -> int:
@@ -60,6 +61,8 @@ class Link:
     mac_efficiency: float = 1.0
     #: number of transfers currently using this link
     active: int = 0
+    #: False while the link is down; change it through
+    #: :meth:`Network.set_link_up`, which drops the routing cache
     up: bool = True
 
     def effective_bandwidth(self, extra_flows: int = 1) -> float:
@@ -132,6 +135,57 @@ class WirelessCell:
             quality
 
 
+def _shortest_path(adj: dict[str, dict[str, float]], src: str,
+                   dst: str) -> list[str] | None:
+    """Least-latency route, or None when there is none.
+
+    Bidirectional Dijkstra as ``networkx.shortest_path(weight=...)`` runs
+    it — one counter shared by both heaps, directions alternating, the
+    meet node replaced only by a strictly shorter total — so tied routes
+    resolve exactly as they did when routing was delegated to networkx.
+    """
+    if src not in adj or dst not in adj:
+        return None
+    if src == dst:
+        return [src]
+    c = count()
+    fringe = ([(0, next(c), src)], [(0, next(c), dst)])
+    seen = ({src: 0}, {dst: 0})
+    preds = ({src: None}, {dst: None})
+    dists = ({}, {})
+    finaldist = meet = None
+    direction = 1
+    while fringe[0] and fringe[1]:
+        direction = 1 - direction
+        dist, _, v = heappop(fringe[direction])
+        if v in dists[direction]:
+            continue
+        dists[direction][v] = dist
+        if v in dists[1 - direction]:
+            forward, node = [], meet
+            while node is not None:
+                forward.append(node)
+                node = preds[0][node]
+            route, node = forward[::-1], preds[1][meet]
+            while node is not None:
+                route.append(node)
+                node = preds[1][node]
+            return route
+        for w, cost in adj[v].items():
+            length = dist + cost
+            if w in dists[direction]:
+                continue
+            if w not in seen[direction] or length < seen[direction][w]:
+                seen[direction][w] = length
+                heappush(fringe[direction], (length, next(c), w))
+                preds[direction][w] = v
+                if w in seen[1 - direction]:
+                    total = length + seen[1 - direction][w]
+                    if finaldist is None or finaldist > total:
+                        finaldist, meet = total, w
+    return None
+
+
 class Network:
     """Hosts + links + routing + transfer scheduling."""
 
@@ -139,15 +193,19 @@ class Network:
         self.sim = simulator if simulator is not None else Simulator()
         self.hosts: dict[str, Host] = {}
         self._links: dict[tuple[str, str], Link] = {}
-        self._graph = nx.Graph()
+        #: host → neighbour → latency, both levels in insertion order
+        self._graph: dict[str, dict[str, float]] = {}
         self.transfers: list[TransferRecord] = []
         #: optional :class:`repro.network.faults.FaultInjector`
         self.fault_injector = None
-        # Routing cache: the "usable" graph (and shortest paths over it)
-        # are reused until any host/link liveness bit changes.
-        self._usable_token: tuple | None = None
-        self._usable_graph: nx.Graph | None = None
+        # Routing cache: the "usable" adjacency (and shortest paths over
+        # it) are reused until a topology or liveness setter drops them.
+        self._usable_graph: dict[str, dict[str, float]] | None = None
         self._path_cache: dict[tuple[str, str], list[str]] = {}
+
+    def _invalidate_routes(self) -> None:
+        self._usable_graph = None
+        self._path_cache.clear()
 
     # -- topology ---------------------------------------------------------------
 
@@ -156,7 +214,8 @@ class Network:
             raise NetworkError(f"host {name!r} already exists")
         host = Host(name=name, profile=profile)
         self.hosts[name] = host
-        self._graph.add_node(name)
+        self._graph[name] = {}
+        self._invalidate_routes()
         return host
 
     def add_link(self, a: str, b: str, bandwidth_bps: float,
@@ -175,7 +234,8 @@ class Network:
         if link.key in self._links:
             raise NetworkError(f"link {a!r}-{b!r} already exists")
         self._links[link.key] = link
-        self._graph.add_edge(a, b, latency=latency_s)
+        self._graph[a][b] = self._graph[b][a] = latency_s
+        self._invalidate_routes()
         return link
 
     def add_ethernet_segment(self, hosts: list[str], switch: str,
@@ -196,56 +256,49 @@ class Network:
 
     def set_link_up(self, a: str, b: str, up: bool) -> None:
         self.link_between(a, b).up = up
+        self._invalidate_routes()
 
     def set_host_up(self, name: str, up: bool) -> None:
         """Crash or restart a machine; down hosts route no traffic at all."""
         if name not in self.hosts:
             raise NetworkError(f"unknown host {name!r}")
         self.hosts[name].up = up
+        self._invalidate_routes()
 
     def host_is_up(self, name: str) -> bool:
         if name not in self.hosts:
             raise NetworkError(f"unknown host {name!r}")
         return self.hosts[name].up
 
-    def _liveness_token(self) -> tuple:
-        """Cheap fingerprint of everything that affects routing."""
-        bits = 0
-        for link in self._links.values():
-            bits = (bits << 1) | link.up
-        for host in self.hosts.values():
-            bits = (bits << 1) | host.up
-        return (len(self.hosts), len(self._links), bits)
+    def _usable(self) -> dict[str, dict[str, float]]:
+        """The adjacency restricted to live hosts and links (cached).
 
-    def _usable(self) -> nx.Graph:
-        """The routing graph restricted to live hosts and links (cached)."""
-        token = self._liveness_token()
-        if token != self._usable_token or self._usable_graph is None:
-            usable = nx.Graph(
-                (a, b, d) for a, b, d in self._graph.edges(data=True)
-                if self._links[(a, b) if a <= b else (b, a)].up
-                and self.hosts[a].up and self.hosts[b].up
-            )
-            usable.add_nodes_from(
-                h.name for h in self.hosts.values() if h.up)
+        Edges are walked node by node, each neighbour not yet visited, so
+        every node's neighbours come out in the order routing ties need.
+        """
+        if self._usable_graph is None:
+            usable = {name: {} for name, h in self.hosts.items() if h.up}
+            visited = set()
+            for a, nbrs in self._graph.items():
+                for b, latency in nbrs.items():
+                    if (b not in visited and a in usable and b in usable
+                            and self._links[(a, b) if a <= b else (b, a)].up):
+                        usable[a][b] = usable[b][a] = latency
+                visited.add(a)
             self._usable_graph = usable
-            self._usable_token = token
-            self._path_cache.clear()
         return self._usable_graph
 
     def path(self, src: str, dst: str) -> list[str]:
         for h in (src, dst):
             if h not in self.hosts:
                 raise NetworkError(f"unknown host {h!r}")
-        usable = self._usable()   # refreshes the path cache if stale
         cached = self._path_cache.get((src, dst))
         if cached is not None:
             return cached
-        try:
-            # Route around downed links and crashed hosts.
-            route = nx.shortest_path(usable, src, dst, weight="latency")
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            raise NetworkError(f"no route from {src!r} to {dst!r}") from None
+        # Route around downed links and crashed hosts.
+        route = _shortest_path(self._usable(), src, dst)
+        if route is None:
+            raise NetworkError(f"no route from {src!r} to {dst!r}")
         self._path_cache[(src, dst)] = route
         return route
 

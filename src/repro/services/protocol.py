@@ -111,7 +111,7 @@ def unframe_telemetry(data: bytes) -> dict:
             f"frame flags 0x{header.flags:04x} carry no telemetry")
     try:
         payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise MarshallingError(f"malformed telemetry body: {exc}") from exc
     if not isinstance(payload, dict):
         raise MarshallingError("telemetry payload must be a JSON object")
@@ -162,18 +162,21 @@ def unframe_reject(data: bytes) -> RejectInfo:
             f"frame flags 0x{header.flags:04x} carry no admission reject")
     try:
         payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise MarshallingError(f"malformed reject body: {exc}") from exc
     if not isinstance(payload, dict) or "status" not in payload:
         raise MarshallingError("reject payload must carry a status")
-    return RejectInfo(
-        status=int(payload["status"]),
-        reason=str(payload.get("reason", "")),
-        retry_after=float(payload.get("retry_after", 0.0)),
-        tenant=str(payload.get("tenant", "")),
-        session_id=str(payload.get("session_id", "")),
-        queue_depth=int(payload.get("queue_depth", 0)),
-        trace=header.trace)
+    try:
+        return RejectInfo(
+            status=int(payload["status"]),
+            reason=str(payload.get("reason", "")),
+            retry_after=float(payload.get("retry_after", 0.0)),
+            tenant=str(payload.get("tenant", "")),
+            session_id=str(payload.get("session_id", "")),
+            queue_depth=int(payload.get("queue_depth", 0)),
+            trace=header.trace)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MarshallingError(f"malformed reject field: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -231,14 +234,17 @@ def unframe_farm_lease(data: bytes) -> FarmLease:
     if payload.get("type") != "lease":
         raise MarshallingError(
             f"farm frame type {payload.get('type')!r} is not a lease")
-    return FarmLease(
-        job_id=str(payload.get("job_id", "")),
-        frame=int(payload["frame"]),
-        session_id=str(payload.get("session_id", "")),
-        attempt=int(payload.get("attempt", 1)),
-        deadline=float(payload.get("deadline", 0.0)),
-        priority=int(payload.get("priority", 0)),
-        trace=header.trace)
+    try:
+        return FarmLease(
+            job_id=str(payload.get("job_id", "")),
+            frame=int(payload["frame"]),
+            session_id=str(payload.get("session_id", "")),
+            attempt=int(payload.get("attempt", 1)),
+            deadline=float(payload.get("deadline", 0.0)),
+            priority=int(payload["priority"]),
+            trace=header.trace)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise MarshallingError(f"malformed farm lease field: {exc}") from exc
 
 
 def frame_farm_result(result: FarmResult) -> bytes:
@@ -261,20 +267,23 @@ def unframe_farm_result(data: bytes) -> FarmResult:
     if payload.get("type") != "result":
         raise MarshallingError(
             f"farm frame type {payload.get('type')!r} is not a result")
-    return FarmResult(
-        job_id=str(payload.get("job_id", "")),
-        frame=int(payload["frame"]),
-        worker=str(payload.get("worker", "")),
-        render_seconds=float(payload.get("render_seconds", 0.0)),
-        nbytes=int(payload.get("nbytes", 0)),
-        attempt=int(payload.get("attempt", 0)),
-        trace=header.trace)
+    try:
+        return FarmResult(
+            job_id=str(payload.get("job_id", "")),
+            frame=int(payload["frame"]),
+            worker=str(payload.get("worker", "")),
+            render_seconds=float(payload.get("render_seconds", 0.0)),
+            nbytes=int(payload.get("nbytes", 0)),
+            attempt=int(payload.get("attempt", 0)),
+            trace=header.trace)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MarshallingError(f"malformed farm result field: {exc}") from exc
 
 
 def _decode_farm_body(body: bytes) -> dict:
     try:
         payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise MarshallingError(f"malformed farm body: {exc}") from exc
     if not isinstance(payload, dict) or "frame" not in payload:
         raise MarshallingError("farm payload must carry a frame index")

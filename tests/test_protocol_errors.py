@@ -25,6 +25,7 @@ from repro.farm import RenderJob
 from repro.network.marshalling import decode_value, encode_value
 from repro.services.protocol import (
     FLAG_FARM,
+    FLAG_REJECT,
     FLAG_TELEMETRY,
     FarmLease,
     FarmResult,
@@ -36,6 +37,7 @@ from repro.services.protocol import (
     unframe_farm_lease,
     unframe_farm_result,
     unframe_message,
+    unframe_reject,
     unframe_telemetry,
 )
 from repro.services.soap import soap_decode, soap_encode
@@ -159,14 +161,14 @@ class TestFarmLeasePriorityOnTheWire:
                           attempt=1, deadline=42.0, priority=5)
         assert unframe_farm_lease(frame_farm_lease(lease)).priority == 5
 
-    def test_legacy_lease_body_defaults_to_priority_zero(self):
-        # frames emitted before the scheduler carried no priority field
+    def test_body_without_priority_is_refused(self):
+        # frame_farm_lease always writes the field; no older peer omits it
         body = json.dumps({
             "type": "lease", "job_id": "anim", "frame": 3,
             "session_id": "scene", "attempt": 1, "deadline": 42.0,
         }).encode()
-        lease = unframe_farm_lease(frame_message(body, flags=FLAG_FARM))
-        assert lease.priority == 0
+        with pytest.raises(MarshallingError, match="priority"):
+            unframe_farm_lease(frame_message(body, flags=FLAG_FARM))
 
 
 class TestFarmResultAttemptOnTheWire:
@@ -187,6 +189,62 @@ class TestFarmResultAttemptOnTheWire:
         unframe_farm_lease(queue.lease("w0"))
         assert queue.complete(data) is False
         assert (queue.duplicates_dropped, queue.frames_completed) == (1, 0)
+
+
+LEASE_BODY = {"type": "lease", "job_id": "anim", "frame": 3,
+              "session_id": "scene", "attempt": 1, "deadline": 42.0,
+              "priority": 0}
+RESULT_BODY = {"type": "result", "job_id": "anim", "frame": 3,
+               "worker": "w0", "render_seconds": 0.01, "nbytes": 64,
+               "attempt": 1}
+REJECT_BODY = {"status": 429, "reason": "full", "retry_after": 1.5,
+               "tenant": "t", "session_id": "s", "queue_depth": 2}
+
+
+class TestJsonFieldsRaiseOnlyMarshallingError:
+    """A body with a correct CRC that nests too deep for the JSON parser,
+    or whose fields do not convert, is refused as a ``MarshallingError``;
+    each case below used to leak another exception (named in its id)."""
+
+    @pytest.mark.parametrize("decode,flags", [
+        (unframe_farm_lease, FLAG_FARM),
+        (unframe_telemetry, FLAG_TELEMETRY),
+        (unframe_reject, FLAG_REJECT),
+    ], ids=["lease-RecursionError", "telemetry-RecursionError",
+            "reject-RecursionError"])
+    def test_nesting_past_the_parser_limit(self, decode, flags):
+        with pytest.raises(MarshallingError, match="malformed"):
+            decode(frame_message(b"[" * 100_000, flags=flags))
+
+    @pytest.mark.parametrize("decode,flags,body,field,value", [
+        (unframe_farm_lease, FLAG_FARM, LEASE_BODY, "frame", "x"),
+        (unframe_farm_lease, FLAG_FARM, LEASE_BODY, "frame", None),
+        (unframe_farm_lease, FLAG_FARM, LEASE_BODY, "deadline", {}),
+        (unframe_farm_lease, FLAG_FARM, LEASE_BODY, "frame", float("inf")),
+        (unframe_farm_result, FLAG_FARM, RESULT_BODY, "frame", "1e999"),
+        (unframe_farm_result, FLAG_FARM, RESULT_BODY, "nbytes", [1]),
+        (unframe_reject, FLAG_REJECT, REJECT_BODY, "status", "x"),
+        (unframe_reject, FLAG_REJECT, REJECT_BODY, "retry_after", {}),
+        (unframe_reject, FLAG_REJECT, REJECT_BODY, "queue_depth",
+         float("inf")),
+    ], ids=["lease-frame-ValueError", "lease-frame-TypeError",
+            "lease-deadline-TypeError", "lease-frame-OverflowError",
+            "result-frame-ValueError", "result-nbytes-TypeError",
+            "reject-status-ValueError", "reject-retry-TypeError",
+            "reject-depth-OverflowError"])
+    def test_one_bad_field(self, decode, flags, body, field, value):
+        data = frame_message(json.dumps({**body, field: value}).encode(),
+                             flags=flags)
+        with pytest.raises(MarshallingError, match="malformed"):
+            decode(data)
+
+    @pytest.mark.parametrize("decode,flags,body", [
+        (unframe_farm_lease, FLAG_FARM, LEASE_BODY),
+        (unframe_farm_result, FLAG_FARM, RESULT_BODY),
+        (unframe_reject, FLAG_REJECT, REJECT_BODY),
+    ], ids=["lease", "result", "reject"])
+    def test_the_valid_body_decodes(self, decode, flags, body):
+        decode(frame_message(json.dumps(body).encode(), flags=flags))
 
 
 class TestUnframeTelemetry:
