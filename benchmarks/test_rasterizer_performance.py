@@ -16,7 +16,7 @@ from repro.data.volumes import visible_human_phantom
 from repro.network.marshalling import BinaryMarshaller
 from repro.render.camera import Camera
 from repro.render.compositor import depth_composite
-from repro.render.framebuffer import FrameBuffer, Tile
+from repro.render.framebuffer import BACKGROUND, FrameBuffer, Tile
 from repro.render.rasterizer import rasterize_mesh
 from repro.render.volume import raymarch_volume
 from repro.scenegraph.nodes import CameraNode
@@ -121,20 +121,45 @@ def test_rasterize_50k_at_400(benchmark, elle_mesh, cam):
 def test_rasterize_one_fifth_tile_at_400(benchmark, elle_mesh, cam):
     """What one of five framebuffer-distribution services pays: the whole
     model's geometry and its tile's share of the fill (this tile cuts the
-    figure roughly in half; its neighbours get next to nothing)."""
+    figure roughly in half; its neighbours get next to nothing), drawn
+    into a tile-sized window onto the frame."""
     tile = Tile(x0=200, y0=0, width=80, height=400)
 
     def run():
-        fb = FrameBuffer(400, 400)
-        return fb, rasterize_mesh(elle_mesh, cam, fb, clip=tile)
+        fb = FrameBuffer(tile.width, tile.height, origin=(tile.x0, tile.y0),
+                         frame=(400, 400))
+        return fb, rasterize_mesh(elle_mesh, cam, fb)
 
     fb, stats = benchmark(run)
     assert stats.faces_rasterized > 40_000
     assert 0 < stats.fragments
-    rows, cols = tile.slices
-    outside = np.ones((400, 400), dtype=bool)
-    outside[rows, cols] = False
-    assert not np.isfinite(fb.depth[outside]).any()
+    assert fb.coverage() > 0.02
+
+
+def test_render_tiled_galleon_160x120(benchmark):
+    """A framebuffer-distribution frame: a 5.5k-triangle galleon, one tile
+    on each of five render services, assembled into the 160x120 frame."""
+    from repro.core.session import CollaborativeSession
+    from repro.data.generators import galleon
+    from repro.testbed import RENDER_HOSTS
+
+    tb = build_testbed()
+    tb.publish_model("galleon", galleon(5_500))
+    session = CollaborativeSession(tb.data_service, "galleon")
+    for host in RENDER_HOSTS:
+        session.connect(tb.render_service(host))
+    camera = CameraNode(position=(3.0, -3.5, 2.5), target=(0.25, 0.0, 0.8),
+                        up=(0.0, 0.0, 1.0))
+
+    fb, plan, _ = benchmark(session.render_tiled, camera, 160, 120)
+    assert len(plan.assignments) == len(RENDER_HOSTS)
+    assert fb.coverage() > 0.02
+
+
+def test_framebuffer_200x200(benchmark):
+    """Allocating and clearing a frame, as every render call does first."""
+    fb = benchmark(FrameBuffer, 200, 200, BACKGROUND)
+    assert (fb.color == BACKGROUND).all()
 
 
 def test_rasterize_gouraud_overhead(benchmark, elle_mesh, cam):

@@ -27,7 +27,7 @@ from repro.obs import active as _obs
 from repro.obs.vocab import EVENT_PLACEMENT, EVENT_RECOVERY, EVENT_RELEASE
 from repro.render.camera import Camera
 from repro.render.compositor import assemble_tiles, depth_composite
-from repro.render.framebuffer import FrameBuffer
+from repro.render.framebuffer import BACKGROUND, FrameBuffer
 from repro.scenegraph.nodes import CameraNode
 
 
@@ -656,7 +656,7 @@ class CollaborativeSession:
         self.frames_rendered += 1
         obs = _obs()
         clock = self.data_service.network.sim.clock
-        target = FrameBuffer(width, height)
+        target = FrameBuffer(width, height, background=BACKGROUND)
         by_name = {s.name: s for s in services}
         tiles = []
         slowest = 0.0
@@ -685,7 +685,8 @@ class CollaborativeSession:
                 fb = self._tile_cache.get(rect)
                 if fb is None:
                     fb = FrameBuffer(assignment.tile.width,
-                                     assignment.tile.height)
+                                     assignment.tile.height,
+                                     background=BACKGROUND)
             else:
                 slowest = max(slowest, elapsed)
                 self._tile_cache[rect] = fb

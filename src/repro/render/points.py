@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.errors import RenderError
 from repro.render.camera import Camera
-from repro.render.framebuffer import FrameBuffer, Tile
+from repro.render.framebuffer import FrameBuffer
 
 
 @dataclass(frozen=True)
@@ -30,15 +30,14 @@ def rasterize_points(points: np.ndarray, camera: Camera, fb: FrameBuffer,
                      colors: np.ndarray | None = None,
                      base_color=(230, 220, 180),
                      point_size: int = 1,
-                     depth_fade: bool = True,
-                     clip: Tile | None = None) -> PointStats:
+                     depth_fade: bool = True) -> PointStats:
     """Splat a point cloud into ``fb``.
 
     ``depth_fade`` dims distant points slightly, a cheap depth cue matching
-    what Java3D point rendering looked like.  ``clip`` scissors the splats
-    to one tile of ``fb``, as in :func:`rasterize_mesh`: every point is
-    still projected and faded, only pixels inside the tile are written and
-    counted in ``fragments``.
+    what Java3D point rendering looked like.  As in :func:`rasterize_mesh`,
+    every point is projected and faded against ``fb``'s whole frame, and
+    only pixels inside its window are written and counted in
+    ``fragments``.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3:
@@ -49,7 +48,7 @@ def rasterize_points(points: np.ndarray, camera: Camera, fb: FrameBuffer,
     if n_in == 0:
         return PointStats(0, 0, 0)
 
-    width, height = fb.width, fb.height
+    width, height = fb.frame_width, fb.frame_height
     screen, w = camera.project_vertices(points, width, height)
     visible = (w > camera.near)
     px = np.floor(screen[:, 0]).astype(np.int64)
@@ -84,7 +83,9 @@ def rasterize_points(points: np.ndarray, camera: Camera, fb: FrameBuffer,
     depth_flat = fb.depth.reshape(-1)
     color_flat = fb.color.reshape(-1, 3)
     half = (point_size - 1) // 2
-    x_lo, y_lo, x_hi, y_hi = fb.scissor(clip)
+    x_lo, y_lo, x_hi, y_hi = fb.scissor()
+    # frame pixel (qx, qy) is window pixel qy * stride + qx - offset
+    stride, offset = fb.width, y_lo * fb.width + x_lo
     fragments = 0
     for dy in range(point_size):
         for dx in range(point_size):
@@ -93,7 +94,7 @@ def rasterize_points(points: np.ndarray, camera: Camera, fb: FrameBuffer,
             ok = (qx >= x_lo) & (qx < x_hi) & (qy >= y_lo) & (qy < y_hi)
             if not ok.any():
                 continue
-            pix = qy[ok] * width + qx[ok]
+            pix = qy[ok] * stride + qx[ok] - offset
             zz = z[ok]
             np.minimum.at(depth_flat, pix, zz)
             winners = depth_flat[pix] == zz

@@ -17,9 +17,10 @@ once per mesh and kept on it (``Mesh.kept``; a ``Mesh`` is immutable):
 2. cull faces behind the near plane (a per-vertex test, gathered per
    face), zero-area faces, and (optionally) backfaces;
 3. give each survivor its *span*: the pixels whose centre lies inside its
-   bounding box, intersected with the framebuffer and the optional
-   ``clip`` tile.  Faces whose span is empty (most of a dense model:
-   sub-pixel triangles that straddle no pixel centre) stop here.  The
+   bounding box, intersected with the framebuffer's window onto the
+   frame (``FrameBuffer.scissor``).  Faces whose span is empty (most of a
+   dense model: sub-pixel triangles that straddle no pixel centre) stop
+   here.  Pixels are indexed relative to the window's origin.  The
    remaining ``k`` spans are laid end to end, in ascending face order, as
    one flat candidate sequence, cut every ``max_fragments`` candidates --
    through a face if it is a large one.  Their per-face constants are the
@@ -38,7 +39,7 @@ once per mesh and kept on it (``Mesh.kept``; a ``Mesh`` is immutable):
 
 The chunk size comes from a byte budget (``_CHUNK_BYTES``) small enough
 that a chunk's scratch stays in cache, so peak memory is bounded whatever
-the triangle count, and neither it nor ``clip`` can change a pixel: a
+the triangle count, and neither it nor the window can change a pixel: a
 pixel's colour and depth depend only on the fragments that land on it.
 Perspective-correct depth uses the linear interpolation of ``1/w`` in
 screen space.
@@ -58,7 +59,7 @@ import numpy as np
 from repro.data.meshes import Mesh
 from repro.errors import RenderError
 from repro.render.camera import Camera
-from repro.render.framebuffer import FrameBuffer, Tile
+from repro.render.framebuffer import FrameBuffer
 from repro.render.shading import flat_intensity, gouraud_intensity
 
 #: scratch a chunk of candidate pixels may hold at once, and what one
@@ -131,21 +132,21 @@ def _vertex_rgb(mesh: Mesh, base_color, light_direction) -> np.ndarray:
 def rasterize_mesh(mesh: Mesh, camera: Camera, fb: FrameBuffer,
                    base_color=(200, 200, 210), shading: str = "flat",
                    light_direction=None, cull_backfaces: bool = False,
-                   max_fragments: int = _CHUNK_BYTES // _CANDIDATE_BYTES,
-                   clip: Tile | None = None) -> RasterStats:
+                   max_fragments: int = _CHUNK_BYTES // _CANDIDATE_BYTES
+                   ) -> RasterStats:
     """Rasterize a mesh into ``fb`` (accumulating against its z-buffer).
 
-    ``clip`` scissors the fill to one tile of ``fb``: every face is still
-    projected and culled (the counts in ``RasterStats`` do not depend on
-    it), but only pixels inside the tile are tested and written, and
-    ``fragments`` counts those alone.  ``max_fragments`` caps the candidate
-    pixels evaluated at once; neither changes a pixel that is drawn.
+    Every face is projected and culled against ``fb``'s whole frame (the
+    counts in ``RasterStats`` do not depend on the window), but only
+    pixels inside the window are tested and written, and ``fragments``
+    counts those alone.  ``max_fragments`` caps the candidate pixels
+    evaluated at once; neither changes a pixel that is drawn.
     """
     n_in = mesh.n_triangles
     if n_in == 0:
         return RasterStats(0, 0, 0, 0, 0, 0)
 
-    width, height = fb.width, fb.height
+    width, height = fb.frame_width, fb.frame_height
     f0, f1, f2 = mesh.corner_indices()
     sx, sy, w = camera.project_homogeneous(mesh.homogeneous(), width, height)
     x0, x1, x2 = sx[f0], sx[f1], sx[f2]
@@ -175,7 +176,7 @@ def rasterize_mesh(mesh: Mesh, camera: Camera, fb: FrameBuffer,
     n_off = n_in - n_near - n_back - n_kept
 
     # -- spans: the pixels whose centre lies in the box, scissored --------------------
-    sx0, sy0, sx1, sy1 = fb.scissor(clip)
+    sx0, sy0, sx1, sy1 = fb.scissor()
     x_lo = np.maximum(np.ceil(xmin - 0.5), sx0)
     y_lo = np.maximum(np.ceil(ymin - 0.5), sy0)
     nx = np.minimum(np.floor(xmax - 0.5) + 1, sx1) - x_lo
@@ -217,9 +218,11 @@ def rasterize_mesh(mesh: Mesh, camera: Camera, fb: FrameBuffer,
         else:
             raise RenderError(f"unknown shading mode {shading!r}")
 
+    # frame pixel (px, py) is window pixel py * stride + px - offset
+    stride, offset = fb.width, sy0 * fb.width + sx0
     depth_flat = fb.depth.reshape(-1)
     color_flat = fb.color.reshape(-1, 3)
-    last = np.empty(width * height, dtype=np.int64)   # scratch of the tie rule
+    last = np.empty(fb.pixels, dtype=np.int64)   # scratch of the tie rule
     fragments = 0
     total, step = int(ends[-1]), max(1, max_fragments)
     for c0 in range(0, total, step):
@@ -249,7 +252,7 @@ def rasterize_mesh(mesh: Mesh, camera: Camera, fb: FrameBuffer,
             continue
         fragments += len(hit)
         b0, b1, b2, face_of = b0[hit], b1[hit], b2[hit], face_of[hit]
-        pix = py[hit] * width + px[hit]
+        pix = py[hit] * stride + px[hit] - offset
         # perspective-correct depth: interpolate 1/w linearly
         inv_depth = (b0 * inv_w0[face_of] + b1 * inv_w1[face_of]
                      + b2 * inv_w2[face_of])

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.errors import RenderError
 from repro.render.camera import Camera
-from repro.render.framebuffer import FrameBuffer
+from repro.render.framebuffer import BACKGROUND, FrameBuffer
 from repro.scenegraph.nodes import look_at_basis
 
 #: human interpupillary distance in scene units (meters-scaled scenes)
@@ -104,7 +104,7 @@ def stereo_cameras(camera: Camera,
 def render_stereo(draw, camera: Camera, width: int, height: int,
                   eye_separation: float = DEFAULT_EYE_SEPARATION,
                   head_offset=(0.0, 0.0, 0.0),
-                  background=(12, 12, 24)) -> StereoPair:
+                  background=BACKGROUND) -> StereoPair:
     """Render a stereo pair.
 
     ``draw(camera, framebuffer)`` is the scene-drawing callback (typically

@@ -30,7 +30,7 @@ from repro.obs.vocab import SERVICE_CLIENT
 from repro.network.simnet import Network
 from repro.render.camera import Camera
 from repro.render.engine import RenderEngine
-from repro.render.framebuffer import FrameBuffer
+from repro.render.framebuffer import BACKGROUND, FrameBuffer
 from repro.scenegraph.nodes import AvatarNode, CameraNode
 from repro.scenegraph.tree import SceneTree
 from repro.scenegraph.updates import MoveAvatar, SceneUpdate, SetCamera
@@ -416,7 +416,7 @@ class ActiveRenderClient:
     # -- local rendering -----------------------------------------------------------
 
     def render(self, width: int, height: int,
-               background=(12, 12, 24)) -> tuple[FrameBuffer, float]:
+               background=BACKGROUND) -> tuple[FrameBuffer, float]:
         """On-screen render of the local copy; returns (frame, sim seconds)."""
         if self.tree is None:
             raise ServiceError(f"{self.name!r} has not joined a session")

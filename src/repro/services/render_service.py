@@ -31,7 +31,7 @@ from repro.core.capacity import (
 from repro.errors import ServiceError, SessionError
 from repro.render.camera import Camera
 from repro.render.engine import RenderEngine, RenderTiming
-from repro.render.framebuffer import FrameBuffer, Tile
+from repro.render.framebuffer import BACKGROUND, FrameBuffer, Tile
 from repro.render.points import rasterize_points
 from repro.render.rasterizer import rasterize_mesh
 from repro.render.volume import raymarch_volume
@@ -296,11 +296,11 @@ class RenderService:
     # -- rendering ---------------------------------------------------------------------
 
     def _draw_tree(self, session: RenderSession, camera: Camera,
-                   fb: FrameBuffer, include_avatars: bool = True,
-                   clip: Tile | None = None) -> int:
-        """Rasterize the session's (assigned part of the) tree; returns
-        polygons drawn.  ``clip`` scissors mesh, avatar and point fill to
-        one tile of ``fb``; volumes are ray-marched over the whole frame."""
+                   fb: FrameBuffer, include_avatars: bool = True) -> int:
+        """Rasterize the session's (assigned part of the) tree into ``fb``'s
+        window onto the frame; returns polygons drawn.  Meshes, avatars and
+        points fill the window alone; volumes are ray-marched over the
+        whole frame and the window's slice is composited."""
         tree = session.tree
         drawn = 0
         allowed = session.assigned_ids
@@ -314,36 +314,35 @@ class RenderService:
             if isinstance(node, MeshNode):
                 mesh = (node.mesh if world is None
                         else node.mesh.transformed(world))
-                rasterize_mesh(mesh, camera, fb, shading="flat", clip=clip)
+                rasterize_mesh(mesh, camera, fb, shading="flat")
                 drawn += mesh.n_triangles
             elif isinstance(node, PointCloudNode):
                 pts = node.points if world is None else (
                     node.points @ world[:3, :3].T + world[:3, 3]).astype(
                         np.float32)
                 rasterize_points(pts, camera, fb, colors=node.colors,
-                                 point_size=max(1, int(node.point_size)),
-                                 clip=clip)
+                                 point_size=max(1, int(node.point_size)))
             elif isinstance(node, VolumeNode):
-                img = raymarch_volume(node.volume, camera, fb.width,
-                                      fb.height,
+                img = raymarch_volume(node.volume, camera, fb.frame_width,
+                                      fb.frame_height,
                                       opacity_scale=node.opacity_scale)
-                solid = img.rgba[..., 3] > 0.05
-                nearer = solid & (img.depth < fb.depth)
-                fb.depth[nearer] = img.depth[nearer]
+                x0, y0, x1, y1 = fb.scissor()
+                rgba, depth = img.rgba[y0:y1, x0:x1], img.depth[y0:y1, x0:x1]
+                nearer = (rgba[..., 3] > 0.05) & (depth < fb.depth)
+                fb.depth[nearer] = depth[nearer]
                 fb.color[nearer] = np.clip(
-                    img.rgba[..., :3][nearer] * 255.0, 0, 255).astype(
-                        np.uint8)
+                    rgba[..., :3][nearer] * 255.0, 0, 255).astype(np.uint8)
             elif isinstance(node, AvatarNode) and include_avatars:
                 cone = node.cone_geometry()
                 rasterize_mesh(cone, camera, fb, shading="flat",
-                               base_color=(240, 180, 60), clip=clip)
+                               base_color=(240, 180, 60))
                 drawn += cone.n_triangles
         session.frames_rendered += 1
         return drawn
 
     def render_view(self, rsid: str, camera: CameraNode | Camera,
                     width: int, height: int, offscreen: bool = True,
-                    interleaved: int = 1, background=(12, 12, 24),
+                    interleaved: int = 1, background=BACKGROUND,
                     include_avatars: bool = True
                     ) -> tuple[FrameBuffer, RenderTiming]:
         """Render a full view; advances the clock by the modelled frame time."""
@@ -360,7 +359,7 @@ class RenderService:
 
     def render_views_parallel(self, requests: list[tuple],
                               offscreen: bool = True,
-                              background=(12, 12, 24)
+                              background=BACKGROUND
                               ) -> list[tuple[FrameBuffer, RenderTiming]]:
         """Serve several render requests across the machine's graphics pipes.
 
@@ -383,27 +382,31 @@ class RenderService:
 
     def render_tile(self, rsid: str, camera: CameraNode | Camera,
                     tile: Tile, full_width: int, full_height: int,
-                    background=(12, 12, 24)
+                    background=BACKGROUND
                     ) -> tuple[FrameBuffer, RenderTiming]:
         """Render one tile of the shared view (framebuffer distribution).
 
-        Every assigned polygon is still transformed, projected and culled
+        Draws into a tile-sized framebuffer placed at ``tile``'s origin in
+        the ``full_width`` x ``full_height`` frame, and returns it.  Every
+        assigned polygon is still transformed, projected and culled
         against the whole view — geometry work is not reduced by tiling —
-        but fill is scissored to ``tile``: only pixels inside it are
-        tested and written.  That is the trade-off the cost model charges
-        (``core/cost.py::tile_cost``: full geometry, the tile's share of
-        fill) and what the simulated timing below has always billed.
-        Volume nodes are the exception and are ray-marched full-frame.
+        but only pixels inside the tile are tested and written.  That is
+        the trade-off the cost model charges (``core/cost.py::tile_cost``:
+        full geometry, the tile's share of fill) and what the simulated
+        timing below has always billed.  Volume nodes are ray-marched
+        full-frame and composited into the tile.
         """
         session = self.render_session(rsid)
         cam = camera if isinstance(camera, Camera) else Camera.from_node(camera)
-        full = FrameBuffer(full_width, full_height, background=background)
-        self._draw_tree(session, cam, full, clip=tile)
+        fb = FrameBuffer(tile.width, tile.height, background=background,
+                         origin=(tile.x0, tile.y0),
+                         frame=(full_width, full_height))
+        self._draw_tree(session, cam, fb)
         timing = self.engine.timing(session.assigned_polygons(), tile.pixels,
                                     offscreen=True)
         self.network.sim.clock.advance(timing.total_seconds)
         self._update_reported_fps(timing)
-        return full.extract(tile), timing
+        return fb, timing
 
     def _update_reported_fps(self, timing: RenderTiming,
                              alpha: float = 0.3) -> None:

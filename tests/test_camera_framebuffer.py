@@ -226,6 +226,24 @@ class TestFrameBuffer:
         cp.color[0, 0] = 255
         assert (fb.color[0, 0] == 0).all()
 
+    def test_plain_buffer_is_the_window_over_its_own_frame(self):
+        fb = FrameBuffer(10, 8)
+        assert (fb.frame_width, fb.frame_height) == (10, 8)
+        assert fb.scissor() == (0, 0, 10, 8)
+
+    def test_window_placed_in_a_frame(self):
+        fb = FrameBuffer(4, 3, origin=(6, 5), frame=(10, 8))
+        assert fb.color.shape == (3, 4, 3)
+        assert fb.scissor() == (6, 5, 10, 8)
+        cp = fb.copy()
+        assert (cp.scissor(), cp.frame_width, cp.frame_height) == \
+            ((6, 5, 10, 8), 10, 8)
+
+    @pytest.mark.parametrize("origin", [(7, 0), (0, 6), (-1, 0)])
+    def test_window_must_lie_in_its_frame(self, origin):
+        with pytest.raises(RenderError):
+            FrameBuffer(4, 3, origin=origin, frame=(10, 8))
+
     def test_extract_paste_roundtrip(self):
         fb = FrameBuffer(10, 10)
         fb.color[2:5, 3:7] = 200

@@ -542,6 +542,31 @@ class TestDataServiceFailover:
                                        http_port=9901))
         return mirror
 
+    def test_scraped_subscriber_count_is_a_recount(self, small_testbed):
+        tb = small_testbed
+        mirror = self.build(tb)
+        tb.data_service.add_mirror(mirror)
+
+        def check():
+            for ds in (tb.data_service, mirror):
+                scraped = ds.telemetry.scrape(now=0.0)["metrics"]
+                assert scraped["rave_ds_subscribers"]["series"][0][
+                    "value"] == sum(len(s.subscribers)
+                                    for s in ds.sessions())
+
+        check()
+        tb.data_service.subscribe("demo", "ann", "athlon")
+        tb.data_service.subscribe("demo", "bob", "athlon")
+        check()
+        tb.data_service.unsubscribe("demo", "ann")
+        check()
+        assert tb.data_service.failover_to("demo") is mirror
+        check()
+        mirror.unsubscribe("demo", "bob")
+        check()
+        assert mirror.telemetry.scrape(now=0.0)["metrics"][
+            "rave_ds_subscribers"]["series"][0]["value"] == 0.0
+
     def test_subscribers_move_to_mirror(self, small_testbed):
         from repro.scenegraph.updates import SetProperty
 
@@ -691,6 +716,25 @@ class TestSessionRecovery:
         # same camera, same plan shape: cached tiles make the degraded
         # frame pixel-identical to the good one — no hole, no tear
         assert (fb2.color == fb1.color).all()
+
+    def test_tiled_hole_on_a_cold_cache_is_background(self, testbed):
+        from repro.render.camera import Camera
+        from repro.render.framebuffer import BACKGROUND
+
+        cs = self.build(testbed)
+        inj = FaultInjector(testbed.network)
+        # looking away from the model: every rendered pixel is background
+        cam = Camera.looking_at((0, 0, 5), (0, 0, 10))
+        local = cs.render_services[0]
+        remote = next(s for s in cs.render_services if s is not local)
+        inj.crash_host(remote.host)
+        fb, plan, _ = cs.render_tiled(cam, 96, 96, local_service=local)
+        assert cs.last_frame_degraded
+        hole = next(a.tile for a in plan.assignments
+                    if a.service_name == remote.name)
+        rows, cols = hole.slices
+        assert (fb.color[rows, cols] == BACKGROUND).all()
+        assert (fb.color == BACKGROUND).all()
 
     def test_heartbeat_death_triggers_auto_recovery(self, testbed):
         inj = FaultInjector(testbed.network, seed=11)

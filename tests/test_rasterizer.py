@@ -140,9 +140,10 @@ class TestDepthTie:
         rasterize_mesh(mesh, cam, one_by_one, shading="none", max_fragments=1)
         tiled = FrameBuffer(64, 64)
         for tile in split_tiles(64, 64, 2, 2):
-            fb = FrameBuffer(64, 64)
-            rasterize_mesh(mesh, cam, fb, shading="none", clip=tile)
-            tiled.paste(tile, fb.extract(tile))
+            fb = FrameBuffer(tile.width, tile.height,
+                             origin=(tile.x0, tile.y0), frame=(64, 64))
+            rasterize_mesh(mesh, cam, fb, shading="none")
+            tiled.paste(tile, fb)
         for other in (one_by_one, tiled):
             assert other.color.tobytes() == whole.color.tobytes()
             assert other.depth.tobytes() == whole.depth.tobytes()
@@ -327,10 +328,9 @@ class TestPreparedData:
         }
 
     @staticmethod
-    def frame(mesh, camera, shading, look, clip=None):
+    def frame(mesh, camera, shading, look):
         fb = FrameBuffer(80, 60)
-        stats = rasterize_mesh(mesh, camera, fb, shading=shading, clip=clip,
-                               **look)
+        stats = rasterize_mesh(mesh, camera, fb, shading=shading, **look)
         return fb.color.tobytes(), fb.depth.tobytes(), stats
 
     @pytest.mark.parametrize("kind", ["flat", "none", "gouraud",

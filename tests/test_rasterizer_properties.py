@@ -1,9 +1,11 @@
 """Property-based robustness tests for the rendering pipeline."""
 
 import dataclasses
+import functools
+import itertools
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.data.meshes import Mesh
 from repro.render.camera import Camera
@@ -125,31 +127,47 @@ def _dense_reference(mesh, camera, width, height):
             fragments, depth)
 
 
-def _whole_against_tiles(draw, width, height, nx, ny):
-    """``draw(fb, clip)`` once unclipped and once per tile of the grid: the
-    tiles must paste to the whole frame byte for byte, touch nothing outside
-    their scissor and share out its fragments.  Returns the stats of the
-    whole draw and of each tile's."""
+@st.composite
+def grids(draw, max_side=32):
+    """A frame size and a ``split_tiles`` grid over it: remainder tiles
+    whenever the grid does not divide the frame, 1-pixel columns or rows
+    when it has as many as the frame has pixels."""
+    width = draw(st.integers(1, max_side))
+    height = draw(st.integers(1, max_side))
+    nx = draw(st.integers(1, min(4, width)) | st.just(width))
+    ny = draw(st.integers(1, min(4, height)) | st.just(height))
+    assume(nx * ny <= 64)
+    return width, height, nx, ny
+
+
+def window(tile, width, height, background=(7, 7, 7)):
+    """A tile-sized framebuffer placed at ``tile`` in a width x height
+    frame."""
+    return FrameBuffer(tile.width, tile.height, background=background,
+                       origin=(tile.x0, tile.y0), frame=(width, height))
+
+
+def _whole_against_windows(draw, width, height, nx, ny):
+    """``draw(fb)`` once into the whole frame and once into a window per
+    tile of the grid: every window must hold the whole frame's bytes for
+    its tile, and the windows share out its fragments.  Returns the stats
+    of the whole draw and of each window's."""
     whole = FrameBuffer(width, height, background=(7, 7, 7))
-    stats = draw(whole, None)
-    pasted = FrameBuffer(width, height)
+    stats = draw(whole)
     parts = []
     for tile in split_tiles(width, height, nx, ny):
-        fb = FrameBuffer(width, height, background=(7, 7, 7))
-        parts.append(draw(fb, tile))
-        pasted.paste(tile, fb.extract(tile))
-        fb.paste(tile, FrameBuffer(tile.width, tile.height,
-                                   background=(7, 7, 7)))
-        assert not np.isfinite(fb.depth).any()
-        assert (fb.color == 7).all()
-    assert pasted.color.tobytes() == whole.color.tobytes()
-    assert pasted.depth.tobytes() == whole.depth.tobytes()
+        fb = window(tile, width, height)
+        parts.append(draw(fb))
+        want = whole.extract(tile)
+        assert fb.color.tobytes() == want.color.tobytes()
+        assert fb.depth.tobytes() == want.depth.tobytes()
     assert sum(part.fragments for part in parts) == stats.fragments
     return stats, parts
 
 
 class TestRasterizerInvariance:
-    """Neither the chunk size nor a tile scissor may change a pixel."""
+    """Neither the chunk size nor a window onto the frame may change a
+    pixel."""
 
     @given(scenes(), st.integers(4, 14), st.integers(4, 14),
            st.sampled_from(["flat", "gouraud", "none"]), st.booleans())
@@ -163,18 +181,16 @@ class TestRasterizerInvariance:
             assert _frame(mesh, camera, width, height,
                           max_fragments=max_fragments, **kw) == default
 
-    @given(scenes(), st.integers(4, 40), st.integers(4, 40),
-           st.integers(1, 4), st.integers(1, 4),
-           st.sampled_from(["flat", "gouraud"]))
+    @given(scenes(), grids(), st.sampled_from(["flat", "gouraud", "none"]),
+           st.booleans())
     @settings(max_examples=40, deadline=None)
-    def test_clipped_tiles_paste_to_the_unclipped_frame(
-            self, scene, width, height, nx, ny, shading):
+    def test_windows_hold_the_whole_frame(self, scene, grid, shading, cull):
         mesh, camera = scene
-        stats, parts = _whole_against_tiles(
-            lambda fb, clip: rasterize_mesh(mesh, camera, fb, shading=shading,
-                                            clip=clip),
-            width, height, nx, ny)
-        # the culls are about the whole view, whatever the scissor
+        stats, parts = _whole_against_windows(
+            lambda fb: rasterize_mesh(mesh, camera, fb, shading=shading,
+                                      cull_backfaces=cull),
+            *grid)
+        # the culls are about the whole view, whatever the window
         assert all(dataclasses.replace(part, fragments=stats.fragments)
                    == stats for part in parts)
 
@@ -193,18 +209,104 @@ class TestRasterizerInvariance:
             faces_rasterized=live, fragments=fragments)
         assert fb.depth.tobytes() == depth.tobytes()
 
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 4),
-           st.integers(1, 4))
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), grids())
     @settings(max_examples=30, deadline=None)
-    def test_clipped_point_tiles_paste_to_the_unclipped_frame(
-            self, seed, size, nx, ny):
+    def test_point_windows_hold_the_whole_frame(self, seed, size, grid):
         rng = np.random.default_rng(seed)
         pts = (rng.normal(0, 1, (80, 3)) * rng.uniform(0.1, 3)).astype(
             np.float32)
         colors = rng.random((80, 3))
-        camera = Camera.looking_at((0, 0, 5))
-        stats, parts = _whole_against_tiles(
-            lambda fb, clip: rasterize_points(pts, camera, fb, colors=colors,
-                                              point_size=size, clip=clip),
-            24, 20, nx, ny)
-        assert all(part.points_drawn == stats.points_drawn for part in parts)
+        camera = Camera.looking_at(tuple(rng.normal(0, 1, 3) + (0, 0, 5)))
+        stats, parts = _whole_against_windows(
+            lambda fb: rasterize_points(pts, camera, fb, colors=colors,
+                                        point_size=size),
+            *grid)
+        assert all(dataclasses.replace(part, fragments=stats.fragments)
+                   == stats for part in parts)
+
+
+#: what ``FrameBuffer.clear`` accepts: an RGB tuple or list, a uint8 array
+#: or one scalar for all three channels
+backgrounds = st.one_of(
+    st.tuples(*[st.integers(0, 255)] * 3),
+    st.lists(st.integers(0, 255), min_size=3, max_size=3),
+    st.lists(st.integers(0, 255), min_size=3, max_size=3).map(
+        lambda rgb: np.array(rgb, dtype=np.uint8)),
+    st.integers(0, 255))
+
+
+class TestClear:
+    @given(backgrounds, grids(max_side=24))
+    @settings(max_examples=60, deadline=None)
+    def test_clear_equals_the_pixel_broadcast(self, background, grid):
+        width, height, nx, ny = grid
+        for tile in split_tiles(width, height, nx, ny)[-2:]:
+            fb = window(tile, width, height, background=background)
+            want = np.empty((tile.height, tile.width, 3), dtype=np.uint8)
+            want[:] = np.asarray(background, dtype=np.uint8)
+            assert fb.color.tobytes() == want.tobytes()
+            assert np.isinf(fb.depth).all()
+
+
+_session_ids = itertools.count()
+
+
+@functools.cache
+def _testbed():
+    """One render service for every example: a testbed is slow to build."""
+    from repro.testbed import build_testbed
+
+    return build_testbed(render_hosts=("centrino",))
+
+
+class TestServiceWindows:
+    """``render_tile`` against ``render_view(...).extract(tile)`` on a scene
+    holding every node kind ``_draw_tree`` draws: a random mesh, a mesh
+    placed under a transform, a point cloud, an avatar cone and the 16^3
+    phantom volume."""
+
+    @given(scenes(), st.integers(1, 5), st.floats(0.0, 2 * np.pi),
+           st.floats(-1.2, 1.2), st.floats(2.0, 6.0), grids(max_side=24))
+    @settings(max_examples=15, deadline=None)
+    def test_render_tile_is_the_views_tile(self, scene, point_size,
+                                           azimuth, elevation, distance,
+                                           grid):
+        from repro.data.generators import box
+        from repro.data.volumes import visible_human_phantom
+        from repro.scenegraph.nodes import (
+            AvatarNode, MeshNode, PointCloudNode, TransformNode, VolumeNode)
+        from repro.scenegraph.tree import SceneTree
+
+        mesh, _ = scene
+        rng = np.random.default_rng(point_size)
+        tree = SceneTree("windows")
+        tree.add(MeshNode(mesh.normalized(), name="random"))
+        moved = tree.add(TransformNode.from_translation((0.3, -0.2, 0.1)))
+        tree.add(MeshNode(box(), name="box"), parent=moved)
+        tree.add(PointCloudNode(rng.normal(0, 0.5, (120, 3)),
+                                colors=rng.random((120, 3)),
+                                point_size=point_size, name="spray"))
+        tree.add(AvatarNode("ann", position=(0.9, 0.6, 0.5),
+                            view_direction=(-1.0, -0.6, -0.4)))
+        tree.add(VolumeNode(visible_human_phantom(16), opacity_scale=0.3))
+        tb = _testbed()
+        sid = f"windows-{next(_session_ids)}"
+        tb.publish_tree(sid, tree)
+        rs = tb.render_service("centrino")
+        session, _ = rs.create_render_session(tb.data_service, sid)
+        camera = Camera.looking_at((
+            distance * np.cos(elevation) * np.cos(azimuth),
+            distance * np.sin(elevation),
+            distance * np.cos(elevation) * np.sin(azimuth)))
+        rsid = session.render_session_id
+        width, height, nx, ny = grid
+        full, _ = rs.render_view(rsid, camera, width, height)
+        for tile in split_tiles(width, height, nx, ny):
+            part, _ = rs.render_tile(rsid, camera, tile, width, height)
+            assert part.scissor() == (tile.x0, tile.y0,
+                                      tile.x0 + tile.width,
+                                      tile.y0 + tile.height)
+            want = full.extract(tile)
+            assert part.color.tobytes() == want.color.tobytes()
+            assert part.depth.tobytes() == want.depth.tobytes()
+        rs.close_render_session(rsid)
