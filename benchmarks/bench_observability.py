@@ -7,8 +7,8 @@ under an installed :mod:`repro.obs` bundle and a deployed
 :class:`~repro.services.monitor.MonitorService` scraping every service
 over the simulated network, then exports everything the instrumentation
 captured as one JSON snapshot (``BENCH_observability.json``, by default
-under the untracked ``benchmarks/out/``; ``benchmarks/results/`` holds the
-committed snapshot, rewritten only when ``--out`` names it).
+under the untracked ``benchmarks/out/``, elsewhere when ``--out`` names a
+path).
 
 The snapshot is the artifact: counters for every subsystem, latency
 histograms, the per-frame span chains that let a trace viewer (or a
@@ -262,8 +262,16 @@ def check(path: Path) -> None:
     assert monitor["scrapes"]["count"] > 0, "monitor never scraped"
     assert monitor["scrapes"]["bytes"] > 0, \
         "scrapes put no bytes on the simulated wire"
+    # a scrape ships only the events past the monitor's cursor, so its
+    # size must not grow with a service's history: the smoke run reads
+    # 714 B per scrape, the full run 681 B (898 B when every scrape
+    # re-sent the event ring)
+    per_scrape = monitor["scrapes"]["bytes"] / monitor["scrapes"]["count"]
+    assert per_scrape < 800, f"{per_scrape:.0f} B per scrape (budget 800)"
     assert monitor["services"], "monitor federated no services"
     assert monitor["slo"], "SLO attainment report is empty"
+    for name, section in monitor["slo"].items():
+        assert "objective" in section, f"SLO {name} has no objective"
     # the tail-latency plane: a federated p95 over the breach threshold,
     # the quantile SLO section, and the sustained alert
     grid_p95 = monitor["grid"]["rave_grid_queue_wait_seconds_p95"]
@@ -275,7 +283,9 @@ def check(path: Path) -> None:
     assert overhead["samples"] > 0 and overhead["buckets"] > 0, \
         "quantile-overhead measurement missing"
     # the crash left a post-mortem with the tail alert in its timeline
-    recorder = data["flight_recorder"]
+    recorder = json.loads(
+        path.with_name("BENCH_flight_recorder.json").read_text())
+    assert recorder["format"] == "rave-flight-recorder/1"
     assert recorder["dumps"], "no flight-recorder dump after the crash"
     dump_kinds = {e["kind"] for dump in recorder["dumps"]
                   for e in dump["events"]}

@@ -12,8 +12,7 @@ render → ship cycle from the paper's container instance-creation cost
 (JVM start-up plus scene transfer), which is paid once per worker.
 
 The artifact is ``BENCH_renderfarm.json`` (by default under the untracked
-``benchmarks/out/``; ``benchmarks/results/`` holds the committed
-snapshot, rewritten only when ``--out`` names it): measured
+``benchmarks/out/``, elsewhere when ``--out`` names a path): measured
 frames/sec per pool size, the speedup relative to one worker, and the
 end-of-job queue state (audit must be empty — the farm never loses a
 frame to scheduling alone).  Speedups are measured and reported, not

@@ -27,8 +27,14 @@ import sys
 from repro import build_testbed, obs
 from repro.core import CollaborativeSession
 from repro.data import skeleton
+from repro.obs import assert_story
 from repro.obs.dashboard import render_dashboard
 from repro.scenegraph import MeshNode, SceneTree
+
+#: the overload alert recruits; two releases drain to the 3-member floor
+STORY = dict(order=("alert:grid-overload", "scale:grow",
+                    "scale:release", "scale:release"),
+             counts={"scale:release": 2})
 
 
 def main() -> int:
@@ -89,14 +95,11 @@ def main() -> int:
             json.dump(dump, fh, indent=2, sort_keys=True)
         print(f"\nflight-recorder dump -> {dump_path} "
               f"({len(dump['events'])} events)")
-
+        assert_story(dump, **STORY)
         sizes = [size for _, size in scaler.pool_history]
-        grew = any(b > a for a, b in zip(sizes, sizes[1:]))
-        shrank = any(b < a for a, b in zip(sizes, sizes[1:]))
-        if not (grew and shrank):
-            print(f"FAILED: pool never scaled both ways "
-                  f"(history: {sizes})")
-            return 1
+        steps = list(zip(sizes, sizes[1:]))
+        assert any(b > a for a, b in steps) and any(b < a for a, b in steps), \
+            f"pool never scaled both ways (history: {sizes})"
         print(f"OK: pool history {sizes} — grew under overload, "
               f"shrank under underload")
         return 0

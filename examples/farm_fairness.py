@@ -13,8 +13,8 @@
    nothing starves, both ``checkframes`` audits come back empty, and
    the dashboard's farm panel shows per-job priorities and waits.
 4. The flight-recorder dump (path = first argv, default
-   ``farm-fairness-dump.json``) carries the whole story: the CI smoke
-   job asserts the preemption ordering from the dump alone.
+   ``farm-fairness-dump.json``) carries the whole story: the script
+   asserts its ``STORY`` on the dump alone.
 
 Run:
     python examples/farm_fairness.py [dump.json]
@@ -26,11 +26,21 @@ import sys
 from repro import build_testbed, obs
 from repro.data.generators import galleon
 from repro.farm import RenderJob
+from repro.obs import assert_story
 from repro.obs.dashboard import render_dashboard
 
 SCENE = "galleon"
 LONG, SHORT = "galleon-anim", "title-card"
 LONG_FRAMES, SHORT_FRAMES = 60, 6
+
+#: priority-1 leases, the short job done first, nothing starved
+STORY = dict(
+    order=(("farm:lease", lambda d: d.startswith(f"{SHORT}#")),
+           ("farm:job-done", lambda d: d.startswith(f"{SHORT}:")),
+           ("farm:job-done", lambda d: d.startswith(f"{LONG}:"))),
+    absent=("farm:starved", "alert:farm-starvation"),
+    where={"farm:lease": lambda d: (not d.startswith(f"{SHORT}#")
+                                    or "priority 1" in d)})
 
 
 def main() -> int:
@@ -86,21 +96,10 @@ def main() -> int:
             json.dump(dump, fh, indent=2, sort_keys=True)
         print(f"\nflight-recorder dump -> {dump_path} "
               f"({len(dump['events'])} events)")
-
-        kinds = [e["kind"] for e in dump["events"]]
-        ok = (short.finished and long_job.finished
-              and long_at_short < LONG_FRAMES // 2
-              and audits == {LONG: [], SHORT: []}
-              and queue.starved_jobs() == []
-              and queue.duplicates_dropped == 0
-              and "farm:starved" not in kinds
-              and "alert:farm-starvation" not in kinds)
-        if not ok:
-            print(f"FAILED: expected the short job done before the "
-                  f"animation's midpoint with clean audits and no "
-                  f"starvation (long at {long_at_short}, "
-                  f"audits {audits})")
-            return 1
+        assert_story(dump, **STORY)
+        assert long_at_short < LONG_FRAMES // 2, "no lease-time preemption"
+        assert audits == {LONG: [], SHORT: []}, f"audits {audits}"
+        assert queue.starved_jobs() == [] and queue.duplicates_dropped == 0
         print("OK: the late short job preempted at lease time and "
               "finished first; audits clean, nothing starved")
         return 0

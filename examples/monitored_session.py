@@ -14,19 +14,30 @@
    trackers never saw a sample — monitoring drives the policy.
 5. The SLO report records the violation window and its recovery, and the
    text dashboard renders the whole story.
+6. The flight-recorder dump (path = first argv, default
+   ``monitored-dump.json``) must show the alert before the migration.
 
 Run:
-    python examples/monitored_session.py
+    python examples/monitored_session.py [dump.json]
 """
+
+import json
+import sys
 
 from repro import build_testbed, obs
 from repro.data import skeleton
+from repro.obs import assert_story
 from repro.obs.dashboard import render_dashboard
 from repro.core import CollaborativeSession
 from repro.scenegraph import CameraNode, MeshNode, SceneTree
 
+#: the monitor's overload alert, then the migrator shedding for overload
+STORY = dict(order=("alert:overload",
+                    ("migration", lambda d: d.endswith("(overload)"))))
 
-def main() -> None:
+
+def main() -> int:
+    dump_path = sys.argv[1] if len(sys.argv) > 1 else "monitored-dump.json"
     tb = build_testbed(monitor_host="registry-host")
     bundle = obs.install(clock=tb.clock)
     try:
@@ -67,8 +78,6 @@ def main() -> None:
             print(f"  migrated {action.polygons:,} polygons "
                   f"{action.source} -> {action.destination} "
                   f"[{action.reason}]")
-        if not actions:
-            print("  (no receiver had spare capacity)")
         victim.reported_fps = float("inf")   # load gone; fps recovers
         for _ in range(3):
             cs.render_composite(cam, 128, 128)
@@ -76,11 +85,19 @@ def main() -> None:
 
         print("\n-- dashboard ----------------------------------------------")
         print(render_dashboard(tb.monitor.snapshot()), end="")
-        print(f"\nflight recorder: {bundle.recorder.seen} events noted, "
-              f"{len(bundle.recorder.dumps)} dump(s)")
+
+        dump = bundle.recorder.dump("monitored-session")
+        with open(dump_path, "w") as fh:
+            json.dump(dump, fh, indent=2, sort_keys=True)
+        print(f"\nflight-recorder dump -> {dump_path} "
+              f"({len(dump['events'])} events)")
+        assert_story(dump, **STORY)
+        print("OK: the overload alert drove the migration off the "
+              "collapsed machine")
+        return 0
     finally:
         obs.uninstall()
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

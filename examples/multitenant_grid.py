@@ -27,11 +27,16 @@ import sys
 from repro import TooManyRequestsError, build_testbed, obs
 from repro.core.grid import TenantQuota
 from repro.data.generators import uv_sphere
+from repro.obs import assert_story
 from repro.obs.dashboard import render_dashboard
 from repro.scenegraph import MeshNode, SceneTree
 
 FPS = 3000.0          # demand amplifier: one ~1.1k-poly sphere = ~3.3 Mpps
 TENANTS = ("aero", "biolab", "cfd", "dyno", "eng", "flux")
+
+#: queue -> one explicit 429 -> one recruit -> the queued tenants admitted
+STORY = dict(order=("queue", "reject", "scale:grow", "admit"),
+             counts={"reject": 1, "scale:grow": 1})
 
 
 def scene(label):
@@ -98,27 +103,14 @@ def main() -> int:
             json.dump(dump, fh, indent=2, sort_keys=True)
         print(f"\nflight-recorder dump -> {dump_path} "
               f"({len(dump['events'])} events)")
-
-        kinds = [e["kind"] for e in dump["events"]]
-        ok = ("queue" in kinds and "reject" in kinds
-              and "scale:grow" in kinds
-              and kinds.index("reject") < kinds.index("scale:grow")
-              and kinds.index("scale:grow") < _last(kinds, "admit")
-              and grid.queue_depth() == 0
-              and len(grid.sessions()) == len(TENANTS) - 1)
-        if not ok:
-            print(f"FAILED: expected queue -> reject -> grow -> drain "
-                  f"(kinds: {kinds})")
-            return 1
+        assert_story(dump, **STORY)
+        assert grid.queue_depth() == 0, "the admission queue did not drain"
+        assert len(grid.sessions()) == len(TENANTS) - 1
         print("OK: oversubscription queued and rejected explicitly, the "
               "pool grew, and the queue drained")
         return 0
     finally:
         obs.uninstall()
-
-
-def _last(kinds, kind):
-    return len(kinds) - 1 - kinds[::-1].index(kind)
 
 
 if __name__ == "__main__":

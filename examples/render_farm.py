@@ -28,12 +28,20 @@ from repro import build_testbed, obs
 from repro.data.generators import galleon
 from repro.farm import RenderJob
 from repro.network.faults import FaultInjector
+from repro.obs import assert_story
 from repro.obs.dashboard import render_dashboard
 
 JOB = "galleon-anim"
 SCENE = "galleon"
 FRAMES = 12
 VICTIM = "onyx"                 # rs-onyx sorts first: it leases frame 1
+
+#: the crash costs frame 1 one re-queue, then the job completes clean
+STORY = dict(order=("farm:submit", "farm:lease", "fault:crash",
+                    "farm:requeue", "farm:complete", "farm:job-done"),
+             counts={"farm:requeue": 1},
+             where={"farm:requeue": lambda d: d.startswith(f"{JOB}#1:"),
+                    "farm:job-done": lambda d: "missing []" in d})
 
 
 def main() -> int:
@@ -71,7 +79,6 @@ def main() -> int:
                       f"{job.total_frames} frames done{lost}")
                 last_done = job.done_frames
 
-        job = queue.job(JOB)
         audit = queue.audit(JOB)
         print(f"\n-- checkframes audit: "
               f"{'CLEAN' if not audit else f'MISSING {audit}'} "
@@ -92,32 +99,15 @@ def main() -> int:
             json.dump(dump, fh, indent=2, sort_keys=True)
         print(f"\nflight-recorder dump -> {dump_path} "
               f"({len(dump['events'])} events)")
-
-        kinds = [e["kind"] for e in dump["events"]]
-        frame1 = [e for e in dump["events"] if f"{JOB}#1" in e["detail"]]
-        frame1_kinds = [e["kind"] for e in frame1]
-        ok = (job.finished and audit == []
-              and "fault:crash" in kinds
-              and farm.frames_lost == 1
-              and queue.requeues == 1
-              and queue.duplicates_dropped == 0
-              and "farm:requeue" in frame1_kinds
-              and kinds.index("fault:crash")
-              < kinds.index("farm:requeue")
-              < _last(kinds, "farm:complete"))
-        if not ok:
-            print(f"FAILED: expected lease -> crash -> requeue -> "
-                  f"complete with a clean audit (kinds: {kinds})")
-            return 1
+        assert_story(dump, **STORY)
+        assert audit == [], f"audit missing {audit}"
+        lost = (farm.frames_lost, queue.requeues, queue.duplicates_dropped)
+        assert lost == (1, 1, 0), f"lost, re-queued, duplicates: {lost}"
         print("OK: the crashed worker's frame was re-queued and "
               "re-rendered exactly once; the audit is clean")
         return 0
     finally:
         obs.uninstall()
-
-
-def _last(kinds, kind):
-    return len(kinds) - 1 - kinds[::-1].index(kind)
 
 
 if __name__ == "__main__":

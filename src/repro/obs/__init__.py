@@ -53,6 +53,7 @@ from repro.obs.recorder import (
     FlightRecorder,
     NullRecorder,
     NULL_RECORDER,
+    assert_story,
 )
 from repro.obs.tracing import (
     NullTracer,
@@ -149,6 +150,7 @@ __all__ = [
     "FlightRecorder",
     "NullRecorder",
     "NULL_RECORDER",
+    "assert_story",
     "NULL_OBS",
     "active",
     "install",

@@ -24,7 +24,7 @@ times), so it composes with any simulator and stays deterministic.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 
@@ -130,9 +130,61 @@ class NullRecorder(FlightRecorder):
 
 NULL_RECORDER = NullRecorder()
 
+
+def assert_story(dump: dict, *, order=(), counts=None, absent=(),
+                 where=None) -> None:
+    """Assert that a :meth:`FlightRecorder.dump` tells the expected story.
+
+    - ``order``: kinds that must appear as a subsequence, in this order.
+      An entry may be a ``(kind, predicate)`` pair, which only an event
+      whose detail satisfies ``predicate`` matches;
+    - ``counts``: ``{kind: n}``, exactly ``n`` events of each kind;
+    - ``absent``: kinds that must not appear; a trailing ``:`` matches a
+      prefix (``"sanitizer:"`` forbids every sanitizer event);
+    - ``where``: ``{kind: predicate(detail)}``, which every event of that
+      kind must satisfy.
+
+    Raises :class:`AssertionError` naming the first expectation that
+    failed and the kinds the dump holds.  A dump with no events — the
+    ``{}`` a :class:`NullRecorder` returns — fails: a story nobody
+    recorded did not hold.
+    """
+    events = dump.get("events") or []
+    if not events:
+        raise AssertionError(f"empty flight-recorder dump {dump!r}")
+    kinds = [e["kind"] for e in events]
+
+    def fail(message: str):
+        raise AssertionError(
+            f"{message}; the dump holds {dict(Counter(kinds))}")
+
+    steps = [s if isinstance(s, tuple) else (s, None) for s in order]
+    rest = iter(events)     # each step matches after the previous match
+    for i, (kind, test) in enumerate(steps):
+        if not any(e["kind"] == kind and (test is None or test(e["detail"]))
+                   for e in rest):
+            fail(f"order[{i}]: no {kind!r}"
+                 f"{' matching its predicate' if test else ''}"
+                 f" after {[k for k, _ in steps[:i]]}")
+    for kind, n in (counts or {}).items():
+        if kinds.count(kind) != n:
+            fail(f"counts: {kinds.count(kind)} {kind!r}, expected {n}")
+    for kind in absent:
+        hits = [k for k in kinds
+                if (k.startswith(kind) if kind.endswith(":") else k == kind)]
+        if hits:
+            fail(f"absent: {kind!r} appeared as {sorted(set(hits))}")
+    for kind, test in (where or {}).items():
+        bad = [e["detail"] for e in events
+               if e["kind"] == kind and not test(e["detail"])]
+        if bad:
+            fail(f"where: {kind!r} fails its predicate on {bad[:3]}")
+
+
 __all__ = [
     "FlightEvent",
     "FlightRecorder",
     "NullRecorder",
     "NULL_RECORDER",
+    "assert_story",
 ]

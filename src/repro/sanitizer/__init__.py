@@ -2,8 +2,7 @@
 
 See :mod:`repro.sanitizer.core`.  The static half of the correctness
 tooling lives in :mod:`repro.analysis` (ravelint); this package is the
-dynamic half, run in the chaos suites and the ``sanitizer-smoke`` CI
-job.
+dynamic half, run in the chaos suites and ``examples/sanitized_chaos.py``.
 """
 
 from __future__ import annotations

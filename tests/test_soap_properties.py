@@ -1,6 +1,8 @@
 """Property-based tests for the SOAP/WSDL layer."""
 
+import ast
 import base64
+from pathlib import Path
 from xml.etree import ElementTree as ET
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import MarshallingError
 from repro.obs.tracing import TraceContext
+from repro.services import soap
 from repro.services.soap import _ENV_NS, _RAVE_NS, soap_decode, soap_encode
 from repro.services.wsdl import Operation, WsdlDocument, build_wsdl
 
@@ -292,6 +295,18 @@ class TestByteIdentity:
     def test_struct_keys_must_be_non_empty_str(self, key):
         with pytest.raises(MarshallingError, match="struct keys"):
             soap_encode("op", {"k": {key: 1}})
+
+    def test_the_encoder_builds_no_tree(self):
+        """The ElementTree build is the reference above; it must not grow
+        back on the encode path in ``services/soap.py``."""
+        tree = ast.parse(Path(soap.__file__).read_text())
+        builders = {"tostring", "SubElement"}
+        found = {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr in builders}
+        found |= {alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  for alias in node.names if alias.name in builders}
+        assert not found, f"services/soap.py uses {sorted(found)}"
 
 
 op_names = st.text(
