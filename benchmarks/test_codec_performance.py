@@ -8,7 +8,14 @@ live subscription, not written by hand), the ``uv_sphere(8, 8)`` scene's
 the introspection marshaller, whose two cost walks (``count_fields``,
 ``payload_nbytes``) ride on every call.  No time is asserted and nothing is
 written.
+
+``soap_decode`` and ``demarshal`` recall the last 64 messages they decoded,
+so each has a hit case (the same bytes every round) and a miss case (bytes
+of the same shape that differ in one name every round, made outside the
+timed call).
 """
+
+import itertools
 
 import pytest
 
@@ -57,10 +64,23 @@ def test_soap_encode_subscribe(benchmark, subscribe_request):
     assert b'<Operation name="subscribe">' in data
 
 
-def test_soap_decode_subscribe(benchmark, subscribe_request):
+def test_soap_decode_subscribe_hit(benchmark, subscribe_request):
     operation, body = subscribe_request
     envelope = benchmark(soap_decode, soap_encode(operation, body))
     assert (envelope.operation, envelope.body) == (operation, body)
+
+
+def test_soap_decode_subscribe_miss(benchmark, subscribe_request):
+    operation, body = subscribe_request
+    rounds = itertools.count()
+
+    def unseen():
+        renamed = {**body, "subscriber": f"{body['subscriber']}-{next(rounds)}"}
+        return (soap_encode(operation, renamed),), {}
+
+    envelope = benchmark.pedantic(soap_decode, setup=unseen, rounds=2000)
+    assert envelope.operation == operation
+    assert envelope.body["subscriber"].startswith(body["subscriber"] + "-")
 
 
 def test_encode_value_scene(benchmark, scene_wire):
@@ -79,7 +99,21 @@ def test_introspection_marshal_scene(benchmark, scene_wire):
     assert result.n_fields > 1 and result.cpu_seconds > 0
 
 
-def test_introspection_demarshal_scene(benchmark, scene_wire):
+def test_introspection_demarshal_scene_hit(benchmark, scene_wire):
     data = encode_value(scene_wire)
     value, cpu_seconds = benchmark(IntrospectionMarshaller().demarshal, data)
     assert encode_value(value) == data and cpu_seconds > 0
+
+
+def test_introspection_demarshal_scene_miss(benchmark, scene_wire):
+    rounds = itertools.count()
+
+    def unseen():
+        renamed = {**scene_wire, "name": f"{scene_wire['name']}-{next(rounds)}"}
+        return (encode_value(renamed),), {}
+
+    value, cpu_seconds = benchmark.pedantic(
+        IntrospectionMarshaller().demarshal, setup=unseen, rounds=2000)
+    assert value["name"].startswith(scene_wire["name"] + "-")
+    assert len(value["nodes"]) == len(scene_wire["nodes"])
+    assert cpu_seconds > 0

@@ -81,6 +81,7 @@ def grid_story():
                            queue_timeout=20.0, target_fps=FPS)
     san = RaveSanitizer(sim).attach()
     san.watch_grid(grid)
+    san.watch_scene(grid.data_service, *grid.members)
     inj = FaultInjector(tb.network, seed=GRID_SEED)
     for i, tenant in enumerate(TENANTS):
         grid.register_tenant(TenantQuota(

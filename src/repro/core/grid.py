@@ -50,7 +50,6 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.core.capacity import DEFAULT_TARGET_FPS
-from repro.core.cost import tree_cost
 from repro.core.session import CollaborativeSession
 from repro.errors import (
     InsufficientResources,
@@ -382,7 +381,7 @@ class SessionGridManager:
         quota = self.quota(tenant)
         fps = float(target_fps if target_fps is not None
                     else self.target_fps)
-        demand = max(1, tree_cost(tree).polygons)
+        demand = max(1, tree.total_polygons())
         blocked = self._quota_violation(quota, demand * fps)
         if blocked:
             return self._reject(tenant, session_id, now, blocked,
@@ -468,12 +467,13 @@ class SessionGridManager:
 
     def _choose_members(self, request_pps: float) -> list:
         """Bin-pack: the fewest most-spare members that cover the demand."""
-        ranked = sorted(self.live_members(),
-                        key=lambda s: (-self._member_spare_pps(s), s.name))
+        ranked = sorted(((self._member_spare_pps(s), s)
+                         for s in self.live_members()),
+                        key=lambda pair: (-pair[0], pair[1].name))
         chosen, covered = [], 0.0
-        for service in ranked:
+        for spare, service in ranked:
             chosen.append(service)
-            covered += max(0.0, self._member_spare_pps(service))
+            covered += max(0.0, spare)
             if covered >= request_pps:
                 break
         return chosen

@@ -125,9 +125,9 @@ class CollaborativeSession:
         attachment = self._attachments.get(name)
         if attachment is None or not attachment.share:
             return 0
-        return sum(node_cost(self.master_tree.node(nid)).polygons
-                   for nid in attachment.share
-                   if nid in self.master_tree)
+        tree = self.master_tree
+        return sum(tree.node(nid).n_polygons
+                   for nid in attachment.share if nid in tree)
 
     # -- membership ------------------------------------------------------------------
 

@@ -207,6 +207,90 @@ def decode_value(data: bytes):
 
 
 # --------------------------------------------------------------------------
+# decode memos: a control message seen again is not parsed again
+# --------------------------------------------------------------------------
+
+#: results a :class:`DecodeMemo` keeps; the oldest is evicted first
+MEMO_ENTRIES = 64
+#: longer messages bypass a memo: copying their arrays is their decode cost
+MEMO_MAX_BYTES = 64 * 1024
+
+
+#: what decoders return besides dict, list and ndarray: immutable, never copied
+_IMMUTABLE = frozenset((type(None), bool, int, float, str, bytes))
+
+
+def fresh(value):
+    """A copy of a decoded value that shares no dict, list or ndarray with it.
+
+    Decoders build exactly these three containers; everything else they
+    return is in :data:`_IMMUTABLE` and is handed out as it is.
+    """
+    kind = type(value)
+    if kind is dict:
+        # a C-level copy first: most bodies are all immutable leaves
+        out = dict(value)
+        for key, item in out.items():
+            if type(item) not in _IMMUTABLE:
+                out[key] = fresh(item)
+        return out
+    if kind is list:
+        return [item if type(item) in _IMMUTABLE else fresh(item)
+                for item in value]
+    if kind is np.ndarray:
+        return value.copy()
+    return value
+
+
+class DecodeMemo:
+    """The last :data:`MEMO_ENTRIES` results of a decoder, by exact input.
+
+    ``decode`` must be a pure function of its bytes; ``copy`` turns a kept
+    result into one the caller may mutate.  Every call returns such a copy,
+    a miss included, so nothing handed out is ever shared with the memo.  A
+    decode that raises keeps nothing, so hostile bytes are parsed (and
+    refused) every time they arrive.  Inputs that are not ``bytes``, or are
+    longer than :data:`MEMO_MAX_BYTES`, go straight to ``decode``.
+    """
+
+    __slots__ = ("_decode", "_copy", "_entries")
+
+    def __init__(self, decode, copy) -> None:
+        self._decode = decode
+        self._copy = copy
+        self._entries: dict[bytes, object] = {}
+
+    def __call__(self, data):
+        if type(data) is not bytes or len(data) > MEMO_MAX_BYTES:
+            return self._decode(data)
+        entries = self._entries
+        entry = entries.get(data)
+        if entry is None:
+            entry = self._decode(data)
+            if len(entries) >= MEMO_ENTRIES:
+                del entries[next(iter(entries))]
+            entries[data] = entry
+        return self._copy(entry)
+
+    def __contains__(self, data) -> bool:
+        return data in self._entries
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+def _decode_counted(data: bytes) -> tuple[object, int, int]:
+    """The decode step both marshallers' ``demarshal`` share: the value
+    and the two walks their simulated CPU cost is computed from."""
+    value = decode_value(data)
+    return value, count_fields(value), payload_nbytes(value)
+
+
+_demarshal_memo = DecodeMemo(
+    _decode_counted, lambda entry: (fresh(entry[0]), entry[1], entry[2]))
+
+
+# --------------------------------------------------------------------------
 # field counting (the introspection cost driver)
 # --------------------------------------------------------------------------
 
@@ -283,10 +367,16 @@ class BinaryMarshaller:
         return MarshalResult(data=data, cpu_seconds=cpu, n_fields=n_fields)
 
     def demarshal(self, data: bytes) -> tuple[object, float]:
-        """Returns (value, simulated cpu seconds)."""
-        value = decode_value(data)
+        """Returns (value, simulated cpu seconds).
+
+        The decode goes through a memo of the last 64 messages up to
+        64 KiB, keyed by their exact bytes.  The value is always a fresh
+        copy, a failure is never kept, and the CPU seconds are computed
+        from the same counts whether the message was parsed or recalled.
+        """
+        value, n_fields, _ = _demarshal_memo(data)
         cpu = (len(data) * self.SECONDS_PER_BYTE * 0.8
-               + count_fields(value) * self.SECONDS_PER_FIELD) / self.cpu_factor
+               + n_fields * self.SECONDS_PER_FIELD) / self.cpu_factor
         return value, cpu
 
 
@@ -337,10 +427,11 @@ class IntrospectionMarshaller:
         return MarshalResult(data=data, cpu_seconds=cpu, n_fields=n_fields)
 
     def demarshal(self, data: bytes) -> tuple[object, float]:
-        value = decode_value(data)
-        n_fields = count_fields(value)
+        """Returns (value, simulated cpu seconds); memoised as
+        :meth:`BinaryMarshaller.demarshal` is."""
+        value, n_fields, nbytes = _demarshal_memo(data)
         cpu = (
-            payload_nbytes(value) * self.DEMARSHAL_SECONDS_PER_BYTE
+            nbytes * self.DEMARSHAL_SECONDS_PER_BYTE
             + n_fields * self.SECONDS_PER_FIELD
         ) / self.cpu_factor
         return value, cpu

@@ -20,8 +20,10 @@ boundaries:
 - **conservation invariants**, re-checked after every top-level event:
   the session grid's charged capacity versus its members' shares, the
   farm ledger's ``pending + leased + done == total`` and exactly-once
-  completion counts (see :meth:`RaveSanitizer.watch_grid` /
-  :meth:`RaveSanitizer.watch_farm_queue`).
+  completion counts, and the polygon counts scene nodes keep against a
+  recount (see :meth:`RaveSanitizer.watch_grid` /
+  :meth:`RaveSanitizer.watch_farm_queue` /
+  :meth:`RaveSanitizer.watch_scene`).
 
 The sanitizer is **passive**: it wraps :meth:`Simulator.step` via
 instance-attribute shadowing, never schedules events, and only *notes*
@@ -33,6 +35,7 @@ Usage::
 
     san = RaveSanitizer(tb.network.sim).attach()
     san.watch_grid(grid)
+    san.watch_scene(tb.data_service, *grid.members)
     san.watch_farm_queue(queue)
     ...run the scenario...
     assert san.ok, san.violations
@@ -305,4 +308,41 @@ class RaveSanitizer:
         if queue._leased != on_lease:
             return (f"lease index holds {sorted(queue._leased)} but the "
                     f"leased records are {sorted(on_lease)}")
+        return None
+
+    def watch_scene(self, *services) -> None:
+        """Guard the polygon counts kept on the scene trees of ``services``.
+
+        Each service is a data service (the trees of its sessions) or a
+        render service (the trees its render sessions draw); the trees are
+        looked up after every event, so sessions that come and go are
+        covered.  Conservation: every node's ``subtree_polygons`` equals
+        a recount of ``n_polygons`` over its subtree, so every policy
+        query that reads the kept counts reads what a walk would find.
+        """
+        names = ",".join(service.name for service in services)
+        self.register_invariant(f"scene:{names}",
+                                lambda: self._check_scene(services))
+
+    @staticmethod
+    def _check_scene(services) -> str | None:
+        seen: set[int] = set()
+        for service in services:
+            for session in list(service._sessions.values()):
+                tree = session.tree
+                if id(tree) in seen:
+                    continue
+                seen.add(id(tree))
+                walked: dict[int, int] = {}
+                # reversed pre-order: every child is recounted before its
+                # parent
+                for node in reversed(list(tree.root.iter_subtree())):
+                    count = node.n_polygons + sum(walked[id(child)]
+                                                  for child in node.children)
+                    walked[id(node)] = count
+                    if node.subtree_polygons != count:
+                        return (f"{service.name}: tree {tree.name!r} node "
+                                f"{node.node_id} keeps "
+                                f"{node.subtree_polygons} subtree polygons "
+                                f"but a walk counts {count}")
         return None

@@ -57,6 +57,11 @@ class SceneNode:
 
     ``node_id`` is assigned when the node joins a :class:`SceneTree`; a
     detached node has id ``-1``.
+
+    ``subtree_polygons`` is the polygon count of the node and everything
+    below it.  It is kept where it can change — :meth:`add_child`,
+    :meth:`remove_child` and a mesh node's payload assignment — so a
+    policy query reads it instead of walking the subtree.
     """
 
     #: wire type tag, overridden per subclass
@@ -67,6 +72,7 @@ class SceneNode:
         self.node_id: int = -1
         self.parent: SceneNode | None = None
         self.children: list[SceneNode] = []
+        self.subtree_polygons: int = 0
 
     # -- structure ----------------------------------------------------------
 
@@ -81,9 +87,10 @@ class SceneNode:
                 )
             ancestor = ancestor.parent
         if child.parent is not None:
-            child.parent.children.remove(child)
+            child.parent.remove_child(child)
         child.parent = self
         self.children.append(child)
+        self._shift_polygons(child.subtree_polygons)
         return child
 
     def remove_child(self, child: SceneNode) -> None:
@@ -94,6 +101,15 @@ class SceneNode:
                 f"{child.name!r} is not a child of {self.name!r}"
             ) from None
         child.parent = None
+        self._shift_polygons(-child.subtree_polygons)
+
+    def _shift_polygons(self, delta: int) -> None:
+        """Add ``delta`` to the subtree count of this node and its ancestors."""
+        if delta:
+            node = self
+            while node is not None:
+                node.subtree_polygons += delta
+                node = node.parent
 
     def iter_subtree(self):
         """Depth-first pre-order traversal including self."""
@@ -211,11 +227,23 @@ class MeshNode(SceneNode):
 
     def __init__(self, mesh: Mesh, name: str = "") -> None:
         super().__init__(name or mesh.name)
-        self.mesh = mesh
+        self._mesh = mesh
+        self.subtree_polygons = mesh.n_triangles
+
+    @property
+    def mesh(self) -> Mesh:
+        return self._mesh
+
+    @mesh.setter
+    def mesh(self, mesh: Mesh) -> None:
+        """Replace the payload; the subtree counts above follow it."""
+        delta = mesh.n_triangles - self._mesh.n_triangles
+        self._mesh = mesh
+        self._shift_polygons(delta)
 
     @property
     def n_polygons(self) -> int:
-        return self.mesh.n_triangles
+        return self._mesh.n_triangles
 
     @property
     def payload_bytes(self) -> int:

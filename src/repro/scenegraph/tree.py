@@ -141,7 +141,8 @@ class SceneTree:
         return None if np.allclose(world, np.eye(4)) else world
 
     def total_polygons(self) -> int:
-        return sum(n.n_polygons for n in self)
+        """Polygons in the whole tree: the root's kept subtree count."""
+        return self.root.subtree_polygons
 
     def total_payload_bytes(self) -> int:
         return sum(n.payload_bytes for n in self)

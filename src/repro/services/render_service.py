@@ -72,14 +72,13 @@ class RenderSession:
     frames_rendered: int = 0
 
     def assigned_polygons(self) -> int:
+        """Polygons this session draws: the kept subtree counts of its
+        assigned nodes (of the root when the whole scene is assigned)."""
+        tree = self.tree
         if self.assigned_ids is None:
-            return self.tree.total_polygons()
-        total = 0
-        for nid in self.assigned_ids:
-            if nid in self.tree:
-                node = self.tree.node(nid)
-                total += sum(n.n_polygons for n in node.iter_subtree())
-        return total
+            return tree.root.subtree_polygons
+        return sum(tree.node(nid).subtree_polygons
+                   for nid in self.assigned_ids if nid in tree)
 
 
 class RenderService:

@@ -28,8 +28,11 @@ on it.  The tree-building reference is ``reference_encode`` in
   and ``" \\r \\n \\t`` as ``&quot; &#13; &#10; &#09;``;
 - what UTF-8 cannot carry (a lone surrogate) is a ``&#N;`` reference.
 
-:func:`soap_decode` leaves hostile bytes to expat and finds elements by
-local name, whatever their namespace.
+:func:`soap_decode` leaves hostile bytes to expat, refuses a document
+type declaration before any entity in it is declared (SOAP 1.2 Part 1
+§5 forbids one in a SOAP message), and finds elements by local name,
+whatever their prefix or namespace.  An envelope it has parsed recently
+is not parsed again (see its docstring).
 """
 
 from __future__ import annotations
@@ -38,11 +41,12 @@ import base64
 import math
 from dataclasses import dataclass, field
 from xml.etree import ElementTree as ET
+from xml.parsers import expat
 
 import numpy as np
 
 from repro.errors import MarshallingError, SoapFault
-from repro.network.marshalling import _MAX_DEPTH
+from repro.network.marshalling import _MAX_DEPTH, DecodeMemo, fresh
 from repro.obs.tracing import TraceContext
 
 _ENV_NS = "http://www.w3.org/2003/05/soap-envelope"
@@ -230,8 +234,8 @@ def soap_encode(operation: str, body: dict | None = None,
 
 
 def _child(el: ET.Element, name: str) -> ET.Element | None:
-    """First direct child with local name ``name``, whatever its namespace."""
-    suffix = "}" + name
+    """First direct child with local name ``name``, whatever its prefix."""
+    suffix = ":" + name
     for child in el:
         if child.tag == name or child.tag.endswith(suffix):
             return child
@@ -244,18 +248,59 @@ def _child_text(el: ET.Element, name: str, default: str) -> str:
     return default if child is None else child.text or ""
 
 
+def _refuse_doctype(*_declaration) -> None:
+    raise MarshallingError("SOAP XML must not contain a DOCTYPE")
+
+
+def _parse_xml(data: bytes) -> ET.Element:
+    """expat into an ``ElementTree``, stopping at a DOCTYPE.
+
+    The handler raises at ``<!DOCTYPE``, before the internal subset is
+    read, so no entity is ever declared or expanded.  Namespace processing
+    is off (it is a sixth of a cold parse): a tag keeps its prefix, as in
+    ``e:Body``, and :func:`_child` matches the local part after it.
+    """
+    builder = ET.TreeBuilder()
+    parser = expat.ParserCreate()
+    parser.buffer_text = True
+    parser.StartDoctypeDeclHandler = _refuse_doctype
+    parser.StartElementHandler = builder.start
+    parser.EndElementHandler = builder.end
+    parser.CharacterDataHandler = builder.data
+    parser.Parse(data, True)
+    return builder.close()
+
+
+def _parse_envelope(data: bytes) -> SoapEnvelope:
+    try:
+        return _decode_envelope(_parse_xml(data))
+    except (expat.ExpatError, SyntaxError, ValueError, TypeError,
+            LookupError) as exc:
+        # expat's own errors, an unknown declared encoding (LookupError);
+        # the leaf conversions raise the other kinds
+        raise MarshallingError(f"malformed SOAP XML: {exc}") from exc
+
+
+_envelope_memo = DecodeMemo(
+    _parse_envelope,
+    # positional: a third cheaper than keywords on every recalled envelope
+    lambda env: SoapEnvelope(env.operation, fresh(env.body), env.fault,
+                             env.trace))
+
+
 def soap_decode(data: bytes) -> SoapEnvelope:
     """Parse a SOAP envelope produced by :func:`soap_encode`.
 
     Raises :class:`MarshallingError`, and nothing else, on bytes that are
-    not such an envelope.
+    not such an envelope, a document type declaration included.
+
+    The last 64 envelopes decoded, each at most 64 KiB, are kept by their
+    exact bytes, so a repeated handshake or a constant response is parsed
+    once.  Every call returns a fresh envelope whose body shares no dict,
+    list or array with any other call's, and bytes that fail to decode are
+    never kept.
     """
-    try:
-        return _decode_envelope(ET.fromstring(data))
-    except (SyntaxError, ValueError, TypeError, LookupError) as exc:
-        # expat's ParseError is a SyntaxError, an unknown declared encoding
-        # a LookupError; the leaf conversions raise the other two
-        raise MarshallingError(f"malformed SOAP XML: {exc}") from exc
+    return _envelope_memo(data)
 
 
 def _decode_envelope(root: ET.Element) -> SoapEnvelope:

@@ -856,3 +856,64 @@ class TestClientHonoursRetryAfter:
                                      retries=2)
         assert err.value.retry_after == 3.0
         assert client.admission_retries == 2
+
+
+class TripwireTree(SceneTree):
+    """A scene tree that may no longer be walked."""
+
+    def __iter__(self):
+        raise AssertionError(f"{self.name}: a policy query walked the tree")
+
+
+def arm(tree: SceneTree) -> None:
+    """From now on any walk of ``tree`` or of a subtree in it raises."""
+    def walked():
+        raise AssertionError(f"{tree.name}: a policy query walked a subtree")
+
+    for node in list(tree.root.iter_subtree()):
+        node.iter_subtree = walked
+    tree.__class__ = TripwireTree
+
+
+class TestPolicyQueriesReadKeptCounts:
+    """Admission asks every member how many polygons it has committed,
+    at every request, pump and scrape.  The answers are counts the scene
+    keeps where it changes, so a session already admitted is never walked
+    again: its trees are armed to raise on any walk, and the grid goes on
+    admitting, pumping, releasing, interrogating and scraping around it.
+    """
+
+    def test_an_armed_session_survives_the_grid_around_it(self):
+        from repro.core.capacity import interrogate
+
+        tb = build_testbed(monitor_host="registry-host")
+        grid = small_grid(tb, member_hosts=("centrino", "athlon"),
+                          queue_capacity=2)
+        open_tenants(grid, "acme", "beta")
+        assert grid.request_session("acme", "armed", scene("armed")
+                                    ).outcome == EVENT_ADMIT
+        committed = {s.name: s.committed_polygons() for s in grid.members}
+        copies = [rs.tree for s in grid.members
+                  for rs in s.render_sessions() if rs.session_id == "armed"]
+        assert copies
+        for tree in [tb.data_service.session("armed").tree, *copies]:
+            arm(tree)
+
+        outcomes = [grid.request_session(tenant, f"s{i}", scene(i)).outcome
+                    for i, tenant in enumerate(["beta", "acme"] * 3)]
+        assert EVENT_ADMIT in outcomes and EVENT_QUEUE in outcomes
+        grid.pump()
+        tb.monitor.scrape_all()
+        tb.monitor.observe_grid(tb.clock.now)
+        tb.network.sim.run_until(tb.clock.now + 1.0)
+        reports = {s.name: interrogate(s, tb.data_service.host)
+                   for s in grid.members}
+        for name, polygons in committed.items():
+            assert reports[name].committed_polygons >= polygons
+        admitted = [gs.session_id for gs in grid.sessions()
+                    if gs.session_id != "armed"]
+        grid.release_session(admitted[0])
+        grid.release_session("armed")
+        tb.monitor.scrape_all()
+        tb.network.sim.run_until(tb.clock.now + 1.0)
+        assert "armed" not in {gs.session_id for gs in grid.sessions()}

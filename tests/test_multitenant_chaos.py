@@ -54,6 +54,7 @@ def run_scenario(seed):
                                queue_timeout=20.0, target_fps=FPS)
         san = RaveSanitizer(tb.network.sim).attach()
         san.watch_grid(grid)
+        san.watch_scene(grid.data_service, *grid.members)
         # t0/t1 are gold (shed last, 10% guaranteed); the rest best-effort
         for i, tenant in enumerate(TENANTS):
             grid.register_tenant(TenantQuota(
@@ -103,7 +104,8 @@ def run_scenario(seed):
 
         story = [(e.kind, e.detail) for e in bundle.recorder.events()]
     # the sanitizer rode along: no session double-charged, no share
-    # node rendered by two members, the clock never jumped backwards
+    # node rendered by two members, no kept polygon count off from a
+    # recount, the clock never jumped backwards
     assert san.ok, san.violations
     assert san.events_checked > 0
     # the grid's own log is the complete decision record — deadline

@@ -1,7 +1,8 @@
 """Error paths of the wire decoders.
 
-Mostly the binary framing in ``services/protocol.py``; the last two
-classes hold ``soap_decode`` and ``decode_value`` to the same contract.
+Mostly the binary framing in ``services/protocol.py``; the last classes
+hold ``soap_decode`` and ``decode_value`` to the same contract, and
+``soap_decode`` to refusing a document type declaration.
 
 The happy path is exercised everywhere the monitor scrapes; these tests
 pin down the defensive half of the contract: every way a frame can be
@@ -15,6 +16,7 @@ from __future__ import annotations
 import json
 import random
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -360,6 +362,49 @@ class TestSoapDecodeRaisesOnlyMarshallingError:
     def test_mutation_sweep(self):
         assert_decodes_or_raises_rave_error(soap_decode, self.VALID,
                                             20_000, seed=2004)
+
+
+def entity_bomb(levels: int = 8, fan: int = 10) -> bytes:
+    """An envelope whose one string is ``fan ** levels`` nested entity
+    expansions of "lol": under 600 bytes on the wire."""
+    entities = "".join(['<!ENTITY a0 "lol">'] + [
+        f'<!ENTITY a{i} "{f"&a{i - 1};" * fan}">'
+        for i in range(1, levels + 1)])
+    return (f"<!DOCTYPE Envelope [{entities}]><Envelope><Body>"
+            f"<Operation name='op'><arg key='k'><value>&a{levels};</value>"
+            f"</arg></Operation></Body></Envelope>").encode()
+
+
+class TestSoapRefusesADoctype:
+    """SOAP 1.2 Part 1 §5: a SOAP message carries no document type
+    declaration.  The decoder refuses it where it starts, so none of its
+    entities is ever declared, let alone expanded."""
+
+    def test_an_entity_bomb_is_refused_in_bounded_memory(self):
+        bomb = entity_bomb()
+        assert len(bomb) < 600
+        tracemalloc.start()
+        try:
+            with pytest.raises(MarshallingError, match="DOCTYPE"):
+                soap_decode(bomb)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # expanding it would take tens of megabytes and most of a second
+        assert peak < 1_000_000
+
+    def test_one_declared_entity_is_refused(self):
+        injected = soap_encode("op", {"k": "ENTITY"}).replace(
+            b"\n", b'\n<!DOCTYPE Envelope [<!ENTITY a "injected">]>', 1
+        ).replace(b"ENTITY<", b"&a;<")
+        assert b"&a;" in injected
+        with pytest.raises(MarshallingError, match="DOCTYPE"):
+            soap_decode(injected)
+
+    def test_a_doctype_without_entities_is_refused_too(self):
+        with pytest.raises(MarshallingError, match="DOCTYPE"):
+            soap_decode(b"<!DOCTYPE Envelope><Envelope><Body>"
+                        b"<Operation name='op'/></Body></Envelope>")
 
 
 class TestDecodeValueRaisesOnlyMarshallingError:

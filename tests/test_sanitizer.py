@@ -11,11 +11,14 @@ alone proves the tree runs clean under the sanitizer.
 import pytest
 
 from repro import obs
+from repro.data.generators import uv_sphere
 from repro.errors import ServiceError
 from repro.farm import RenderJob
 from repro.network.clock import SimClock, Simulator
 from repro.obs.recorder import FlightRecorder
 from repro.sanitizer import RaveSanitizer
+from repro.scenegraph.nodes import MeshNode
+from repro.scenegraph.tree import SceneTree
 from repro.testbed import build_testbed
 
 from tests.test_farm_chaos import run_scenario as run_farm_chaos
@@ -182,6 +185,27 @@ class TestConservation:
         tb.network.sim.run()
         assert "lease index holds [('j', 2)]" in san.violations[-1].detail
         assert {v.kind for v in san.violations} == {"conservation"}
+
+    def test_drifted_scene_count_is_caught(self):
+        tb = build_testbed(render_hosts=("centrino",))
+        tree = SceneTree(name="kept")
+        mesh = tree.add(MeshNode(uv_sphere(nu=8, nv=8)))
+        tb.data_service.create_session("kept", tree)
+        service = tb.render_service("centrino")
+        service.create_render_session(tb.data_service, "kept")
+        san = RaveSanitizer(tb.network.sim).attach()
+        san.watch_scene(tb.data_service, service)
+        tb.network.sim.schedule(1.0, lambda: None)
+        tb.network.sim.run()
+        assert san.ok and san.events_checked == 1
+        tree.root.subtree_polygons += 1     # a count kept past a change
+        tb.network.sim.schedule(1.0, lambda: None)
+        tb.network.sim.run()
+        assert not san.ok
+        assert san.violations[0].kind == "conservation"
+        assert (f"tree 'kept' node 0 keeps {mesh.n_polygons + 1} subtree "
+                f"polygons but a walk counts {mesh.n_polygons}"
+                in san.violations[0].detail)
 
     def test_violations_land_in_the_flight_recorder(self):
         recorder = FlightRecorder()

@@ -1,8 +1,11 @@
-"""SceneTree: ids, traversal, transforms, subtree extraction, serialisation."""
+"""SceneTree: ids, traversal, transforms, subtree extraction, serialisation,
+and the polygon counts nodes keep."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.data.meshes import Mesh
 from repro.errors import SceneGraphError
 from repro.scenegraph.nodes import (
     GroupNode,
@@ -10,6 +13,12 @@ from repro.scenegraph.nodes import (
     TransformNode,
 )
 from repro.scenegraph.tree import SceneTree
+from repro.scenegraph.updates import (
+    AddNode,
+    ModifyGeometry,
+    RemoveNode,
+    SetProperty,
+)
 
 
 class TestRegistry:
@@ -192,3 +201,76 @@ class TestSerialisation:
         back = SceneTree.from_wire(SceneTree("empty").to_wire())
         assert len(back) == 1
         assert back.name == "empty"
+
+
+def mesh_of(n_triangles: int) -> Mesh:
+    return Mesh(np.eye(3, dtype=np.float32),
+                np.tile(np.array([[0, 1, 2]], np.int32), (n_triangles, 1)))
+
+
+def assert_counts_kept(tree: SceneTree) -> None:
+    """Every node's kept subtree count equals a walk of its subtree."""
+    for node in tree:
+        walked = sum(n.n_polygons for n in node.iter_subtree())
+        assert node.subtree_polygons == walked, node
+    assert tree.total_polygons() == sum(n.n_polygons for n in tree)
+
+
+#: (what, a node index, another node index, a triangle count)
+scene_edits = st.lists(
+    st.tuples(st.sampled_from(["add-mesh", "add-group", "remove", "move",
+                               "modify", "set-faces"]),
+              st.integers(0, 63), st.integers(0, 63), st.integers(0, 9)),
+    max_size=30)
+
+
+class TestKeptPolygonCounts:
+    """``subtree_polygons`` is kept where the scene changes: attaching and
+    detaching subtrees, moving one, and replacing a mesh payload."""
+
+    @given(scene_edits)
+    @settings(max_examples=150, deadline=None)
+    def test_every_edit_keeps_every_count(self, edits):
+        tree = SceneTree()
+        for what, a, b, n in edits:
+            nodes = list(tree)
+            node, other = nodes[a % len(nodes)], nodes[b % len(nodes)]
+            if what == "add-mesh":
+                AddNode.of(MeshNode(mesh_of(n)), parent_id=node.node_id,
+                           node_id=max(x.node_id for x in nodes) + 1
+                           ).apply(tree)
+            elif what == "add-group":
+                group = GroupNode("g")
+                group.add_child(MeshNode(mesh_of(n)))
+                tree.add(group, parent=node)
+            elif what == "remove" and node is not tree.root:
+                RemoveNode(node_id=node.node_id).apply(tree)
+            elif what == "move" and node is not tree.root:
+                try:
+                    other.add_child(node)
+                except SceneGraphError:
+                    pass            # into its own subtree: refused whole
+            elif what == "modify" and isinstance(node, MeshNode):
+                ModifyGeometry(node_id=node.node_id, fields={
+                    "vertices": np.eye(3), "faces": mesh_of(n).faces},
+                ).apply(tree)
+            elif what == "set-faces" and isinstance(node, MeshNode):
+                SetProperty(node_id=node.node_id, field_name="faces",
+                            value=mesh_of(n).faces).apply(tree)
+            assert_counts_kept(tree)
+        copy = SceneTree.from_wire(tree.to_wire())
+        assert_counts_kept(copy)
+        assert copy.total_polygons() == tree.total_polygons()
+        meshes = [n.node_id for n in tree.geometry_nodes()]
+        assert_counts_kept(tree.extract_subtree(meshes[:2]))
+
+    def test_a_payload_assignment_moves_every_ancestor(self, quad):
+        tree = SceneTree()
+        group = tree.add(GroupNode("g"))
+        mesh = tree.add(MeshNode(quad), parent=group)
+        mesh.mesh = mesh_of(7)
+        assert (tree.root.subtree_polygons, group.subtree_polygons,
+                mesh.subtree_polygons) == (7, 7, 7)
+        tree.remove(group)
+        assert tree.total_polygons() == 0
+        assert group.subtree_polygons == 7      # the detached subtree's own
