@@ -18,7 +18,13 @@ scene → camera transform → rasterize (or splat / ray-march) → framebuffer
   back-to-front blending of volume slabs;
 - :mod:`repro.render.engine` — the per-machine timing model reproducing
   Tables 2-4 (on-screen vs off-screen, sequential vs interleaved).
+
+Importing the package pins glibc's heap thresholds (:func:`_keep_heap`),
+so a process keeps the rasterizer's scratch pages from one tile to the
+next.
 """
+
+import ctypes
 
 from repro.render.camera import Camera
 from repro.render.framebuffer import FrameBuffer, Tile, split_tiles
@@ -54,3 +60,27 @@ __all__ = [
     "RenderEngine",
     "RenderTiming",
 ]
+
+
+def _keep_heap() -> None:
+    """Pin glibc's mmap and trim thresholds where its dynamic rule tops out.
+
+    glibc starts a process at a 128 KiB mmap threshold.  Each time it frees
+    a mapped block larger than that, it raises the threshold to the block's
+    size and the trim threshold to twice it, up to 32 MiB on 64-bit.  So
+    which blocks a process happened to free first decides whether each
+    chunk of rasterizer scratch is mapped, faulted in and handed back to
+    the kernel, tile after tile, or kept.  Both values are set, because
+    setting either one turns the dynamic rule off for both.  The price:
+    freed memory stays in the process, up to its peak.  Where libc has no
+    ``mallopt`` this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(-3, 32 << 20)       # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)       # M_TRIM_THRESHOLD
+
+
+_keep_heap()

@@ -41,6 +41,12 @@ The chunk size comes from a byte budget (``_CHUNK_BYTES``) small enough
 that a chunk's scratch stays in cache, so peak memory is bounded whatever
 the triangle count, and neither it nor the window can change a pixel: a
 pixel's colour and depth depend only on the fragments that land on it.
+The budget bounds the peak; keeping those pages between calls is the
+heap's job.  Importing :mod:`repro.render` pins glibc's mmap and trim
+thresholds, so freed scratch is reused by the next chunk, tile and frame
+instead of being unmapped and faulted in again.  The trade: a process's
+resident set stays at its high-water mark, since freed memory is not
+handed back to the kernel.
 Perspective-correct depth uses the linear interpolation of ``1/w`` in
 screen space.
 

@@ -249,7 +249,7 @@ def _child_text(el: ET.Element, name: str, default: str) -> str:
 
 
 def _refuse_doctype(*_declaration) -> None:
-    raise MarshallingError("SOAP XML must not contain a DOCTYPE")
+    raise MarshallingError("XML must not contain a DOCTYPE")
 
 
 def _parse_xml(data: bytes) -> ET.Element:

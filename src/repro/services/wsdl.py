@@ -17,8 +17,10 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from xml.etree import ElementTree as ET
+from xml.parsers import expat
 
 from repro.errors import MarshallingError
+from repro.services.soap import _parse_xml
 
 
 @dataclass(frozen=True)
@@ -94,9 +96,12 @@ class WsdlDocument:
 
     @classmethod
     def from_xml(cls, data: bytes) -> WsdlDocument:
+        """Parse a document; one with a DOCTYPE is refused where it
+        starts, as a SOAP envelope is, so no entity is ever expanded."""
         try:
-            root = ET.fromstring(data)
-        except ET.ParseError as exc:
+            root = _parse_xml(data)
+        except (expat.ExpatError, LookupError) as exc:
+            # expat's own errors and an unknown declared encoding
             raise MarshallingError(f"malformed WSDL XML: {exc}") from exc
         name = root.get("name", "")
         namespace = root.get("targetNamespace", "")

@@ -1,5 +1,8 @@
 """SOAP envelopes, WSDL documents, and the transport channels."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,8 @@ from repro.services.soap import (
 )
 from repro.services.wsdl import (
     DATA_SERVICE_WSDL,
+    FRAME_QUEUE_WSDL,
+    MONITOR_SERVICE_WSDL,
     Operation,
     RENDER_SERVICE_WSDL,
     WsdlDocument,
@@ -161,6 +166,41 @@ class TestWsdl:
     def test_malformed_xml(self):
         with pytest.raises(MarshallingError):
             WsdlDocument.from_xml(b"<oops")
+
+    def test_unknown_encoding_is_malformed(self):
+        with pytest.raises(MarshallingError, match="encoding"):
+            WsdlDocument.from_xml(b"<?xml version='1.0' encoding='bogus'?>"
+                                  b"<definitions/>")
+
+    @pytest.mark.parametrize("doc", [
+        DATA_SERVICE_WSDL, RENDER_SERVICE_WSDL, MONITOR_SERVICE_WSDL,
+        FRAME_QUEUE_WSDL,
+        build_wsdl("S", [Operation("a", (("x", "xsd:int"),))],
+                   endpoint="http://host:8080/axis/S", namespace="urn:x",
+                   documentation="<&> — 'quoted' \"twice\""),
+    ], ids=["data", "render", "monitor", "frame-queue", "escaped"])
+    def test_every_document_roundtrips_equal(self, doc):
+        assert WsdlDocument.from_xml(doc.to_xml()) == doc
+
+    def test_an_entity_bomb_is_refused_in_bounded_memory(self):
+        entities = "".join(['<!ENTITY a0 "lol">'] + [
+            f'<!ENTITY a{i} "{f"&a{i - 1};" * 10}">' for i in range(1, 9)])
+        bomb = (f"<!DOCTYPE definitions [{entities}]><definitions name='S'>"
+                f"<documentation>&a8;</documentation></definitions>").encode()
+        assert len(bomb) < 600
+        tracemalloc.start()
+        try:
+            started = time.perf_counter()
+            with pytest.raises(MarshallingError, match="DOCTYPE"):
+                WsdlDocument.from_xml(bomb)
+            elapsed = time.perf_counter() - started
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # expanding its 10**8 "lol"s would take most of a second and tens
+        # of megabytes before expat's amplification limit stopped it
+        assert elapsed < 0.010
+        assert peak < 1_000_000
 
     def test_digest_is_short_and_stable(self):
         d1 = RENDER_SERVICE_WSDL.signature_digest()
