@@ -113,6 +113,11 @@ class MigrationAction:
     reason: str          # "overload" | "underload"
 
 
+def _directions(actions) -> tuple[set[str], set[str]]:
+    """The services that gave and the services that took work so far."""
+    return ({a.source for a in actions}, {a.destination for a in actions})
+
+
 class WorkloadMigrator:
     """The data service's migration policy engine."""
 
@@ -136,17 +141,9 @@ class WorkloadMigrator:
 
     def record_frame(self, service, time: float, fps: float) -> None:
         """Feed one rendered-frame observation into the tracker."""
-        utilisation = service.utilisation(self.target_fps)
         self.tracker(service.name).record(LoadSample(
-            time=time, fps=fps, utilisation=utilisation))
-        obs = _obs()
-        if obs.enabled:
-            m = obs.metrics
-            m.gauge("rave_service_fps", "last observed frame rate",
-                    service=service.name).set(fps)
-            m.gauge("rave_service_utilisation",
-                    "committed polygons / budget at target fps",
-                    service=service.name).set(utilisation)
+            time=time, fps=fps,
+            utilisation=service.utilisation(self.target_fps)))
 
     # -- detection -------------------------------------------------------------
 
@@ -213,7 +210,10 @@ class WorkloadMigrator:
 
         Overloaded services shed work to the peer with the most headroom
         (recruiting via the session when nobody has spare capacity);
-        underloaded services take work from the most loaded peer.
+        underloaded services take work from the most loaded peer.  Work
+        moves one way per service per pass: a service that gave work
+        receives none, and one that received gives none, so one pass never
+        sends the same nodes back and forth.
 
         ``alerts`` — optional monitor-plane alerts
         (:class:`repro.obs.rules.Alert`); a service named by a sustained
@@ -239,18 +239,21 @@ class WorkloadMigrator:
                 obs.metrics.counter("rave_migration_triggers_total",
                                     "sustained threshold crossings",
                                     kind=ALERT_OVERLOAD).inc()
+            gave, took = _directions(actions)
+            if service.name in took:
+                continue
             # work to shed: enough to get back to the target frame time
             over = service.committed_polygons() - (
                 service.capacity().polygon_budget(self.target_fps))
             needed = max(over,
                          0.1 * service.capacity().polygon_budget(
                              self.target_fps))
-            receiver = self._best_receiver(services, exclude=service)
+            receiver = self._best_receiver(services, service, gave)
             if receiver is None and session.recruiter is not None:
                 recruited = session.recruit_more()
                 if recruited:
                     services = list(session.render_services)
-                    receiver = self._best_receiver(services, exclude=service)
+                    receiver = self._best_receiver(services, service, gave)
             if receiver is None:
                 continue
             action = self._move(session, service, receiver, needed,
@@ -266,7 +269,10 @@ class WorkloadMigrator:
                 obs.metrics.counter("rave_migration_triggers_total",
                                     "sustained threshold crossings",
                                     kind=ALERT_UNDERLOAD).inc()
-            donor = self._most_loaded(services, exclude=service)
+            gave, took = _directions(actions)
+            if service.name in gave:
+                continue
+            donor = self._most_loaded(services, service, took)
             if donor is None:
                 continue
             headroom = self._headroom(service)
@@ -313,15 +319,17 @@ class WorkloadMigrator:
         return max(0.0, service.capacity().polygon_budget(self.target_fps)
                    - service.committed_polygons())
 
-    def _best_receiver(self, services, exclude):
+    def _best_receiver(self, services, exclude, gave: set[str]):
         candidates = [s for s in services
-                      if s is not exclude and self._headroom(s) > 0]
+                      if s is not exclude and s.name not in gave
+                      and self._headroom(s) > 0]
         if not candidates:
             return None
         return max(candidates, key=self._headroom)
 
-    def _most_loaded(self, services, exclude):
-        candidates = [s for s in services if s is not exclude
+    def _most_loaded(self, services, exclude, took: set[str]):
+        candidates = [s for s in services
+                      if s is not exclude and s.name not in took
                       and s.committed_polygons() > 0]
         if not candidates:
             return None

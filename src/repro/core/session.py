@@ -730,7 +730,8 @@ class CollaborativeSession:
 
         Returns ``{frame index: [Span, ...]}`` with each chain
         start-ordered (``render → transfer → composite``); empty when no
-        observability is installed (the no-op tracer stores nothing).
+        observability is installed (nothing writes to the disabled
+        tracer).
         """
         return _obs().tracer.chains(session=self.session_id)
 

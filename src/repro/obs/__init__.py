@@ -22,9 +22,10 @@ provides it, NetLogger-style, entirely on the simulated clock:
 
 Instrumented hot paths (scheduler, migrator, session, health monitor,
 network, streaming, adaptive compression) read the *active* bundle via
-:func:`active`.  By default that is :data:`NULL_OBS` — shared no-op
-instruments, nothing allocated, nothing stored — so instrumentation is
-free until someone attaches a registry:
+:func:`active` and write to it only under ``if obs.enabled:``.  By
+default that is :data:`NULL_OBS`, an ordinary bundle built with
+``enabled=False`` that nothing ever writes to, so instrumentation costs
+one attribute check until someone attaches a registry:
 
     from repro import obs
 
@@ -40,24 +41,9 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from repro.obs.export import prometheus_text, snapshot, write_snapshot
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
-    NULL_REGISTRY,
-)
-from repro.obs.recorder import (
-    FlightEvent,
-    FlightRecorder,
-    NullRecorder,
-    NULL_RECORDER,
-    assert_story,
-)
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.recorder import FlightEvent, FlightRecorder, assert_story
 from repro.obs.tracing import (
-    NullTracer,
-    NULL_TRACER,
     Span,
     TraceContext,
     Tracer,
@@ -68,8 +54,9 @@ from repro.obs.tracing import (
 class Observability:
     """A registry + tracer + flight-recorder trio, installable process-wide.
 
-    ``enabled`` lets hot paths skip label formatting and timing math in a
-    single attribute check when observability is off.
+    ``enabled`` is the off switch: every hot path writes to the bundle
+    only under ``if obs.enabled:``, so a disabled bundle stays empty and
+    the path skips label formatting and timing math in one check.
     """
 
     __slots__ = ("metrics", "tracer", "recorder", "enabled")
@@ -80,9 +67,7 @@ class Observability:
                  enabled: bool = True) -> None:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
-        if recorder is None:
-            recorder = FlightRecorder() if enabled else NULL_RECORDER
-        self.recorder = recorder
+        self.recorder = recorder if recorder is not None else FlightRecorder()
         self.enabled = enabled
 
     def snapshot(self, clock=None, meta: dict | None = None) -> dict:
@@ -90,9 +75,8 @@ class Observability:
                         recorder=self.recorder if self.enabled else None)
 
 
-#: the permanent off-switch: shared no-op instruments, stores nothing
-NULL_OBS = Observability(NULL_REGISTRY, NULL_TRACER, NULL_RECORDER,
-                         enabled=False)
+#: the permanent off switch: real instruments that nothing writes to
+NULL_OBS = Observability(enabled=False)
 
 _active: Observability = NULL_OBS
 
@@ -117,14 +101,14 @@ def install(obs: Observability | None = None, *,
 
 
 def uninstall() -> None:
-    """Detach the active bundle, restoring the no-op default."""
+    """Detach the active bundle, restoring :data:`NULL_OBS`."""
     global _active
     _active = NULL_OBS
 
 
 @contextmanager
 def observed(obs: Observability | None = None, *, clock=None):
-    """Scoped :func:`install`; always restores the no-op default."""
+    """Scoped :func:`install`; always restores :data:`NULL_OBS`."""
     bundle = install(obs, clock=clock)
     try:
         yield bundle
@@ -135,21 +119,15 @@ def observed(obs: Observability | None = None, *, clock=None):
 __all__ = [
     "Observability",
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
     "Counter",
     "Gauge",
     "Histogram",
     "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
     "Span",
     "TraceContext",
     "new_trace_context",
     "FlightEvent",
     "FlightRecorder",
-    "NullRecorder",
-    "NULL_RECORDER",
     "assert_story",
     "NULL_OBS",
     "active",

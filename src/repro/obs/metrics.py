@@ -6,10 +6,10 @@ simulation-aware by omission: nothing here reads the wall clock.  Values
 are plain accumulators; code holding the simulated clock decides what
 "now" means when it observes a duration.
 
-Instrumented hot paths must cost nothing when observability is off, so
-:class:`NullRegistry` hands out shared no-op instruments — ``inc``,
-``set`` and ``observe`` are empty single-dispatch calls, and no families,
-labels or strings are ever materialised.
+There is no separate no-op registry.  Instrumented hot paths write only
+under ``if obs.enabled:``, so the registry of the disabled
+:data:`repro.obs.NULL_OBS` bundle never materialises a family, label or
+string.
 """
 
 from __future__ import annotations
@@ -231,77 +231,6 @@ class MetricsRegistry:
         return out
 
 
-class _NoopCounter:
-    """Shared do-nothing counter (the off-switch fast path)."""
-
-    kind = "counter"
-    __slots__ = ()
-    value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-
-class _NoopGauge:
-    """Shared do-nothing gauge."""
-
-    kind = "gauge"
-    __slots__ = ()
-    value = 0.0
-
-    def set(self, value: float) -> None:
-        pass
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-
-class _NoopHistogram:
-    """Shared do-nothing histogram."""
-
-    kind = "histogram"
-    __slots__ = ()
-    count = 0
-    sum = 0.0
-    mean = 0.0
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def cumulative_buckets(self) -> list:
-        return []
-
-    def quantile(self, q: float) -> float:
-        return 0.0
-
-
-_NOOP_COUNTER = _NoopCounter()
-_NOOP_GAUGE = _NoopGauge()
-_NOOP_HISTOGRAM = _NoopHistogram()
-
-
-class NullRegistry(MetricsRegistry):
-    """Registry that records nothing and allocates nothing per call."""
-
-    def __init__(self) -> None:
-        super().__init__()
-
-    def counter(self, name: str, help: str = "", **labels) -> Counter:
-        return _NOOP_COUNTER
-
-    def gauge(self, name: str, help: str = "", **labels) -> Gauge:
-        return _NOOP_GAUGE
-
-    def histogram(self, name: str, help: str = "",
-                  buckets: tuple | None = None, **labels) -> Histogram:
-        return _NOOP_HISTOGRAM
-
-
-NULL_REGISTRY = NullRegistry()
-
 __all__ = [
     "DEFAULT_BUCKETS",
     "Counter",
@@ -309,6 +238,4 @@ __all__ = [
     "Histogram",
     "MetricFamily",
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
 ]

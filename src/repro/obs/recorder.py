@@ -48,8 +48,6 @@ class FlightEvent:
 class FlightRecorder:
     """Bounded ring buffer of :class:`FlightEvent` with triggered dumps."""
 
-    enabled = True
-
     def __init__(self, capacity: int = 2048) -> None:
         if capacity < 1:
             raise ValueError("flight recorder capacity must be >= 1")
@@ -109,28 +107,6 @@ class FlightRecorder:
         sim.schedule(grace, fire, daemon=True)
 
 
-class NullRecorder(FlightRecorder):
-    """Recorder that stores nothing (the :data:`NULL_OBS` default)."""
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__(capacity=1)
-
-    def note(self, kind: str, time: float = 0.0, detail: str = "",
-             trace: str = "") -> None:
-        pass
-
-    def dump(self, reason: str, time: float = 0.0) -> dict:
-        return {}
-
-    def request_dump(self, reason: str, sim, grace: float = 10.0) -> None:
-        pass
-
-
-NULL_RECORDER = NullRecorder()
-
-
 def assert_story(dump: dict, *, order=(), counts=None, absent=(),
                  where=None) -> None:
     """Assert that a :meth:`FlightRecorder.dump` tells the expected story.
@@ -145,8 +121,8 @@ def assert_story(dump: dict, *, order=(), counts=None, absent=(),
       kind must satisfy.
 
     Raises :class:`AssertionError` naming the first expectation that
-    failed and the kinds the dump holds.  A dump with no events — the
-    ``{}`` a :class:`NullRecorder` returns — fails: a story nobody
+    failed and the kinds the dump holds.  A dump with no events — ``{}``,
+    or a dump taken while nothing was noted — fails: a story nobody
     recorded did not hold.
     """
     events = dump.get("events") or []
@@ -184,7 +160,5 @@ def assert_story(dump: dict, *, order=(), counts=None, absent=(),
 __all__ = [
     "FlightEvent",
     "FlightRecorder",
-    "NullRecorder",
-    "NULL_RECORDER",
     "assert_story",
 ]

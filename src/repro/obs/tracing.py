@@ -10,7 +10,9 @@ streaming and session paths record the paper's pipeline stages —
 Most instrumented paths compute their timings analytically, so the primary
 API is :meth:`Tracer.record` with explicit start/end; :meth:`Tracer.span`
 is a clock-driven context manager for code that advances the simulator
-while it works.  :class:`NullTracer` is the off-switch: it stores nothing.
+while it works.  There is no no-op tracer: instrumented paths record only
+under ``if obs.enabled:``, so the tracer of the disabled
+:data:`repro.obs.NULL_OBS` bundle stays empty.
 
 Cross-service requests carry a :class:`TraceContext` — a 64-bit trace id
 plus the parent span's id, both drawn from a *seeded* RNG so replays are
@@ -75,8 +77,6 @@ class Span:
 
 class Tracer:
     """Collects spans; bounded so runaway scenarios cannot eat memory."""
-
-    enabled = True
 
     def __init__(self, clock=None, capacity: int = 100_000) -> None:
         if capacity < 1:
@@ -159,32 +159,9 @@ class Tracer:
                 for s in self.spans]
 
 
-_NULL_SPAN = Span(name="", start=0.0, end=0.0)
-
-
-class NullTracer(Tracer):
-    """Tracer that stores nothing (the off-switch fast path)."""
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__(capacity=1)
-
-    def record(self, name: str, start: float, end: float, **attrs) -> Span:
-        return _NULL_SPAN
-
-    @contextmanager
-    def span(self, name: str, **attrs):
-        yield
-
-
-NULL_TRACER = NullTracer()
-
 __all__ = [
     "Span",
     "TraceContext",
     "new_trace_context",
     "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
 ]

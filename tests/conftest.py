@@ -1,4 +1,10 @@
-"""Shared fixtures: small deterministic meshes, trees and testbeds."""
+"""Shared fixtures: small deterministic meshes, trees and testbeds.
+
+Every test also checks that observability off stores nothing: the
+disabled :data:`repro.obs.NULL_OBS` bundle holds a plain registry, tracer
+and recorder, and stays empty only because every write site checks
+``obs.enabled`` first.
+"""
 
 from __future__ import annotations
 
@@ -6,8 +12,31 @@ import numpy as np
 import pytest
 
 from repro.data.meshes import Mesh
+from repro.obs import NULL_OBS, FlightRecorder, MetricsRegistry, Tracer
 from repro.scenegraph.nodes import CameraNode, MeshNode, TransformNode
 from repro.scenegraph.tree import SceneTree
+
+
+def assert_off_stores_nothing() -> None:
+    """``NULL_OBS`` holds no metric family, span or recorder event."""
+    assert NULL_OBS.metrics.families() == []
+    assert NULL_OBS.tracer.spans == []
+    assert NULL_OBS.recorder.seen == 0
+
+
+@pytest.fixture(autouse=True)
+def off_stores_nothing():
+    """An instrumented path that wrote without its ``if obs.enabled:``
+    guard fails the test that ran it, and only that test: a dirty bundle
+    is emptied before the next one."""
+    yield
+    try:
+        assert_off_stores_nothing()
+    except AssertionError:
+        NULL_OBS.metrics = MetricsRegistry()
+        NULL_OBS.tracer = Tracer()
+        NULL_OBS.recorder = FlightRecorder()
+        raise
 
 
 @pytest.fixture

@@ -1,9 +1,12 @@
 """Workload migration: load tracking, thresholds, fine-grain node moves."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.migration import LoadSample, LoadTracker, WorkloadMigrator
 from repro.data.generators import skeleton
+from repro.obs.vocab import ALERT_OVERLOAD, ALERT_UNDERLOAD
 from repro.scenegraph.nodes import MeshNode
 from repro.scenegraph.tree import SceneTree
 
@@ -356,3 +359,72 @@ class TestUnderloadConvergence:
         for _ in range(3):
             migrator.plan(session)
         assert donor.committed_polygons() >= floor
+
+
+class TestOneDirectionPerPass:
+    """Within one ``plan()`` pass a service gives work or takes it, never
+    both: a shed ``a -> b`` is not undone in the same pass by ``b``
+    shedding back, by ``a`` pulling back, and it bars ``a`` as a receiver
+    and ``b`` as a donor for everyone else."""
+
+    def build(self):
+        session = FakeSession(SceneTree(), [], {})
+        # a: one big node just over its budget, so shedding it leaves a
+        # the most headroom; b: room for it, and small nodes to give back
+        a = self.join(session, "a", rate=1.0, sizes=(20000,))
+        a._rate = 9 * a.committed_polygons()
+        self.join(session, "b", rate=4e5, sizes=(600,) * 6)
+        migrator = WorkloadMigrator(target_fps=10, overload_fps=8.0,
+                                    underload_utilisation=0.3,
+                                    smoothing_seconds=3.0)
+        return session, migrator
+
+    @staticmethod
+    def join(session, name, rate, sizes=()):
+        """Add service ``name`` holding one new node per skeleton size."""
+        tree = session.master_tree
+        ids = {tree.add(MeshNode(skeleton(size).normalized(),
+                                 name=f"{name}{i}")).node_id
+               for i, size in enumerate(sizes)}
+        service = FakeService(name, rate=rate, committed=sum(
+            tree.node(n).n_polygons for n in ids))
+        session.render_services.append(service)
+        session._shares[name] = ids
+        return service
+
+    @staticmethod
+    def plan(session, migrator, **alerted):
+        """One pass under ``{service: alert kind}``; its moves, asserted
+        one-way."""
+        actions = migrator.plan(session, alerts=[
+            SimpleNamespace(kind=kind, service=name)
+            for name, kinds in alerted.items() for kind in kinds])
+        sources = {a.source for a in actions}
+        assert not sources & {a.destination for a in actions}, actions
+        return [(a.source, a.destination, a.reason) for a in actions]
+
+    def test_an_overload_receiver_does_not_shed_back(self):
+        session, migrator = self.build()
+        assert self.plan(session, migrator,
+                         a=[ALERT_OVERLOAD], b=[ALERT_OVERLOAD]) \
+            == [("a", "b", ALERT_OVERLOAD)]
+
+    def test_an_overload_donor_receives_nothing(self):
+        session, migrator = self.build()
+        self.join(session, "d", rate=7800, sizes=(600,))
+        assert self.plan(session, migrator,
+                         a=[ALERT_OVERLOAD], d=[ALERT_OVERLOAD]) \
+            == [("a", "b", ALERT_OVERLOAD), ("d", "b", ALERT_OVERLOAD)]
+
+    def test_an_overload_shed_is_not_pulled_back(self):
+        session, migrator = self.build()
+        assert self.plan(session, migrator,
+                         a=[ALERT_OVERLOAD, ALERT_UNDERLOAD]) \
+            == [("a", "b", ALERT_OVERLOAD)]
+
+    def test_an_overload_receiver_donates_nothing(self):
+        session, migrator = self.build()
+        self.join(session, "c", rate=5e4)
+        assert self.plan(session, migrator,
+                         a=[ALERT_OVERLOAD], c=[ALERT_UNDERLOAD]) \
+            == [("a", "b", ALERT_OVERLOAD)]

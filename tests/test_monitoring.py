@@ -390,7 +390,7 @@ def forwarded_by(ops, wrap) -> tuple[list[int], bool]:
 
 
 class TestCursorProperty:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, derandomize=True)
     @given(ops=CURSOR_OPS)
     def test_any_interleaving_forwards_each_ring_event_once_in_order(
             self, ops):
@@ -399,6 +399,18 @@ class TestCursorProperty:
         assert got == sorted(set(got))
         assert complete, "a delivered scrape left ring events unforwarded"
         assert got == forwarded_by(ops, wrap=FullRing)[0]
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "a restarted service whose event counter has caught up to the "
+        "monitor's cursor ships [] on its first scrape; a stale payload "
+        "of the old instance then lands in between, and a counter cannot "
+        "tell the two instances apart (needs an instance id in the cursor)"))
+    def test_a_restart_that_catches_up_to_the_cursor(self):
+        ops = [("emit", 4), ("scrape", 0), ("emit", 1), ("scrape", 0),
+               ("deliver", 0), ("restart", 0), ("emit", 1), ("emit", 3),
+               ("scrape", 0), ("deliver", 0), ("deliver", 0)]
+        assert forwarded_by(ops, wrap=FullRing)[0] == list(range(9))
+        assert forwarded_by(ops, wrap=lambda t: t)[0] == list(range(9))
 
 
 # -- hostile scrape targets ---------------------------------------------------------
