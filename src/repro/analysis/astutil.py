@@ -10,18 +10,6 @@ from repro.analysis.core import SourceFile, SourceTree
 VOCAB_REL = "src/repro/obs/vocab.py"
 
 
-def dotted_name(node: ast.expr) -> str | None:
-    """``a.b.c`` attribute chains as a dotted string (else ``None``)."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
-
-
 def terminal_name(node: ast.expr) -> str | None:
     """The identifier a ``Name`` or ``Attribute`` expression ends in."""
     if isinstance(node, ast.Attribute):

@@ -111,11 +111,6 @@ class SourceTree:
     def src_files(self) -> list[SourceFile]:
         return [sf for sf in self.files if sf.role == "src"]
 
-    @property
-    def consumer_files(self) -> list[SourceFile]:
-        """Test + benchmark modules: legitimate metric-name consumers."""
-        return [sf for sf in self.files if sf.role in ("tests", "benchmarks")]
-
     def find(self, rel_suffix: str) -> SourceFile | None:
         """First src file whose relative path ends with ``rel_suffix``."""
         for sf in self.src_files:

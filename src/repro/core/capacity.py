@@ -55,7 +55,12 @@ class CapacityReport:
     service_name: str
     host: str
     capacity: RenderCapacity
-    #: load already committed on the service, in polygons-at-target-fps
+    #: load already committed on the service, in polygons at the
+    #: interrogating session's fps.  For a stand-alone session this is the
+    #: service's raw polygon count (every co-tenant charged at the
+    #: newcomer's fps); for a pool-owned one it is the grid ledger's
+    #: figure (:meth:`~repro.core.grid.SessionGridManager.committed_polygons`),
+    #: which charges each co-tenant at its own admitted rate
     committed_polygons: float
     elapsed_seconds: float
 
@@ -84,8 +89,17 @@ def capacity_from_profile(profile) -> RenderCapacity:
     )
 
 
-def interrogate(render_service, requester_host: str) -> CapacityReport:
-    """The data service's timed ``getCapacity`` SOAP call."""
+def interrogate(render_service, requester_host: str,
+                committed_polygons: float | None = None) -> CapacityReport:
+    """The data service's timed ``getCapacity`` SOAP call.
+
+    The report's committed load is the service's own
+    :meth:`~repro.services.render_service.RenderService.committed_polygons`
+    unless the caller passes ``committed_polygons``: a pool-owned
+    session's scheduler passes its grid's ledger figure, in polygons at
+    the session's fps.  The SOAP round trip and its simulated cost are
+    the same either way.
+    """
     from repro.network.transport import SoapChannel
 
     network = render_service.container.network
@@ -104,6 +118,8 @@ def interrogate(render_service, requester_host: str) -> CapacityReport:
         service_name=render_service.name,
         host=render_service.host,
         capacity=cap,
-        committed_polygons=render_service.committed_polygons(),
+        committed_polygons=(render_service.committed_polygons()
+                            if committed_polygons is None
+                            else committed_polygons),
         elapsed_seconds=timing.total_seconds,
     )

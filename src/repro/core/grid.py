@@ -46,7 +46,7 @@ for the whole grid instead of one session.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from repro.core.capacity import DEFAULT_TARGET_FPS
@@ -230,6 +230,8 @@ class SessionGridManager:
         self.admissions = 0
         self.rejections = 0
         self.queue_timeouts = 0
+        #: admissions rolled back after connecting, by cause
+        self.rollbacks: Counter[str] = Counter()
         self._recent_rejects: deque[float] = deque(maxlen=1024)
         self.telemetry = ServiceTelemetry(name, host=data_service.host,
                                           kind=SERVICE_GRID)
@@ -262,9 +264,6 @@ class SessionGridManager:
             raise ServiceError(f"{service.name!r} is already a pool member")
         self._members[service.name] = service
         self.failed_members.discard(service.name)
-
-    def remove_member(self, name: str) -> None:
-        self._members.pop(name, None)
 
     def handle_member_failure(self, name: str) -> None:
         """Mark a member dead pool-wide; sessions recover via :meth:`lend`.
@@ -307,6 +306,18 @@ class SessionGridManager:
         foreign = max(0.0, service.committed_polygons() - grid_polys)
         committed = grid_pps + foreign * self.target_fps
         return service.capacity().polygons_per_second - committed
+
+    def committed_polygons(self, service, fps: float) -> float:
+        """One member's committed load, in polygons at ``fps``.
+
+        The ledger's own figure (:meth:`_member_spare_pps`) expressed as
+        the scene size that would draw the same polygon rate at ``fps``:
+        what a pool-owned session's scheduler reads in place of the
+        member's raw polygon count, so placement charges every co-tenant
+        at its own admitted rate, exactly as admission did.
+        """
+        return (service.capacity().polygons_per_second
+                - self._member_spare_pps(service)) / fps
 
     # -- capacity accounting -----------------------------------------------------------
 
@@ -392,6 +403,9 @@ class SessionGridManager:
                                        trace=trace)
             if decision is not None:
                 return decision
+            # a rolled-back attempt spent simulated time: the deadline
+            # runs from when the request actually joins the queue
+            now = self.now
         if len(self._queue) < self.queue_capacity:
             return self._enqueue(tenant, session_id, tree, fps, demand,
                                  now, on_admit, on_reject, trace=trace)
@@ -416,19 +430,29 @@ class SessionGridManager:
                    demand: int, now: float, queued_for: float,
                    trace: TraceContext | None = None
                    ) -> AdmissionDecision | None:
-        """Build, connect and place the session; None when placement fails."""
+        """Build, connect and place the session; None when it does not fit.
+
+        Capacity is decided before anything is committed: when the pool
+        cannot hold the demand in whole polygons nothing is connected.  A
+        placement that still fails after connecting is rolled back, and
+        its cause (the exception's class name) is counted in
+        :attr:`rollbacks`.
+        """
+        chosen = self._choose_members(demand, fps)
+        if not chosen:
+            return None
         try:
             self.data_service.session(session_id)
         except (ServiceError, KeyError):
             self.data_service.create_session(session_id, tree)
         session = CollaborativeSession(
             self.data_service, session_id, target_fps=fps, pool=self)
-        chosen = self._choose_members(demand * fps)
         try:
             for service in chosen:
                 session.connect(service)
             session.place_dataset()
-        except (InsufficientResources, ServiceError, NetworkError):
+        except (InsufficientResources, ServiceError, NetworkError) as exc:
+            self.rollbacks[type(exc).__name__] += 1
             for service in list(session.render_services):
                 try:
                     session.disconnect(service)
@@ -465,18 +489,25 @@ class SessionGridManager:
             "admission-queue wait before admit").observe(queued_for)
         return decision
 
-    def _choose_members(self, request_pps: float) -> list:
-        """Bin-pack: the fewest most-spare members that cover the demand."""
+    def _choose_members(self, demand: int, fps: float) -> list:
+        """Bin-pack: the fewest most-spare members that can hold the demand.
+
+        Each member is counted as the scheduler will place on it: a whole
+        number of polygons within its ledger headroom at ``fps``.  Empty
+        when the whole live pool cannot hold the demand, so a request
+        that placement would refuse bootstraps nothing.
+        """
         ranked = sorted(((self._member_spare_pps(s), s)
                          for s in self.live_members()),
                         key=lambda pair: (-pair[0], pair[1].name))
-        chosen, covered = [], 0.0
-        for spare, service in ranked:
+        chosen, covered = [], 0
+        for _, service in ranked:
             chosen.append(service)
-            covered += max(0.0, spare)
-            if covered >= request_pps:
-                break
-        return chosen
+            covered += int(max(0.0, service.capacity().polygon_budget(fps)
+                               - self.committed_polygons(service, fps)))
+            if covered >= demand:
+                return chosen
+        return []
 
     def _enqueue(self, tenant: str, session_id: str, tree, fps: float,
                  demand: int, now: float, on_admit, on_reject,

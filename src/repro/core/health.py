@@ -130,10 +130,6 @@ class HeartbeatMonitor:
         return sorted(name for name, lease in self._leases.items()
                       if lease.state == DEAD)
 
-    def live_services(self) -> list[str]:
-        return sorted(name for name, lease in self._leases.items()
-                      if lease.state != DEAD)
-
     def poll(self) -> list[tuple[str, str]]:
         """Evaluate every lease now; returns ``(name, new_state)`` changes."""
         self.polls += 1

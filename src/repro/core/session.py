@@ -77,7 +77,8 @@ class CollaborativeSession:
         #: the session orchestrates *work*, the grid owns *services*.
         self.pool = pool
         self.scheduler = RenderServiceScheduler(
-            data_service, target_fps=target_fps, recruiter=recruiter)
+            data_service, target_fps=target_fps, recruiter=recruiter,
+            pool=pool)
         self.distributor = distributor or DatasetDistributor()
         self.tile_distributor = FramebufferDistributor()
         self.migrator = migrator or WorkloadMigrator(target_fps=target_fps)
@@ -245,7 +246,9 @@ class CollaborativeSession:
 
         On a distributed placement, plans and applies the scene-subset
         split: every service's render session is narrowed to its share and
-        the data service's interest sets follow.
+        the data service's interest sets follow.  A pool-owned session's
+        scheduler reads each member's committed load from the grid's
+        ledger, so it places exactly what the grid admitted.
         """
         cost = tree_cost(self.master_tree)
         pool = self.render_services

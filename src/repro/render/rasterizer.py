@@ -87,10 +87,6 @@ class RasterStats:
     faces_rasterized: int
     fragments: int
 
-    @property
-    def visible_fraction(self) -> float:
-        return self.faces_rasterized / self.faces_in if self.faces_in else 0.0
-
 
 def _key(*parts) -> tuple:
     """What a kept table was built from, in a form ``==`` can compare."""

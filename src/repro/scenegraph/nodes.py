@@ -472,10 +472,6 @@ class AvatarNode(SceneNode):
     def label(self) -> str:
         return self.host or self.user
 
-    def follow_camera(self, camera: CameraNode) -> None:
-        self.position = camera.position.copy()
-        self.view_direction = camera.view_direction()
-
     def cone_geometry(self, size: float = 0.25, n_around: int = 8) -> Mesh:
         """The avatar's renderable cone, apex pointing along the view."""
         d = self.view_direction

@@ -168,16 +168,6 @@ class DataFederation:
         )
         return merged, timing
 
-    def parallel_bootstrap_seconds(self, session_id: str,
-                                   subscriber_prefix: str,
-                                   host: str) -> float:
-        """Convenience: measure just the critical-path seconds of a
-        fresh federated subscribe."""
-        clock = self.network.sim.clock
-        t0 = clock.now
-        self.subscribe(session_id, f"{subscriber_prefix}-{t0}", host)
-        return clock.now - t0
-
     # -- updates ----------------------------------------------------------------------
 
     def publish_update(self, session_id: str,

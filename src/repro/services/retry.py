@@ -138,10 +138,6 @@ class CircuitBreaker:
             return self.HALF_OPEN
         return self._state
 
-    @property
-    def consecutive_failures(self) -> int:
-        return self._failures
-
     def allow(self) -> bool:
         """May a call proceed right now?"""
         return self.state != self.OPEN

@@ -9,6 +9,7 @@ or releases.
 """
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import obs
 from repro.core.grid import (
@@ -917,3 +918,171 @@ class TestPolicyQueriesReadKeptCounts:
         tb.monitor.scrape_all()
         tb.network.sim.run_until(tb.clock.now + 1.0)
         assert "armed" not in {gs.session_id for gs in grid.sessions()}
+
+
+class RollbackSpy:
+    """Counts admission attempts that connected members and then let go.
+
+    Wraps the grid's ``_try_admit`` and every session's ``disconnect``:
+    an attempt that disconnects anything bootstrapped services it could
+    not place.
+    """
+
+    def __init__(self, grid, monkeypatch):
+        from repro.core.session import CollaborativeSession
+
+        self.attempts = 0
+        self.rolled_back = 0
+        self._disconnects = 0
+        real_disconnect = CollaborativeSession.disconnect
+        real_try_admit = grid._try_admit
+
+        def disconnect(session, service):
+            self._disconnects += 1
+            return real_disconnect(session, service)
+
+        def try_admit(*args, **kwargs):
+            before = self._disconnects
+            decision = real_try_admit(*args, **kwargs)
+            self.attempts += 1
+            self.rolled_back += self._disconnects > before
+            return decision
+
+        monkeypatch.setattr(CollaborativeSession, "disconnect", disconnect)
+        monkeypatch.setattr(grid, "_try_admit", try_admit)
+
+
+def member_use(grid):
+    """Each live member's delivered polygon rate over its capacity."""
+    return {m.name: sum(gs.session.share_polygons(m.name) * gs.fps_budget
+                        for gs in grid.sessions() if not gs.parked)
+            / m.capacity().polygons_per_second
+            for m in grid.live_members()}
+
+
+class TestOneCapacityModel:
+    """A pool-owned session is placed on the grid's own ledger.
+
+    Admission charges each session at its own frame rate; placement used
+    to re-check each member's raw polygon count at the *newcomer's* rate.
+    Two tenants at different frame rates on the athlon (11 Mpps) and the
+    centrino (8.4 Mpps) show both ways the two models disagreed.
+    """
+
+    def two_member_grid(self, tb):
+        grid = small_grid(tb, member_hosts=("centrino", "athlon"),
+                          queue_capacity=4)
+        open_tenants(grid, "slow", "fast")
+        return grid
+
+    def test_a_high_fps_request_the_ledger_holds_bootstraps_once(
+            self, monkeypatch):
+        tb = build_testbed()
+        grid = self.two_member_grid(tb)
+        # 1 104 polygons at 1 000 fps: 1.1 Mpps, single on the athlon
+        assert grid.request_session("slow", "slow", scene("slow"),
+                                    target_fps=1000.0).outcome == EVENT_ADMIT
+        spy = RollbackSpy(grid, monkeypatch)
+        # 112 polygons at 15 Mpps needs both members; charged at this
+        # rate, the slow tenant's raw 1 104 polygons filled the athlon
+        fast = grid.request_session("fast", "fast", scene("fast", nu=8),
+                                    target_fps=15e6 / 112)
+        assert fast.outcome == EVENT_ADMIT
+        assert (spy.attempts, spy.rolled_back) == (1, 0)
+        assert not grid.rollbacks
+        assert max(member_use(grid).values()) <= 1.0
+
+    def test_a_low_fps_request_is_never_placed_past_a_member(self):
+        tb = build_testbed()
+        grid = self.two_member_grid(tb)
+        # 112 polygons at 60 000 fps: 6.7 of the athlon's 11 Mpps
+        assert grid.request_session("fast", "fast", scene("fast", nu=8),
+                                    target_fps=60000.0).outcome \
+            == EVENT_ADMIT
+        # 1 104 polygons at 10 000 fps fits the pool's 12.7 Mpps spare;
+        # charged at 10 000 fps, the fast tenant's 112 polygons looked
+        # like 1.1 Mpps and the athlon took ~990 polygons (16.6 Mpps)
+        slow = grid.request_session("slow", "slow", scene("slow"),
+                                    target_fps=10000.0)
+        assert slow.outcome == EVENT_ADMIT
+        use = member_use(grid)
+        assert max(use.values()) <= 1.0, use
+        assert not grid.rollbacks
+
+    def test_a_request_short_of_whole_polygons_connects_nothing(
+            self, monkeypatch):
+        tb = build_testbed()
+        grid = self.two_member_grid(tb)
+        spy = RollbackSpy(grid, monkeypatch)
+        # exactly the pool's rate: the ledger holds it, but its two
+        # fractional headrooms floor to 111 whole polygons, not 112
+        decision = grid.request_session(
+            "fast", "fast", scene("fast", nu=8),
+            target_fps=grid.pool_pps() / 112)
+        assert decision.outcome == EVENT_QUEUE
+        assert spy.rolled_back == 0
+        assert not grid.rollbacks
+
+    def test_a_rollback_is_counted_by_cause_and_still_queues(
+            self, monkeypatch):
+        """A placement that fails after connecting (here: a bootstrap
+        that outlasts the queue timeout, then a fault) is rolled back,
+        named, and queued with its deadline counted from the rollback."""
+        from repro.core.session import CollaborativeSession
+        from repro.errors import ServiceError
+
+        tb = build_testbed()
+        grid = small_grid(tb, queue_timeout=5.0)
+        open_tenants(grid, "acme")
+
+        def failing_place(session):
+            tb.network.sim.run_until(tb.clock.now + 30.0)
+            raise ServiceError("render service fault mid-placement")
+
+        monkeypatch.setattr(CollaborativeSession, "place_dataset",
+                            failing_place)
+        spy = RollbackSpy(grid, monkeypatch)
+        decision = grid.request_session("acme", "s0", scene(0))
+        assert decision.outcome == EVENT_QUEUE
+        assert spy.rolled_back == 1
+        assert grid.rollbacks == {"ServiceError": 1}
+        assert grid._queue[0].deadline == pytest.approx(grid.now + 5.0)
+
+
+class TestLedgerProperty:
+    """Any mixed-fps request/release sequence keeps every member within
+    its polygon rate, and every admission that connects and then lets go
+    is counted with a named cause."""
+
+    SHARES = (0.05, 0.12, 0.2, 0.3, 0.45)
+
+    @given(steps=st.lists(
+        st.tuples(st.one_of(st.none(), st.floats(0.0, 0.999)),
+                  st.integers(0, 3), st.sampled_from(SHARES),
+                  st.sampled_from((8, 12, 24))),
+        min_size=1, max_size=16))
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_admission_never_overcommits_a_member(self, monkeypatch, steps):
+        tb = build_testbed()
+        grid = small_grid(tb, member_hosts=("centrino", "athlon"),
+                          queue_capacity=4, queue_timeout=20.0)
+        open_tenants(grid, *(f"t{i}" for i in range(4)), max_sessions=2)
+        with monkeypatch.context() as patch:
+            spy = RollbackSpy(grid, patch)
+            sim = tb.network.sim
+            for k, (release, tenant, share, nu) in enumerate(steps):
+                admitted = grid.sessions()
+                if release is not None and admitted:
+                    grid.release_session(
+                        admitted[int(release * len(admitted))].session_id)
+                tree = scene(k, nu=nu)
+                fps = share * grid.pool_pps() / tree.total_polygons()
+                grid.request_session(f"t{tenant}", f"s{k}", tree,
+                                     target_fps=fps)
+                grid.pump()
+                use = member_use(grid)
+                assert max(use.values()) <= 1.0 + 1e-9, use
+                sim.run_until(sim.now + 1.0)
+            assert spy.rolled_back == sum(grid.rollbacks.values())
+            assert "InsufficientResources" not in grid.rollbacks
