@@ -53,8 +53,8 @@ def main() -> int:
         cs.place_dataset()
         print(f"initial pool: {sorted(s.name for s in cs.render_services)}")
 
-        scaler = tb.autoscale_session(cs, cooldown_seconds=5.0,
-                                      min_services=3)
+        scaler = tb.autoscale(cs, cooldown_seconds=5.0,
+                              min_services=3)
 
         def drive() -> None:
             """Report collapsed frame rates while the pool is saturated."""

@@ -8,7 +8,7 @@
    ``retry_after`` hint — instead of silently degrading everyone.
 2. The grid exports queue depth and rejection rate like any other
    service; the monitor's sustained ``grid-saturated`` alert puts the
-   :class:`~repro.core.autoscale.RecruitmentAutoscaler` (fleet mode)
+   :class:`~repro.core.autoscale.RecruitmentAutoscaler` (the grid as its pool)
    to work and the pool grows via UDDI.
 3. With the recruit's capacity the admission queue drains to zero —
    every queued tenant gets its session, nobody starves.
@@ -57,7 +57,7 @@ def main() -> int:
             grid.register_tenant(TenantQuota(
                 tenant=tenant, priority=i % 3, max_sessions=2,
                 max_share=0.9, guaranteed_share=0.05))
-        scaler = tb.autoscale_grid(grid, cooldown_seconds=5.0, period=1.0)
+        scaler = tb.autoscale(grid, cooldown_seconds=5.0, period=1.0)
         client = tb.thin_client("front-door")
 
         print("-- admission burst ----------------------------------------")

@@ -13,11 +13,12 @@ This cross-file rule reconstructs both sides statically:
 - **registrations** — every ``.counter(...)``/``.gauge(...)``/
   ``.histogram(...)`` call whose first argument is a ``rave_*`` string
   literal, anywhere in the tree (tests register fixture metrics too),
-  plus the ``DERIVED_METRICS`` vocabulary (grid aggregates the monitor
-  computes without a registry);
+  plus every vocabulary name a row of the monitor's aggregation tables
+  publishes (grid aggregates it computes without a registry);
 - **consumptions** — every bare ``rave_*`` string literal in
-  ``obs/rules.py``, ``obs/dashboard.py`` and the tests/benchmarks
-  trees.  Literals ending in ``_`` are treated as prefix probes
+  ``obs/rules.py``, ``obs/dashboard.py``, ``services/monitor.py`` (the
+  source gauges its tables read) and the tests/benchmarks trees.
+  Literals ending in ``_`` are treated as prefix probes
   (``name.startswith("rave_net_")``) and consume every matching family;
   flattened histogram suffixes (``_count``/``_sum``/``_bucket`` and the
   derived quantile keys ``_p50``/``_p95``/``_p99``) map back to their
@@ -34,7 +35,7 @@ from collections.abc import Iterator
 import ast
 import re
 
-from repro.analysis.astutil import vocab_env, str_set
+from repro.analysis.astutil import vocab_env
 from repro.analysis.core import Checker, Finding, SourceFile, SourceTree, \
     register
 
@@ -44,7 +45,10 @@ NAME_RE = re.compile(r"rave_[a-z0-9]+(?:_[a-z0-9]+)*")
 PREFIX_RE = re.compile(r"rave_[a-z0-9_]*_")
 
 REGISTRY_METHODS = ("counter", "gauge", "histogram")
-CONSUMER_SUFFIXES = ("obs/rules.py", "obs/dashboard.py")
+CONSUMER_SUFFIXES = ("obs/rules.py", "obs/dashboard.py", "services/monitor.py")
+#: the monitor's aggregation tables: rows of source literals and
+#: vocabulary names for the grid-wide series they publish
+MONITOR_TABLES = ("FEDERATED_HISTOGRAMS", "GRID_AGGREGATES")
 #: flattened-histogram lookups resolve to their parent family: the
 #: scrape layer derives ``_count``/``_sum``/``_bucket`` and the
 #: interpolated ``_p50``/``_p95``/``_p99`` quantile keys from one
@@ -66,6 +70,20 @@ def _registrations(sf: SourceFile):
         if isinstance(arg, ast.Constant) and isinstance(arg.value, str) \
                 and NAME_RE.fullmatch(arg.value):
             yield arg.value, arg.lineno, arg
+
+
+def _derived(tree: SourceTree, env: dict) -> set[str]:
+    """The ``rave_*`` vocabulary names the monitor's tables publish."""
+    sf = tree.find("services/monitor.py")
+    if sf is None or sf.tree is None:
+        return set()
+    tables = [stmt.value for stmt in sf.tree.body
+              if isinstance(stmt, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id in MONITOR_TABLES
+                      for t in stmt.targets)]
+    names = {env.get(node.id) for table in tables for node in ast.walk(table)
+             if isinstance(node, ast.Name)}
+    return {n for n in names if isinstance(n, str) and NAME_RE.fullmatch(n)}
 
 
 @register
@@ -98,8 +116,7 @@ class MetricRegistryChecker(Checker):
                     src_registered.setdefault(name, (sf.rel, line))
 
         _, env = vocab_env(tree)
-        derived = str_set(env, "DERIVED_METRICS")
-        declared = set(registered) | derived
+        declared = set(registered) | _derived(tree, env)
 
         consumed: dict[str, tuple[str, int]] = {}
         prefixes: set[str] = set()
@@ -128,8 +145,8 @@ class MetricRegistryChecker(Checker):
             yield self.finding(
                 rel, line,
                 f"metric {name!r} is consumed here but never registered "
-                f"by any MetricsRegistry call site (nor declared in "
-                f"obs/vocab.DERIVED_METRICS) — the lookup reads zeros "
+                f"by any MetricsRegistry call site (nor published by a "
+                f"services/monitor.py table) — the lookup reads zeros "
                 f"forever",
                 symbol=name)
 

@@ -2,29 +2,32 @@
 
 Paper §3.2.7 sketches *resource-aware growth*: "if there is insufficient
 spare capacity, then the data server uses UDDI to discover additional
-render services ... recruited to join the session".  PR 3 closed the
-observe→migrate loop (monitor alerts drive
-:meth:`~repro.core.migration.WorkloadMigrator.plan`); this module closes
-the observe→**scale** loop on top of it:
+render services ... recruited to join the session".  The monitor's
+alerts drive migration (:meth:`~repro.core.migration.WorkloadMigrator.plan`);
+this module closes the observe→**scale** loop on top of it, for any of
+three render pools:
 
-- on sustained **grid-wide overload** — the monitor's aggregate
-  ``rave_grid_mean_fps`` pinned below the interactive threshold — with no
-  migration headroom left in the pool, the autoscaler triggers a
-  :class:`~repro.core.recruitment.Recruiter` UDDI scan through
-  :meth:`CollaborativeSession.recruit_more` and spreads work onto the
-  recruits (never re-recruiting the session's dead-service set);
-- on sustained **grid-wide underload** — aggregate utilisation below the
-  migration policy's threshold — it drains the least-utilised member's
-  share to its peers and releases the service back to the registry as
-  recruitable spare capacity (:meth:`CollaborativeSession.release_service`);
-- every decision respects a **cooldown window** on the simulated clock,
-  and a release is only taken when the survivors can absorb the drained
-  share inside their headroom — so grow/release never flap.
+- a :class:`~repro.core.session.CollaborativeSession` grows on sustained
+  grid-wide overload (``rave_grid_mean_fps`` pinned below the
+  interactive threshold) once migration has no headroom left, and
+  drains its least-utilised member on sustained grid-wide underload;
+- a :class:`~repro.core.grid.SessionGridManager` grows on saturated
+  admissions or overload, sheds low-priority tenants while it cannot
+  grow, and releases members no session uses once the grid is calm;
+- a :class:`~repro.farm.controller.RenderFarmController` grows on a
+  sustained ``farm-backlog`` and releases idle workers once it clears.
+
+One decision procedure, :meth:`RecruitmentAutoscaler.evaluate`, drives
+all three.  What differs lives on the pool: the alert kinds that count
+as pressure and calm, how it grows, what it may release, and how it
+relieves load before and settles tenants after a decision.  Every
+decision respects a **cooldown window** on the simulated clock and the
+``min_services`` / ``max_services`` bounds, so grow/release never flap.
 
 The autoscaler is a daemon tick like the monitor's scrape loop: it wakes
 on the simulated clock, reads :meth:`MonitorService.firing_alerts`, and
 acts.  Nothing here runs unless an autoscaler is constructed and started;
-sessions without one behave exactly as before.
+pools without one behave exactly as before.
 """
 
 from __future__ import annotations
@@ -32,16 +35,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from repro.core.cost import node_cost
 from repro.errors import ServiceError
 from repro.obs import active as _obs
-from repro.obs.rules import GRID_OVERLOAD_KIND, GRID_UNDERLOAD_KIND
-from repro.obs.vocab import (
-    ALERT_OVERLOAD,
-    EVENT_SCALE_PREFIX,
-    FARM_BACKLOG_KIND,
-    GRID_SATURATED_KIND,
-)
+from repro.obs.vocab import ALERT_OVERLOAD, EVENT_SCALE_PREFIX
 
 
 @dataclass(frozen=True)
@@ -57,31 +53,28 @@ class ScaleEvent:
 
 
 class RecruitmentAutoscaler:
-    """Grows and shrinks a session's render pool from monitor alerts."""
+    """Grows and shrinks a render pool from monitor alerts.
 
-    def __init__(self, session, monitor, period: float | None = None,
+    ``pool`` is a session, a session grid or a render farm; ``farm`` is a
+    render farm that shares a grid's pool: its backlog counts as
+    pressure too, and the grid's recruits become its workers.
+    """
+
+    def __init__(self, pool, monitor, period: float | None = None,
                  cooldown_seconds: float = 8.0, min_services: int = 1,
-                 max_services: int | None = None,
-                 drive_migration: bool = True, grid=None,
-                 farm=None) -> None:
+                 max_services: int | None = None, farm=None) -> None:
         if monitor is None:
             raise ServiceError("the autoscaler needs a MonitorService")
-        if session is None and grid is None and farm is None:
+        if pool is None:
             raise ServiceError(
-                "the autoscaler needs a session, a session grid, "
+                "the autoscaler needs a pool: a session, a session grid "
                 "or a render farm")
-        self.session = session
-        #: fleet mode: scale a shared multi-tenant pool
-        #: (:class:`~repro.core.grid.SessionGridManager`) from grid-wide
-        #: saturation signals instead of one session's alerts
-        self.grid = grid
-        #: second signal source: a batch render farm
-        #: (:class:`~repro.farm.controller.RenderFarmController`) whose
-        #: sustained ``farm-backlog`` alerts count as pool pressure; when
-        #: paired with a grid, recruits are adopted as farm workers too,
-        #: so one pool serves interactive sessions and batch jobs
+        self.pool = pool
         self.farm = farm
+        self.pressure_kinds = pool.PRESSURE_KINDS + (
+            farm.PRESSURE_KINDS if farm is not None else ())
         self.monitor = monitor
+        self.sim = monitor.network.sim
         self.period = float(period if period is not None else monitor.period)
         if self.period <= 0:
             raise ServiceError("autoscale period must be positive")
@@ -90,10 +83,6 @@ class RecruitmentAutoscaler:
         self.cooldown_seconds = float(cooldown_seconds)
         self.min_services = max(1, int(min_services))
         self.max_services = max_services
-        #: also run the migration policy each tick (alerts drive
-        #: :meth:`CollaborativeSession.rebalance`), so scaling and
-        #: shuffling share one control loop
-        self.drive_migration = drive_migration
         self.events: list[ScaleEvent] = []
         #: (time, size) at every pool-size change, bounded
         self.pool_history: deque = deque(maxlen=1024)
@@ -105,20 +94,8 @@ class RecruitmentAutoscaler:
 
     # -- plumbing -------------------------------------------------------------------
 
-    @property
-    def sim(self):
-        if self.grid is not None:
-            return self.grid.network.sim
-        if self.session is not None:
-            return self.session.data_service.network.sim
-        return self.farm.sim
-
     def pool_size(self) -> int:
-        if self.grid is not None:
-            return len(self.grid.members)
-        if self.session is not None:
-            return len(self.session.render_services)
-        return self.farm.pool_size()
+        return self.pool.pool_size()
 
     def in_cooldown(self, now: float) -> bool:
         """Inside the hysteresis window after the last scale decision?"""
@@ -149,153 +126,61 @@ class RecruitmentAutoscaler:
     def evaluate(self, alerts, now: float | None = None) -> list[ScaleEvent]:
         """One control-loop pass over the monitor's firing alerts.
 
-        Order of precedence: migrate within the pool if the migrator can
-        act; grow when grid-wide overload persists and the pool lacks the
-        headroom migration would need; release when grid-wide underload
-        persists and the survivors can absorb the drained share.
-        Decisions inside the cooldown window are deferred (migration
-        still runs, but with the session's UDDI recruiting suppressed so
-        a fresh release cannot be undone by the migrator's own recruit
-        fallback).
+        The pool first relieves what it can in place (a session migrates
+        work, and a migrator with no receiver may recruit — that counts
+        as growth).  Then, outside the cooldown window: grow on pressure
+        while below ``max_services``, or release on calm while above
+        ``min_services``.  Last, the pool settles its tenants on the
+        result (a grid sheds, restores and pumps its admission queue).
+        Growth, however it happens, never takes the pool past
+        ``max_services``.
         """
         now = self.sim.now if now is None else now
-        if self.grid is not None:
-            return self._evaluate_grid(list(alerts), now)
-        if self.session is None:
-            return self._evaluate_farm(list(alerts), now)
-        session = self.session
+        pool = self.pool
         self._note_pool(now)
         alerts = list(alerts)
-        grid_over = [a for a in alerts if a.kind == GRID_OVERLOAD_KIND]
-        grid_under = [a for a in alerts if a.kind == GRID_UNDERLOAD_KIND]
+        pressure = [a for kind in self.pressure_kinds
+                    for a in alerts if a.kind == kind]
+        calm = [a for a in alerts if a.kind == pool.CALM_KIND]
         cooling = self.in_cooldown(now)
-
-        before = {s.name for s in session.render_services}
-        migrations = []
-        if self.drive_migration and alerts:
-            if cooling:
-                saved, session.recruiter = session.recruiter, None
-                try:
-                    migrations = session.rebalance(alerts=alerts)
-                finally:
-                    session.recruiter = saved
-            else:
-                migrations = session.rebalance(alerts=alerts)
-        self.migrations += len(migrations)
+        room = 0 if cooling else self._room()
+        size = self.pool_size()
 
         events: list[ScaleEvent] = []
-        grown = [s.name for s in session.render_services
-                 if s.name not in before]
+        moved, grown = pool.relieve(alerts, room)
+        self.migrations += len(moved)
         if grown:
-            # the migrator's overload path already recruited (nobody had
-            # headroom for an alerted service) — record it as a grow
             reason = next((a.rule for a in alerts if a.kind == ALERT_OVERLOAD),
-                          grid_over[0].rule if grid_over else ALERT_OVERLOAD)
-            events.append(self._record("grow", now, reason, grown,
-                                       len(before)))
-        elif grid_over and not cooling and not self._at_max() \
-                and not self._migration_headroom(alerts):
-            pool_before = self.pool_size()
-            recruited = session.recruit_more()
-            if recruited:
-                if self.drive_migration:
-                    migrations = session.rebalance(alerts=alerts)
-                    self.migrations += len(migrations)
-                events.append(self._record(
-                    "grow", now, grid_over[0].rule,
-                    [s.name for s in recruited], pool_before))
-        elif grid_under and not grid_over and not cooling:
-            event = self._try_release(grid_under[0], now)
-            if event is not None:
-                events.append(event)
-        if events:
-            self._note_pool(self.sim.now)
-        return events
-
-    def _evaluate_grid(self, alerts, now: float) -> list[ScaleEvent]:
-        """Fleet mode: one control-loop pass over the shared session grid.
-
-        Saturation (queued/rejected admissions) or grid-wide overload
-        grows the pool through the grid's own recruiter; while growth is
-        unavailable (cooldown, max size, nothing discoverable) a
-        sustained overload sheds the lowest-priority tenants instead of
-        letting everyone collapse; calm skies walk the shed ladder back
-        up.  Every pass ends by pumping the admission queue so freed or
-        recruited capacity admits waiting requests promptly.
-        """
-        grid = self.grid
-        self._note_pool(now)
-        saturated = [a for a in alerts
-                     if a.kind == GRID_SATURATED_KIND]
-        grid_over = [a for a in alerts if a.kind == GRID_OVERLOAD_KIND]
-        grid_under = [a for a in alerts if a.kind == GRID_UNDERLOAD_KIND]
-        backlog = ([a for a in alerts if a.kind == FARM_BACKLOG_KIND]
-                   if self.farm is not None else [])
-        cooling = self.in_cooldown(now)
-
-        events: list[ScaleEvent] = []
-        pressure = saturated or grid_over or backlog
-        if pressure and not cooling and not self._at_max():
-            pool_before = self.pool_size()
-            recruited = grid.grow()
-            if recruited:
+                          pressure[0].rule if pressure else ALERT_OVERLOAD)
+            events.append(self._record("grow", now, reason,
+                                       [s.name for s in grown], size))
+        elif pressure and room != 0:
+            grown = pool.grow(room, alerts)
+            if grown:
                 if self.farm is not None:
-                    self._adopt_into_farm(recruited)
-                events.append(self._record(
-                    "grow", now, pressure[0].rule,
-                    [s.name for s in recruited], pool_before))
-        if grid_over and not events:
-            # no new capacity to be had right now: degrade gracefully
-            grid.shed(now)
-        if grid_under and not pressure and not cooling \
-                and self.pool_size() > self.min_services:
-            pool_before = self.pool_size()
-            released = grid.release_idle(min_members=self.min_services)
+                    self._adopt_into_farm(grown)
+                moved, _ = pool.relieve(
+                    alerts, None if room is None else room - len(grown))
+                self.migrations += len(moved)
+                events.append(self._record("grow", now, pressure[0].rule,
+                                           [s.name for s in grown], size))
+        elif (calm or pool.CALM_KIND is None) and not pressure \
+                and not cooling and size > self.min_services:
+            released = pool.release_idle(self.min_services)
             if released:
-                events.append(self._record(
-                    "release", now, grid_under[0].rule, released,
-                    pool_before))
-        if not pressure:
-            grid.restore(now)
-        grid.pump(now)
+                reason = calm[0].rule if calm else pool.PRESSURE_KINDS[0]
+                events.append(self._record("release", now, reason,
+                                           released, size))
+        pool.settle(now, pressure, grown)
         if events:
             self._note_pool(self.sim.now)
         return events
 
-    def _evaluate_farm(self, alerts, now: float) -> list[ScaleEvent]:
-        """Batch-only mode: scale a render farm from its backlog alerts.
-
-        Sustained ``farm-backlog`` (pending frames piling up at the
-        queue) recruits extra workers through the farm's own UDDI path;
-        once the backlog clears, idle workers are released back to the
-        registry, both under the usual cooldown hysteresis and pool
-        bounds.
-        """
-        farm = self.farm
-        self._note_pool(now)
-        backlog = [a for a in alerts if a.kind == FARM_BACKLOG_KIND]
-        cooling = self.in_cooldown(now)
-
-        events: list[ScaleEvent] = []
-        if backlog and not cooling and not self._at_max():
-            pool_before = self.pool_size()
-            recruited = farm.grow()
-            if recruited:
-                farm.dispatch()
-                events.append(self._record(
-                    "grow", now, backlog[0].rule,
-                    [s.name for s in recruited], pool_before))
-        if not backlog and not cooling \
-                and self.pool_size() > self.min_services:
-            pool_before = self.pool_size()
-            released = farm.release_idle(min_workers=self.min_services)
-            if released:
-                events.append(self._record(
-                    "release", now, FARM_BACKLOG_KIND, released,
-                    pool_before))
-        if events:
-            self._note_pool(self.sim.now)
-        return events
+    def _room(self) -> int | None:
+        """How many services growth may add (``None``: no cap)."""
+        if self.max_services is None:
+            return None
+        return max(0, self.max_services - self.pool_size())
 
     def _adopt_into_farm(self, recruited) -> None:
         """Recruits serve both planes when a farm shares the grid's pool."""
@@ -304,64 +189,6 @@ class RecruitmentAutoscaler:
             if service.name not in current:
                 self.farm.add_worker(service)
         self.farm.dispatch()
-
-    def _at_max(self) -> bool:
-        return (self.max_services is not None
-                and self.pool_size() >= self.max_services)
-
-    def _migration_headroom(self, alerts) -> bool:
-        """Can in-pool migration still relieve the overloaded members?
-
-        Measures the unalerted members' spare capacity against the shed
-        quantum the migrator asks per overloaded member (a tenth of its
-        budget).  When the whole pool is alerted — or nobody has enough
-        room — shuffling work is zero-sum and only recruitment helps.
-        """
-        session = self.session
-        fps = session.target_fps
-        over = {a.service for a in alerts if a.kind == ALERT_OVERLOAD}
-        live = [s for s in session.render_services
-                if session.service_live(s)]
-        alerted = [s for s in live if s.name in over]
-        receivers = [s for s in live if s.name not in over]
-        headroom = sum(
-            max(0.0, s.capacity().polygon_budget(fps)
-                - s.committed_polygons())
-            for s in receivers)
-        need = sum(0.1 * s.capacity().polygon_budget(fps)
-                   for s in alerted)
-        if not alerted:
-            # grid-wide slowdown with no member singled out: migration
-            # has no donor to act on, so headroom is moot — grow
-            return False
-        return headroom >= need
-
-    def _try_release(self, alert, now: float) -> ScaleEvent | None:
-        """Drain-and-release the least-utilised member, guarded."""
-        session = self.session
-        live = [s for s in session.render_services
-                if session.service_live(s)]
-        if len(live) <= self.min_services:
-            return None
-        target_fps = session.target_fps
-        candidate = min(live,
-                        key=lambda s: (s.utilisation(target_fps), s.name))
-        peers_headroom = sum(
-            max(0.0, s.capacity().polygon_budget(target_fps)
-                - s.committed_polygons())
-            for s in live if s is not candidate)
-        tree = session.master_tree
-        share_cost = sum(node_cost(tree.node(nid)).polygons
-                         for nid in session.share_of(candidate)
-                         if nid in tree)
-        if share_cost > peers_headroom:
-            # draining would overload the survivors and re-trigger a grow
-            # — the other half of the flap guard
-            return None
-        pool_before = self.pool_size()
-        session.release_service(candidate)
-        return self._record("release", now, alert.rule, [candidate.name],
-                            pool_before)
 
     def _record(self, kind: str, now: float, reason: str, names,
                 pool_before: int) -> ScaleEvent:

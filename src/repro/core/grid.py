@@ -64,6 +64,9 @@ from repro.obs.vocab import (
     EVENT_REJECT,
     EVENT_RESTORE,
     EVENT_SHED,
+    GRID_OVERLOAD_KIND,
+    GRID_SATURATED_KIND,
+    GRID_UNDERLOAD_KIND,
     SERVICE_GRID,
 )
 from repro.obs.telemetry import ServiceTelemetry
@@ -198,13 +201,17 @@ class ShedAction:
 class SessionGridManager:
     """Owns a shared render pool; bin-packs tenant sessions onto it."""
 
+    #: alert kinds that grow the pool (autoscaler), in precedence order
+    PRESSURE_KINDS = (GRID_SATURATED_KIND, GRID_OVERLOAD_KIND)
+    #: the alert kind that lets it release idle members
+    CALM_KIND = GRID_UNDERLOAD_KIND
+
     def __init__(self, data_service, members=None, recruiter=None,
                  name: str = "rave-grid",
                  target_fps: float = DEFAULT_TARGET_FPS,
                  queue_capacity: int = 4, queue_timeout: float = 30.0,
                  rejection_window: float = 10.0,
-                 default_quota: TenantQuota | None = None,
-                 max_pool_size: int | None = None) -> None:
+                 default_quota: TenantQuota | None = None) -> None:
         if queue_capacity < 0:
             raise ServiceError("queue_capacity must be >= 0")
         if queue_timeout <= 0:
@@ -216,7 +223,6 @@ class SessionGridManager:
         self.queue_capacity = queue_capacity
         self.queue_timeout = queue_timeout
         self.rejection_window = rejection_window
-        self.max_pool_size = max_pool_size
         self.default_quota = default_quota or TenantQuota(tenant="*")
         self._members: dict[str, object] = {}
         self.failed_members: set[str] = set()
@@ -681,13 +687,15 @@ class SessionGridManager:
         del self._sessions[session_id]
         return self.pump()
 
-    def lend(self, session: CollaborativeSession) -> list:
+    def lend(self, session: CollaborativeSession,
+             limit: int | None = None) -> list:
         """Attach spare pool members to a session (its recovery path).
 
         Called by :meth:`CollaborativeSession.recruit_more` when the
         session is pool-owned: instead of a UDDI scan, the shared pool
         lends out members the session is not yet using — preferring
-        spare capacity, skipping failed members and down hosts.
+        spare capacity, skipping failed members and down hosts, at most
+        ``limit`` of them.
         """
         attached = {s.name for s in session.render_services}
         candidates = [
@@ -698,13 +706,14 @@ class SessionGridManager:
         candidates.sort(key=lambda s: (-self._member_spare_pps(s), s.name))
         lent = []
         for service in candidates:
+            if limit is not None and len(lent) >= limit:
+                break
             if lent and self._member_spare_pps(service) <= 0:
                 break
             try:
-                session.connect(service)
+                session._join_idle(service)
             except (NetworkError, ServiceError):
                 continue
-            session._narrow(service, set())
             lent.append(service)
         return lent
 
@@ -861,30 +870,40 @@ class SessionGridManager:
 
     # -- pool scaling ----------------------------------------------------------------
 
-    def grow(self, count: int = 1) -> list:
-        """Recruit new members into the pool via UDDI (the autoscaler path)."""
+    def pool_size(self) -> int:
+        return len(self._members)
+
+    def relieve(self, alerts, limit: int | None = None) -> tuple[list, list]:
+        """Nothing moves in place: tenants are fitted in :meth:`settle`."""
+        return [], []
+
+    def settle(self, now: float, pressure, grown) -> None:
+        """Fit tenants to the pool after an autoscaling decision.
+
+        Overloaded with no new capacity to be had (cooldown, max size,
+        nothing discoverable), shed the lowest-priority tenants instead
+        of letting everyone collapse; with no pressure, walk the shed
+        ladder back up.  Either way pump the admission queue, so freed or
+        recruited capacity admits waiting requests promptly.
+        """
+        if not grown and any(a.kind == GRID_OVERLOAD_KIND
+                             for a in pressure):
+            self.shed(now)
+        if not pressure:
+            self.restore(now)
+        self.pump(now)
+
+    def grow(self, limit: int | None = None, alerts=()) -> list:
+        """Recruit one new member via UDDI (the autoscaler's grow step).
+
+        ``limit`` — how many may join (``0``: none); one joins per step
+        whatever the alerts say.
+        """
         if self.recruiter is None:
             return []
-        if (self.max_pool_size is not None
-                and len(self._members) >= self.max_pool_size):
-            return []
-        result = self.recruiter.recruit(
-            exclude=set(self._members) | self.failed_members)
-        network = self.network
-        added = []
-        for service in result.services:
-            if len(added) >= count:
-                break
-            if service.name in self._members:
-                continue
-            try:
-                if not network.host_is_up(service.host):
-                    continue
-            except NetworkError:
-                continue
-            self.add_member(service)
-            added.append(service)
-        return added
+        return self.recruiter.enlist(
+            self.network, set(self._members) | self.failed_members,
+            self.add_member, 1 if limit is None else min(1, limit))
 
     def release_idle(self, min_members: int = 1) -> list[str]:
         """Drop members no session touches (scale-in), queue permitting."""

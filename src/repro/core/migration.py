@@ -205,7 +205,8 @@ class WorkloadMigrator:
 
     # -- the rebalancing pass ------------------------------------------------------------
 
-    def plan(self, session, alerts=None) -> list[MigrationAction]:
+    def plan(self, session, alerts=None,
+             recruit_limit: int | None = None) -> list[MigrationAction]:
         """One policy pass over a :class:`CollaborativeSession`.
 
         Overloaded services shed work to the peer with the most headroom
@@ -222,6 +223,9 @@ class WorkloadMigrator:
         hold no samples, which lets a
         :class:`~repro.services.monitor.MonitorService` drive the policy
         from scraped telemetry.  Without alerts, behaviour is unchanged.
+
+        ``recruit_limit`` — how many services the recruiting fallback may
+        attach over the whole pass (``0``: none; ``None``: no cap).
         """
         obs = _obs()
         over_alerted = {a.service for a in alerts or ()
@@ -249,8 +253,11 @@ class WorkloadMigrator:
                          0.1 * service.capacity().polygon_budget(
                              self.target_fps))
             receiver = self._best_receiver(services, service, gave)
-            if receiver is None and session.recruiter is not None:
-                recruited = session.recruit_more()
+            if receiver is None and session.recruiter is not None \
+                    and recruit_limit != 0:
+                recruited = session.recruit_more(recruit_limit)
+                if recruit_limit is not None:
+                    recruit_limit -= len(recruited)
                 if recruited:
                     services = list(session.render_services)
                     receiver = self._best_receiver(services, service, gave)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.errors import NetworkError, ServiceError
 from repro.services.uddi import UddiClient
 
 #: UDDI names the RAVE deployment registers under
@@ -88,3 +89,28 @@ class Recruiter:
         return RecruitmentResult(services=recruited,
                                  scan_seconds=scan.elapsed_seconds,
                                  used_full_bootstrap=full)
+
+    def enlist(self, network, taken: set, add,
+               limit: int | None = None) -> list:
+        """Recruit, and ``add`` each newcomer whose host is up right now.
+
+        The one recruit loop a session, a session grid and a render farm
+        share.  ``taken`` — names already in the pool or declared dead,
+        never scanned back in.  A candidate on a down or unroutable host,
+        or one ``add`` refuses, is skipped; at most ``limit`` are added
+        (``0`` does not even scan).
+        """
+        if limit == 0:
+            return []
+        added = []
+        for service in self.recruit(exclude=taken).services:
+            if limit is not None and len(added) >= limit:
+                break
+            try:
+                if not network.host_is_up(service.host):
+                    continue
+                add(service)
+            except (NetworkError, ServiceError):
+                continue
+            added.append(service)
+        return added

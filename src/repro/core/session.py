@@ -24,7 +24,14 @@ from repro.core.migration import WorkloadMigrator
 from repro.core.scheduler import Placement, RenderServiceScheduler
 from repro.errors import NetworkError, ServiceError, SessionError
 from repro.obs import active as _obs
-from repro.obs.vocab import EVENT_PLACEMENT, EVENT_RECOVERY, EVENT_RELEASE
+from repro.obs.vocab import (
+    ALERT_OVERLOAD,
+    EVENT_PLACEMENT,
+    EVENT_RECOVERY,
+    EVENT_RELEASE,
+    GRID_OVERLOAD_KIND,
+    GRID_UNDERLOAD_KIND,
+)
 from repro.render.camera import Camera
 from repro.render.compositor import assemble_tiles, depth_composite
 from repro.render.framebuffer import BACKGROUND, FrameBuffer
@@ -59,6 +66,11 @@ class RecoveryReport:
 
 class CollaborativeSession:
     """One shared visualization session across the grid."""
+
+    #: alert kinds that grow the render pool (autoscaler)
+    PRESSURE_KINDS = (GRID_OVERLOAD_KIND,)
+    #: the alert kind that lets it release a member
+    CALM_KIND = GRID_UNDERLOAD_KIND
 
     def __init__(self, data_service, session_id: str,
                  target_fps: float = DEFAULT_TARGET_FPS,
@@ -157,43 +169,35 @@ class CollaborativeSession:
         del self._attachments[render_service.name]
         self._stop_heartbeat(render_service.name)
 
-    def recruit_more(self) -> list:
+    def recruit_more(self, limit: int | None = None) -> list:
         """Attach more render services: from the shared pool, or via UDDI.
 
         Pool-owned sessions borrow spare members from their
         :class:`~repro.core.grid.SessionGridManager`; stand-alone
         sessions scan UDDI through their recruiter.  Services already
         declared dead, and services whose host is down right now, are
-        never (re-)recruited either way.
+        never (re-)recruited either way; at most ``limit`` are attached.
         """
         if self.pool is not None:
-            return self.pool.lend(self)
+            return self.pool.lend(self, limit)
         if self.recruiter is None:
             return []
-        result = self.recruiter.recruit(
-            exclude=set(self._attachments) | self.failed_services)
-        attached = []
-        network = self.data_service.network
-        for service in result.services:
-            if service.name in self._attachments:
-                continue
-            try:
-                if not network.host_is_up(service.host):
-                    continue
-                self.connect(service)
-            except (NetworkError, ServiceError):
-                # unknown/unroutable host (e.g. a network partition between
-                # the data service and the candidate): skip it, keep
-                # recruiting the reachable ones
-                continue
-            # A plain connect leaves the render session unnarrowed
-            # (assigned_ids None = the whole tree), so the recruit would
-            # *commit* the full scene while its share says empty — it
-            # must join idle until migration or distribution hands it
-            # work, or it reads as the most loaded member of the pool.
-            self._narrow(service, set())
-            attached.append(service)
-        return attached
+        return self.recruiter.enlist(
+            self.data_service.network,
+            set(self._attachments) | self.failed_services,
+            self._join_idle, limit)
+
+    def _join_idle(self, service) -> None:
+        """Connect a recruit with an empty share.
+
+        A plain connect leaves the render session unnarrowed (assigned_ids
+        None = the whole tree), so the recruit would *commit* the full
+        scene while its share says empty — it must join idle until
+        migration or distribution hands it work, or it reads as the most
+        loaded member of the pool.
+        """
+        self.connect(service)
+        self._narrow(service, set())
 
     def release_service(self, service) -> dict[str, tuple[int, ...]]:
         """Drain a member's share to its peers and detach it (scale-in).
@@ -238,6 +242,70 @@ class CollaborativeSession:
                                 "render services drained and released",
                                 session=self.session_id).inc()
         return reassigned
+
+    # -- autoscaling (driven by RecruitmentAutoscaler) ------------------------------
+
+    def pool_size(self) -> int:
+        return len(self._attachments)
+
+    def relieve(self, alerts, limit: int | None = None) -> tuple[list, list]:
+        """Migrate before scaling: one policy pass over ``alerts``.
+
+        Returns the migrations and the services the migrator recruited
+        because no member could take an overloaded one's work — at most
+        ``limit`` of them (``0`` suppresses recruiting).
+        """
+        if not alerts:
+            return [], []
+        before = set(self._attachments)
+        moved = self.migrator.plan(self, alerts=alerts, recruit_limit=limit)
+        return moved, [s for s in self.render_services
+                       if s.name not in before]
+
+    def grow(self, limit: int | None = None, alerts=()) -> list:
+        """Recruit, unless migration can still relieve the alerted members.
+
+        Every live recruit joins, at most ``limit``.  Migration headroom
+        is the unalerted members' spare capacity against the shed quantum
+        the migrator asks per overloaded member (a tenth of its budget).
+        With no member singled out, or the whole pool alerted, shuffling
+        work is zero-sum: only recruiting helps.
+        """
+        over = {a.service for a in alerts if a.kind == ALERT_OVERLOAD}
+        live = [s for s in self.render_services if self.service_live(s)]
+        alerted = [s for s in live if s.name in over]
+        headroom = sum(self._headroom(s) for s in live
+                       if s.name not in over)
+        need = sum(0.1 * s.capacity().polygon_budget(self.target_fps)
+                   for s in alerted)
+        if alerted and headroom >= need:
+            return []
+        return self.recruit_more(limit)
+
+    def release_idle(self, min_services: int = 1) -> list[str]:
+        """Drain and release the least-utilised live member (scale-in).
+
+        Refused at the ``min_services`` floor, and when the survivors
+        could not absorb the drained share inside their headroom —
+        draining would overload them and re-trigger a grow.
+        """
+        live = [s for s in self.render_services if self.service_live(s)]
+        if len(live) <= min_services:
+            return []
+        candidate = min(live, key=lambda s: (s.utilisation(self.target_fps),
+                                             s.name))
+        peers_headroom = sum(self._headroom(s) for s in live
+                             if s is not candidate)
+        tree = self.master_tree
+        share_cost = sum(node_cost(tree.node(nid)).polygons
+                         for nid in self.share_of(candidate) if nid in tree)
+        if share_cost > peers_headroom:
+            return []
+        self.release_service(candidate)
+        return [candidate.name]
+
+    def settle(self, now: float, pressure, grown) -> None:
+        """Nothing to fit: :meth:`relieve` spreads work onto recruits."""
 
     # -- placement & distribution ----------------------------------------------------------
 
@@ -485,8 +553,7 @@ class CollaborativeSession:
         if orphans:
             survivors = [a for a in self._attachments.values()
                          if self.service_live(a.service)]
-            if (not any(self._attachment_headroom(a) > 0
-                        for a in survivors)):
+            if not any(self._headroom(a.service) > 0 for a in survivors):
                 recruited = [s.name for s in self.recruit_more()]
                 survivors = [a for a in self._attachments.values()
                              if self.service_live(a.service)]
@@ -526,8 +593,7 @@ class CollaborativeSession:
                           session=self.session_id).inc(len(recruited))
         return report
 
-    def _attachment_headroom(self, attachment) -> float:
-        service = attachment.service
+    def _headroom(self, service) -> float:
         return max(0.0, service.capacity().polygon_budget(self.target_fps)
                    - service.committed_polygons())
 
@@ -544,7 +610,7 @@ class CollaborativeSession:
               if nid in self.master_tree else 0, nid)
              for nid in orphans),
             reverse=True)
-        remaining = {a.service.name: self._attachment_headroom(a)
+        remaining = {a.service.name: self._headroom(a.service)
                      for a in survivors}
         assigned: dict[str, set[int]] = {}
         for polys, nid in costed:

@@ -27,6 +27,7 @@ from __future__ import annotations
 from repro.core.health import HeartbeatMonitor, HeartbeatSource
 from repro.errors import NetworkError, ServiceError, SessionError
 from repro.obs import active as _obs
+from repro.obs.vocab import FARM_BACKLOG_KIND
 from repro.services.protocol import (
     FarmResult,
     frame_farm_result,
@@ -36,6 +37,10 @@ from repro.services.protocol import (
 
 class RenderFarmController:
     """Schedules one queue's frames across a pool of render workers."""
+
+    #: alert kinds that grow the pool (autoscaler); calm is their absence
+    PRESSURE_KINDS = (FARM_BACKLOG_KIND,)
+    CALM_KIND = None
 
     def __init__(self, queue, data_service, workers=(), recruiter=None,
                  poll_period: float = 0.5,
@@ -122,25 +127,19 @@ class RenderFarmController:
     def idle_workers(self) -> list:
         return [s for s in self.live_workers() if s.name not in self._busy]
 
-    def grow(self, count: int = 1) -> list:
-        """Recruit extra workers via UDDI (the autoscaler's farm path)."""
+    def grow(self, limit: int | None = None, alerts=()) -> list:
+        """Recruit one worker via UDDI and offer it work at once.
+
+        The autoscaler's grow step: ``limit`` — how many may join
+        (``0``: none); one joins per step whatever the alerts say.
+        """
         if self.recruiter is None:
             return []
-        result = self.recruiter.recruit(
-            exclude=set(self._workers) | self.failed_workers)
-        added = []
-        for service in result.services:
-            if len(added) >= count:
-                break
-            if service.name in self._workers:
-                continue
-            try:
-                if not self.network.host_is_up(service.host):
-                    continue
-            except NetworkError:
-                continue
-            self.add_worker(service)
-            added.append(service)
+        added = self.recruiter.enlist(
+            self.network, set(self._workers) | self.failed_workers,
+            self.add_worker, 1 if limit is None else min(1, limit))
+        if added:
+            self.dispatch()
         return added
 
     def release_idle(self, min_workers: int = 1) -> list[str]:
@@ -157,6 +156,13 @@ class RenderFarmController:
         for name in released:
             self.remove_worker(name)
         return released
+
+    def relieve(self, alerts, limit: int | None = None) -> tuple[list, list]:
+        """Nothing moves in place: a worker holds one frame at a time."""
+        return [], []
+
+    def settle(self, now: float, pressure, grown) -> None:
+        """Nothing to fit: recruits were offered work as they joined."""
 
     # -- failure handling -------------------------------------------------------------
 

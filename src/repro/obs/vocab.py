@@ -151,8 +151,9 @@ BOUNDED_LABEL_KEYS = frozenset({
 
 # -- derived metric names -------------------------------------------------------------
 # Grid-wide aggregates the monitor computes from scraped payloads.  They
-# never pass through a MetricsRegistry call site, so the metric-registry
-# checker treats this frozenset as their registration.
+# never pass through a MetricsRegistry call site: the metric-registry
+# checker reads the monitor's aggregation tables (``GRID_AGGREGATES``,
+# ``FEDERATED_HISTOGRAMS`` in services/monitor.py) as their registration.
 
 GRID_RENDER_SERVICES = "rave_grid_render_services"
 GRID_MEAN_FPS = "rave_grid_mean_fps"
@@ -172,39 +173,6 @@ GRID_FARM_STARVED = "rave_grid_farm_starved_jobs"
 # declaring the base covers the derived quantile keys).
 GRID_QUEUE_WAIT = "rave_grid_queue_wait_seconds"
 GRID_FARM_RENDER = "rave_grid_farm_render_seconds"
-
-DERIVED_METRICS = frozenset({
-    GRID_RENDER_SERVICES,
-    GRID_MEAN_FPS,
-    GRID_MIN_FPS,
-    GRID_OVERLOADED_FRACTION,
-    GRID_MEAN_UTILISATION,
-    GRID_MAX_UTILISATION,
-    GRID_QUEUE_DEPTH,
-    GRID_REJECTION_RATE,
-    GRID_FARM_BACKLOG,
-    GRID_FARM_THROUGHPUT,
-    GRID_FARM_STARVED,
-    GRID_QUEUE_WAIT,
-    GRID_FARM_RENDER,
-})
-
-# -- admission-plane scraped gauge names ----------------------------------------------
-# Registered (as string literals, for the metric-registry checker) by the
-# SessionGridManager's telemetry; the monitor maps the flat scraped values
-# onto the GRID_QUEUE_DEPTH / GRID_REJECTION_RATE derived aggregates.
-
-ADMISSION_QUEUE_DEPTH = "rave_queue_depth"
-ADMISSION_REJECTION_RATE = "rave_admission_rejection_rate"
-
-# -- render-farm scraped gauge names --------------------------------------------------
-# Registered (as string literals) by the FrameQueueService's telemetry;
-# the monitor maps queue depth / throughput onto the GRID_FARM_BACKLOG /
-# GRID_FARM_THROUGHPUT derived aggregates the farm-backlog rule fires on.
-
-FARM_QUEUE_DEPTH = "rave_farm_queue_depth"
-FARM_FRAMES_PER_SECOND = "rave_farm_frames_per_second"
-FARM_STARVED_JOBS = "rave_farm_starved_jobs"
 
 #: every kind a ``.kind == "..."`` comparison may legitimately name
 KNOWN_KINDS = (EVENT_KINDS | ALERT_KINDS | SERVICE_KINDS
@@ -269,11 +237,5 @@ __all__ = [
     "GRID_FARM_STARVED",
     "GRID_QUEUE_WAIT",
     "GRID_FARM_RENDER",
-    "DERIVED_METRICS",
-    "ADMISSION_QUEUE_DEPTH",
-    "ADMISSION_REJECTION_RATE",
-    "FARM_QUEUE_DEPTH",
-    "FARM_FRAMES_PER_SECOND",
-    "FARM_STARVED_JOBS",
     "KNOWN_KINDS",
 ]

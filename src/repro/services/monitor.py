@@ -91,6 +91,39 @@ FEDERATED_HISTOGRAMS = (
 #: quantiles published for each federated histogram
 FEDERATED_QUANTILES = (0.95, 0.99)
 
+#: scraped gauges the monitor reduces grid-wide, one row per derived
+#: series: (payload kind, source gauge, target, reduction).  A ``None``
+#: source counts that kind's payloads.  A service that does not export
+#: the source (a render service that never rendered has no fps gauge)
+#: is left out of the reduction rather than dragging it toward zero.
+GRID_AGGREGATES = (
+    (SERVICE_RENDER, None, GRID_RENDER_SERVICES, "count"),
+    (SERVICE_RENDER, "rave_rs_fps", GRID_MEAN_FPS, "mean"),
+    (SERVICE_RENDER, "rave_rs_fps", GRID_MIN_FPS, "min"),
+    (SERVICE_RENDER, "rave_rs_fps", GRID_OVERLOADED_FRACTION, "overloaded"),
+    (SERVICE_RENDER, "rave_rs_utilisation", GRID_MEAN_UTILISATION, "mean"),
+    (SERVICE_RENDER, "rave_rs_utilisation", GRID_MAX_UTILISATION, "max"),
+    (SERVICE_GRID, "rave_queue_depth", GRID_QUEUE_DEPTH, "last"),
+    (SERVICE_GRID, "rave_admission_rejection_rate", GRID_REJECTION_RATE,
+     "last"),
+    (SERVICE_FARM, "rave_farm_queue_depth", GRID_FARM_BACKLOG, "sum"),
+    (SERVICE_FARM, "rave_farm_frames_per_second", GRID_FARM_THROUGHPUT,
+     "sum"),
+    (SERVICE_FARM, "rave_farm_starved_jobs", GRID_FARM_STARVED, "sum"),
+)
+
+#: how a :data:`GRID_AGGREGATES` row reduces the values it found
+REDUCTIONS = {
+    "count": lambda found: float(len(found)),
+    "mean": lambda found: sum(found) / len(found),
+    "min": min,
+    "max": max,
+    "sum": lambda found: sum(found, 0.0),
+    "last": lambda found: found[-1],
+    "overloaded": lambda found: (
+        sum(1 for v in found if v < DEFAULT_OVERLOAD_FPS) / len(found)),
+}
+
 
 class MonitorService:
     """Scrapes per-service telemetry; evaluates alerts and SLOs.
@@ -315,65 +348,24 @@ class MonitorService:
     # -- grid-wide aggregates -------------------------------------------------------
 
     def grid_values(self) -> dict[str, float]:
-        """Aggregate the latest scraped render-service payloads.
+        """Aggregate the latest scraped payloads into the grid-wide view.
 
-        The pool-wide view the autoscaler's rules evaluate: mean/min frame
-        rate, mean/max utilisation and the fraction of render services
-        currently below the interactive threshold, computed from whatever
-        each service last shipped over the wire (a service that never
-        rendered exports no fps gauge and does not drag the mean down).
+        The series the grid rules (and so the autoscaler) evaluate: one
+        per :data:`GRID_AGGREGATES` row, reduced over whatever each
+        service last shipped over the wire, plus the federated
+        histogram quantiles.
         """
         values: dict[str, float] = {}
-        renders = [name for name in sorted(self._latest)
-                   if self._latest[name].get("kind") == SERVICE_RENDER]
-        if renders:
-            flats = [self._flat[name] for name in renders]
-            fps = [f["rave_rs_fps"] for f in flats if "rave_rs_fps" in f]
-            utils = [f["rave_rs_utilisation"] for f in flats
-                     if "rave_rs_utilisation" in f]
-            values[GRID_RENDER_SERVICES] = float(len(renders))
-            if fps:
-                values[GRID_MEAN_FPS] = sum(fps) / len(fps)
-                values[GRID_MIN_FPS] = min(fps)
-                values[GRID_OVERLOADED_FRACTION] = (
-                    sum(1 for v in fps if v < DEFAULT_OVERLOAD_FPS)
-                    / len(fps))
-            if utils:
-                values[GRID_MEAN_UTILISATION] = sum(utils) / len(utils)
-                values[GRID_MAX_UTILISATION] = max(utils)
-        # the admission plane: a scraped SessionGridManager payload maps
-        # its queue-depth / rejection-rate gauges onto the fleet-wide
-        # aggregates the grid-saturated rules (and autoscaler) evaluate
+        flats: dict[str, list[dict[str, float]]] = {}
         for name in sorted(self._latest):
-            payload = self._latest[name]
-            if payload.get("kind") != SERVICE_GRID:
-                continue
-            flat = self._flat[name]
-            if "rave_queue_depth" in flat:
-                values[GRID_QUEUE_DEPTH] = flat["rave_queue_depth"]
-            if "rave_admission_rejection_rate" in flat:
-                values[GRID_REJECTION_RATE] = (
-                    flat["rave_admission_rejection_rate"])
-        # the batch plane: a scraped FrameQueueService payload maps its
-        # pending-frame depth / trailing throughput onto the aggregates
-        # the farm-backlog rule (the autoscaler's second signal) fires on
-        for name in sorted(self._latest):
-            payload = self._latest[name]
-            if payload.get("kind") != SERVICE_FARM:
-                continue
-            flat = self._flat[name]
-            if "rave_farm_queue_depth" in flat:
-                values[GRID_FARM_BACKLOG] = (
-                    values.get(GRID_FARM_BACKLOG, 0.0)
-                    + flat["rave_farm_queue_depth"])
-            if "rave_farm_frames_per_second" in flat:
-                values[GRID_FARM_THROUGHPUT] = (
-                    values.get(GRID_FARM_THROUGHPUT, 0.0)
-                    + flat["rave_farm_frames_per_second"])
-            if "rave_farm_starved_jobs" in flat:
-                values[GRID_FARM_STARVED] = (
-                    values.get(GRID_FARM_STARVED, 0.0)
-                    + flat["rave_farm_starved_jobs"])
+            flats.setdefault(self._latest[name].get("kind"), []).append(
+                self._flat[name])
+        for kind, source, target, reduction in GRID_AGGREGATES:
+            found = flats.get(kind, [])
+            if source is not None:
+                found = [flat[source] for flat in found if source in flat]
+            if found:
+                values[target] = REDUCTIONS[reduction](found)
         # the tail plane: federated histogram quantiles from the merged
         # (not averaged) per-service bucket counts
         for family, derived in FEDERATED_HISTOGRAMS:

@@ -65,7 +65,7 @@ class Testbed:
     #: the batch frame queue (None unless built with ``farm=True``)
     farm_queue: object | None = None
     #: autoscaler construction parameters (None unless built with
-    #: ``autoscale=``); consumed by :meth:`autoscale_session`
+    #: ``autoscale=``); consumed by :meth:`autoscale`
     autoscale_config: dict | None = None
     _clients: list = field(default_factory=list)
 
@@ -147,21 +147,6 @@ class Testbed:
             self.monitor.watch(grid)
         return grid
 
-    def autoscale_grid(self, grid, **overrides):
-        """Attach a started fleet-mode autoscaler to a session grid."""
-        from repro.core.autoscale import RecruitmentAutoscaler
-
-        if self.monitor is None:
-            raise ServiceError(
-                "autoscaling needs the monitoring plane; build the "
-                "testbed with monitor_host=")
-        config = dict(self.autoscale_config or {})
-        config.update(overrides)
-        autoscaler = RecruitmentAutoscaler(None, self.monitor, grid=grid,
-                                           **config)
-        autoscaler.start()
-        return autoscaler
-
     def render_farm(self, worker_hosts: tuple[str, ...] | None = None,
                     recruit: bool = True, **kwargs):
         """Build a :class:`~repro.farm.controller.RenderFarmController`.
@@ -186,25 +171,11 @@ class Testbed:
             self.farm_queue, self.data_service, workers=workers,
             recruiter=self.recruiter() if recruit else None, **kwargs)
 
-    def autoscale_farm(self, farm, **overrides):
-        """Attach a started farm-mode autoscaler to a render farm."""
-        from repro.core.autoscale import RecruitmentAutoscaler
+    def autoscale(self, pool, **overrides):
+        """Attach a started :class:`RecruitmentAutoscaler` to a pool.
 
-        if self.monitor is None:
-            raise ServiceError(
-                "autoscaling needs the monitoring plane; build the "
-                "testbed with monitor_host=")
-        config = dict(self.autoscale_config or {})
-        config.update(overrides)
-        autoscaler = RecruitmentAutoscaler(None, self.monitor, farm=farm,
-                                           **config)
-        autoscaler.start()
-        return autoscaler
-
-    def autoscale_session(self, session, **overrides):
-        """Attach a started :class:`RecruitmentAutoscaler` to a session.
-
-        Uses the parameters captured by ``build_testbed(autoscale=...)``
+        ``pool`` — a session, a session grid or a render farm.  Uses the
+        parameters captured by ``build_testbed(autoscale=...)``
         (overridable per call) and the testbed's monitor.  The returned
         autoscaler is already ticking on the simulated clock.
         """
@@ -216,7 +187,7 @@ class Testbed:
                 "testbed with monitor_host=")
         config = dict(self.autoscale_config or {})
         config.update(overrides)
-        autoscaler = RecruitmentAutoscaler(session, self.monitor, **config)
+        autoscaler = RecruitmentAutoscaler(pool, self.monitor, **config)
         autoscaler.start()
         return autoscaler
 
@@ -239,10 +210,10 @@ def build_testbed(render_hosts: tuple[str, ...] = RENDER_HOSTS,
     plane — behaviour is bit-identical to earlier seeds.
 
     ``autoscale`` — capture recruitment-autoscaler parameters for
-    :meth:`Testbed.autoscale_session` (``True`` for the defaults, or a
+    :meth:`Testbed.autoscale` (``True`` for the defaults, or a
     dict of :class:`~repro.core.autoscale.RecruitmentAutoscaler` keyword
     arguments such as ``{"cooldown_seconds": 5.0}``).  Requires
-    ``monitor_host``; sessions opt in by calling ``autoscale_session``.
+    ``monitor_host``; pools opt in by calling ``autoscale``.
 
     ``farm`` — deploy a :class:`~repro.farm.queue_service.FrameQueueService`
     (``rave-farm-queue``) on ``farm_host`` (default: the data host),

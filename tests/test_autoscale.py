@@ -171,14 +171,14 @@ class TestAutoscalerWiring:
     def test_autoscale_session_requires_the_monitoring_plane(self):
         tb = build_testbed()
         with pytest.raises(ServiceError):
-            tb.autoscale_session(object())
+            tb.autoscale(object())
 
     def test_testbed_config_flows_into_the_autoscaler(self):
         tb = build_testbed(monitor_host=MONITOR_HOST,
                            autoscale={"cooldown_seconds": 2.5,
                                       "max_services": 4})
         cs = small_session(tb)
-        scaler = tb.autoscale_session(cs, max_services=3)
+        scaler = tb.autoscale(cs, max_services=3)
         scaler.stop()
         assert scaler.cooldown_seconds == 2.5   # from build_testbed
         assert scaler.max_services == 3         # per-call override wins
@@ -186,7 +186,7 @@ class TestAutoscalerWiring:
     def test_snapshot_and_dashboard_carry_the_pool_section(self):
         tb = monitored_testbed()
         cs = small_session(tb)
-        scaler = tb.autoscale_session(cs)
+        scaler = tb.autoscale(cs)
         scaler.stop()
         snap = tb.monitor.snapshot()
         assert snap["autoscale"]["pool_size"] == 2
@@ -200,7 +200,7 @@ class TestAutoscalerWiring:
         tb = build_testbed(monitor_host=MONITOR_HOST, autoscale=True,
                            monitor_period=0.5)
         cs = small_session(tb)
-        scaler = tb.autoscale_session(cs)
+        scaler = tb.autoscale(cs)
         scaler.stop()
         assert scaler.period == 0.5
 
@@ -213,7 +213,6 @@ class TestAutoscalerDecisions:
         tb = monitored_testbed()
         cs = small_session(tb)
         kwargs.setdefault("cooldown_seconds", 4.0)
-        kwargs.setdefault("drive_migration", False)
         return tb, cs, RecruitmentAutoscaler(cs, tb.monitor, **kwargs)
 
     def test_grid_overload_grows_through_uddi(self):
@@ -296,8 +295,7 @@ class TestAutoscalerDecisions:
         tb = monitored_testbed()
         cs = small_session(tb, hosts=("centrino", "xeon"),
                            polygons=12_000)
-        scaler = RecruitmentAutoscaler(cs, tb.monitor,
-                                       drive_migration=False)
+        scaler = RecruitmentAutoscaler(cs, tb.monitor)
         alerts = [galert(GRID_OVERLOAD_KIND),
                   galert("overload", service="rs-centrino")]
         assert scaler.evaluate(alerts, now=10.0) == []
@@ -408,8 +406,8 @@ def run_autoscaled_loop(tb):
     bundle = obs.install(clock=tb.clock)
     try:
         cs = small_session(tb)
-        scaler = tb.autoscale_session(cs, cooldown_seconds=5.0,
-                                      min_services=3)
+        scaler = tb.autoscale(cs, cooldown_seconds=5.0,
+                              min_services=3)
 
         def drive():
             pool = cs.render_services

@@ -491,12 +491,6 @@ class TestPoolScaling:
         assert all(d.outcome == EVENT_ADMIT for d in resolved)
         assert grid.queue_depth() == 0
 
-    def test_max_pool_size_caps_growth(self):
-        tb = build_testbed()
-        grid = small_grid(tb, max_pool_size=1)
-        assert grid.grow() == []
-        assert len(grid.members) == 1
-
     def test_release_idle_keeps_members_carrying_shares(self):
         tb = build_testbed()
         grid = small_grid(tb, member_hosts=("centrino", "onyx"))
@@ -625,7 +619,7 @@ class TestAutoscalerGridMode:
         tb = build_testbed(monitor_host="registry-host", autoscale=True)
         grid = small_grid(tb, queue_capacity=4, queue_timeout=600.0)
         open_tenants(grid, "acme", "beta")
-        auto = tb.autoscale_grid(grid, cooldown_seconds=5.0, period=1.0)
+        auto = tb.autoscale(grid, cooldown_seconds=5.0, period=1.0)
         queued = []
         for i, tenant in enumerate(["acme", "beta", "acme", "beta"]):
             d = grid.request_session(tenant, f"s{i}", scene(i))
@@ -646,8 +640,8 @@ class TestAutoscalerGridMode:
         tb = build_testbed(monitor_host="registry-host", autoscale=True)
         grid = small_grid(tb, member_hosts=("centrino", "onyx"))
         open_tenants(grid, "acme")
-        tb.autoscale_grid(grid, cooldown_seconds=5.0, period=1.0,
-                          min_services=1)
+        tb.autoscale(grid, cooldown_seconds=5.0, period=1.0,
+                     min_services=1)
         sim = tb.network.sim
         for _ in range(120):
             sim.run_until(sim.now + 1.0)

@@ -283,7 +283,7 @@ class TestMigrationPolicy:
                               {"slow": set(ids), "busy": set()})
         session.recruiter = object()        # non-None: recruiting allowed
         recruit_calls = []
-        session.recruit_more = lambda: recruit_calls.append(1) or []
+        session.recruit_more = lambda limit=None: recruit_calls.append(1) or []
         migrator = WorkloadMigrator(target_fps=10, overload_fps=8.0,
                                     smoothing_seconds=3.0)
         for i in range(8):

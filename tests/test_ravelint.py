@@ -28,6 +28,7 @@ from repro.analysis import (
 # register them (hence the suppressions)
 GHOST_METRIC = "rave_fx_ghost_total"    # ravelint: ignore[metric-registry]
 ORPHAN_METRIC = "rave_fx_orphan"        # ravelint: ignore[metric-registry]
+TYPO_METRIC = "rave_fx_good_totl"       # ravelint: ignore[metric-registry]
 
 
 VOCAB_FIXTURE = """
@@ -40,7 +41,7 @@ ALERT_KINDS = frozenset({ALERT_HOT})
 TELEMETRY_TICK = "tick"
 TELEMETRY_EVENT_KINDS = frozenset({TELEMETRY_TICK})
 KNOWN_KINDS = EVENT_KINDS | ALERT_KINDS | TELEMETRY_EVENT_KINDS
-DERIVED_METRICS = frozenset({"rave_fx_derived"})
+FX_DERIVED = "rave_fx_derived"
 """
 
 
@@ -154,6 +155,13 @@ class TestDeterminismRule:
 class TestMetricRegistryRule:
     FILES = {
         "src/repro/obs/vocab.py": VOCAB_FIXTURE,
+        "src/repro/services/monitor.py": """
+            from repro.obs.vocab import FX_DERIVED
+
+            GRID_AGGREGATES = (
+                ("render", "rave_fx_good_total", FX_DERIVED, "sum"),
+            )
+            """,
         "src/repro/svc.py": """
             class Service:
                 def tick(self, metrics):
@@ -187,8 +195,23 @@ class TestMetricRegistryRule:
     def test_flattened_and_derived_names_resolve(self, tmp_path):
         result = lint(make_tree(tmp_path, self.FILES), "metric-registry")
         # the _count lookup maps back to the histogram family; the
-        # derived name is declared by the vocabulary
+        # derived name is published by the monitor's table
         assert symbols(result) == {GHOST_METRIC, ORPHAN_METRIC}
+
+    def test_monitor_table_sources_must_be_registered(self, tmp_path):
+        files = dict(self.FILES)
+        files["src/repro/services/monitor.py"] = """
+            from repro.obs.vocab import FX_DERIVED
+
+            GRID_AGGREGATES = (
+                ("render", "rave_fx_good_totl", FX_DERIVED, "sum"),
+            )
+            """
+        result = lint(make_tree(tmp_path, files), "metric-registry")
+        typo = [f for f in result.findings if f.symbol == TYPO_METRIC]
+        assert len(typo) == 1
+        assert typo[0].severity == "error"
+        assert typo[0].path == "src/repro/services/monitor.py"
 
     def test_prefix_probe_consumes_matching_families(self, tmp_path):
         files = dict(self.FILES)

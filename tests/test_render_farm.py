@@ -710,8 +710,8 @@ class TestAutoscalerFarmMode:
         tb = farm_testbed(monitor_host="registry-host", autoscale=True)
         queue = tb.farm_queue
         farm = tb.render_farm(worker_hosts=("centrino",))
-        auto = tb.autoscale_farm(farm, cooldown_seconds=5.0, period=1.0,
-                                 max_services=3)
+        auto = tb.autoscale(farm, cooldown_seconds=5.0, period=1.0,
+                            max_services=3)
         queue.submit(job(start=1, end=8))
         # the controller is deliberately not started: only the
         # autoscaler's grow path may put workers on the job
@@ -729,8 +729,8 @@ class TestAutoscalerFarmMode:
     def test_clear_backlog_releases_down_to_the_floor(self):
         tb = farm_testbed(monitor_host="registry-host", autoscale=True)
         farm = tb.render_farm(worker_hosts=("onyx", "v880z"))
-        auto = tb.autoscale_farm(farm, cooldown_seconds=3.0, period=1.0,
-                                 min_services=1)
+        auto = tb.autoscale(farm, cooldown_seconds=3.0, period=1.0,
+                            min_services=1)
         sim = tb.network.sim
         for _ in range(60):
             sim.run_until(sim.now + 1.0)

@@ -139,8 +139,7 @@ class TestAutoscalerFamilies:
                                   recruiter=tb.recruiter())
         cs.connect(tb.render_service("centrino"))
         cs.place_dataset()
-        scaler = RecruitmentAutoscaler(cs, tb.monitor,
-                                       drive_migration=False)
+        scaler = RecruitmentAutoscaler(cs, tb.monitor)
         alert = Alert(rule="grid-overload", kind=GRID_OVERLOAD_KIND,
                       service="_grid", since=5.0, last_time=10.0,
                       value=2.0, severity="critical")
