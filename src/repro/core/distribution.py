@@ -46,10 +46,6 @@ class DistributionPlan:
     #: node ids created by exploding oversized meshes
     exploded: list[int] = field(default_factory=list)
 
-    @property
-    def n_services(self) -> int:
-        return len(self.shares)
-
     def share_of(self, service_name: str) -> set[int]:
         return self.shares.get(service_name, set())
 
@@ -186,12 +182,6 @@ class DatasetDistributor:
             plan.costs[name] = plan.costs[name] + cost
         return plan
 
-    def subtree_for(self, tree: SceneTree, plan: DistributionPlan,
-                    service_name: str, camera=None) -> SceneTree:
-        """Extract the self-contained subtree for one service's share."""
-        ids = sorted(plan.share_of(service_name))
-        return tree.extract_subtree(ids, camera=camera)
-
 
 # --------------------------------------------------------------------------
 # framebuffer distribution
@@ -211,14 +201,6 @@ class TilePlan:
     width: int
     height: int
     assignments: list[TileAssignment] = field(default_factory=list)
-
-    @property
-    def tiles(self) -> list[Tile]:
-        return [a.tile for a in self.assignments]
-
-    def tiles_of(self, service_name: str) -> list[Tile]:
-        return [a.tile for a in self.assignments
-                if a.service_name == service_name]
 
 
 class FramebufferDistributor:
@@ -263,55 +245,4 @@ class FramebufferDistributor:
             plan.assignments.append(TileAssignment(
                 tile=Tile(x0=x0, y0=0, width=x1 - x0, height=height),
                 service_name=name, local=is_local))
-        return plan
-
-    def plan_grid(self, width: int, height: int, nx: int, ny: int,
-                  local_service: str,
-                  assistants: dict[str, float],
-                  local_share: float | None = None) -> TilePlan:
-        """An ``nx x ny`` tile grid with capacity-weighted assignment.
-
-        Finer than column strips: each service receives a number of grid
-        cells proportional to its weight (largest-remainder rounding), the
-        local service taking the first cells.  Useful when per-tile render
-        cost varies across the image (the grid averages hot spots out).
-        """
-        from repro.render.framebuffer import split_tiles
-
-        tiles = split_tiles(width, height, nx, ny)
-        weights: list[tuple[str, float, bool]] = []
-        local_w = (local_share if local_share is not None
-                   else (sum(assistants.values()) / max(1, len(assistants))
-                         if assistants else 1.0))
-        weights.append((local_service, local_w, True))
-        for name, w in assistants.items():
-            if w <= 0:
-                raise ValueError("assistant weights must be positive")
-            weights.append((name, w, False))
-        total_w = sum(w for _, w, _ in weights)
-        n_tiles = len(tiles)
-        # largest-remainder apportionment; everyone keeps >= 1 tile
-        exact = [n_tiles * w / total_w for _, w, _ in weights]
-        counts = [max(1, int(e)) for e in exact]
-        while sum(counts) > n_tiles:
-            k = max(range(len(counts)),
-                    key=lambda i: (counts[i] - exact[i], counts[i]))
-            if counts[k] <= 1:
-                raise ValueError(
-                    f"grid of {n_tiles} tiles cannot give every one of "
-                    f"{len(weights)} services a tile")
-            counts[k] -= 1
-        remainders = [(e - int(e), i) for i, e in enumerate(exact)]
-        for _, i in sorted(remainders, reverse=True):
-            if sum(counts) >= n_tiles:
-                break
-            counts[i] += 1
-
-        plan = TilePlan(width=width, height=height)
-        cursor = 0
-        for (name, _, is_local), count in zip(weights, counts):
-            for tile in tiles[cursor:cursor + count]:
-                plan.assignments.append(TileAssignment(
-                    tile=tile, service_name=name, local=is_local))
-            cursor += count
         return plan

@@ -10,6 +10,7 @@ object the examples and benchmarks drive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.core.capacity import DEFAULT_TARGET_FPS
 from repro.core.cost import node_cost, tree_cost
@@ -642,73 +643,55 @@ class CollaborativeSession:
                          height: int) -> tuple[FrameBuffer, float]:
         """Dataset-distributed frame: every share renders, depth-composite.
 
-        Returns the merged framebuffer and the simulated frame latency
-        (slowest share + framebuffer transfers to the compositing service).
-        A share whose service has failed mid-frame is skipped and the frame
-        flagged degraded (``last_frame_degraded``) — recovery will reassign
-        those nodes; meanwhile the survivors' content still arrives.
+        Returns the merged framebuffer and the simulated frame latency,
+        which is what the clock advances by: the shares render side by
+        side (the longest render sets the pace), then their framebuffers
+        arrive one after another at the compositing service's one NIC.
+        A share whose service has failed, or cannot reach the compositor,
+        is skipped and the frame flagged degraded (``last_frame_degraded``)
+        — recovery will reassign those nodes; meanwhile the survivors'
+        content still arrives.
         """
         active = [a for a in self._attachments.values() if a.share]
         if not active:
             raise SessionError("no service holds a share; call "
                                "place_dataset() first")
-        live = [a for a in active if self.service_live(a.service)]
-        if not live:
+        compositor = next((a.service.host for a in active
+                           if self.service_live(a.service)), None)
+        if compositor is None:
             raise SessionError("no live service holds a share")
-        self.last_frame_degraded = len(live) < len(active)
-        if self.last_frame_degraded:
-            self.degraded_frames += 1
+        sim = self.data_service.network.sim
+        start = sim.now
         frame = self.frames_rendered
         self.frames_rendered += 1
-        obs = _obs()
-        clock = self.data_service.network.sim.clock
-        compositor_host = live[0].service.host
+        shares = sim.fork_join(
+            partial(self._render_share, a.service, compositor, frame,
+                    "composite", partial(a.service.render_view,
+                                         a.render_session_id, camera,
+                                         width, height, offscreen=True))
+            for a in active)
         buffers = []
-        slowest = 0.0
-        transfer_total = 0.0
-        for attachment in live:
-            t0 = clock.now
-            fb, _ = attachment.service.render_view(
-                attachment.render_session_id, camera, width, height,
-                offscreen=True)
-            elapsed = clock.now - t0
-            slowest = max(slowest, elapsed)
-            transfer = 0.0
-            if attachment.service.host != compositor_host:
-                transfer = self.data_service.network.transfer_time(
-                    attachment.service.host, compositor_host,
-                    fb.nbytes_with_depth)
-                transfer_total += transfer
-            if obs.enabled:
-                name = attachment.service.name
-                obs.tracer.record("render", t0, t0 + elapsed,
-                                  session=self.session_id, frame=frame,
-                                  service=name, mode="composite")
-                if transfer:
-                    obs.tracer.record("transfer", t0 + elapsed,
-                                      t0 + elapsed + transfer,
-                                      session=self.session_id, frame=frame,
-                                      service=name, mode="composite")
-            buffers.append(fb)
+        for attachment, share in zip(active, shares):
+            if share is not None:
+                fb, transfer = share
+                self._transfer(attachment.service, transfer, frame,
+                               "composite")
+                buffers.append(fb)
         merged = depth_composite(buffers)
-        latency = slowest + transfer_total
-        if obs.enabled:
-            end = clock.now + transfer_total
-            obs.tracer.record("composite", end, end,
-                              session=self.session_id, frame=frame,
-                              mode="composite")
-            self._count_frame(obs, "composite", latency)
-        return merged, latency
+        return merged, self._finish_frame(start, frame, "composite",
+                                          len(buffers) < len(active))
 
     def render_tiled(self, camera: CameraNode | Camera, width: int,
                      height: int, local_service=None
                      ) -> tuple[FrameBuffer, TilePlan, float]:
         """Framebuffer-distributed frame across all attached services.
 
-        A tile whose service fails mid-frame (host down, unroutable) is
-        filled from the last good framebuffer for that tile rectangle — or
-        left as background on a cold cache — and the frame is flagged
-        degraded instead of tearing.
+        Every tile renders and ships to the requesting service alongside
+        the others, so the returned latency — and the clock advance — is
+        the longest tile render + transfer.  A tile whose service has
+        failed (host down, unroutable) is filled from the last good
+        framebuffer for that tile rectangle — or left as background on a
+        cold cache — and the frame is flagged degraded instead of tearing.
         """
         services = self.render_services
         if not services:
@@ -721,78 +704,107 @@ class CollaborativeSession:
         plan = self.tile_distributor.plan(
             width, height, local.name, assistants,
             local_share=local.capacity().polygons_per_second)
+        sim = self.data_service.network.sim
+        start = sim.now
         frame = self.frames_rendered
         self.frames_rendered += 1
-        obs = _obs()
-        clock = self.data_service.network.sim.clock
-        target = FrameBuffer(width, height, background=BACKGROUND)
         by_name = {s.name: s for s in services}
-        tiles = []
-        slowest = 0.0
-        degraded = False
+        activities = []
         for assignment in plan.assignments:
             service = by_name[assignment.service_name]
-            attachment = self.attachment(service)
-            rect = (assignment.tile.x0, assignment.tile.y0,
-                    assignment.tile.width, assignment.tile.height)
-            t0 = clock.now
-            try:
-                if not self.data_service.network.host_is_up(service.host):
-                    raise NetworkError(f"host {service.host!r} is down")
-                fb, _ = service.render_tile(
-                    attachment.render_session_id, camera, assignment.tile,
-                    width, height)
-                render_end = clock.now
-                elapsed = render_end - t0
-                transfer = 0.0
-                if not assignment.local:
-                    transfer = self.data_service.network.transfer_time(
-                        service.host, local.host, fb.nbytes_with_depth)
-                    elapsed += transfer
-            except (NetworkError, ServiceError):
-                degraded = True
+            activities.append(partial(
+                self._render_share, service, local.host, frame, "tiled",
+                partial(service.render_tile,
+                        self.attachment(service).render_session_id, camera,
+                        assignment.tile, width, height),
+                overlap=True))
+        shares = sim.fork_join(activities)
+        target = FrameBuffer(width, height, background=BACKGROUND)
+        tiles = []
+        for assignment, share in zip(plan.assignments, shares):
+            tile = assignment.tile
+            rect = (tile.x0, tile.y0, tile.width, tile.height)
+            if share is not None:
+                fb = self._tile_cache[rect] = share[0]
+            else:
                 fb = self._tile_cache.get(rect)
                 if fb is None:
-                    fb = FrameBuffer(assignment.tile.width,
-                                     assignment.tile.height,
+                    fb = FrameBuffer(tile.width, tile.height,
                                      background=BACKGROUND)
-            else:
-                slowest = max(slowest, elapsed)
-                self._tile_cache[rect] = fb
-                if obs.enabled:
-                    obs.tracer.record("render", t0, render_end,
-                                      session=self.session_id, frame=frame,
-                                      service=service.name, mode="tiled")
-                    if transfer:
-                        obs.tracer.record("transfer", render_end,
-                                          render_end + transfer,
-                                          session=self.session_id,
-                                          frame=frame, service=service.name,
-                                          mode="tiled")
-            tiles.append((assignment.tile, fb))
+            tiles.append((tile, fb))
+        assemble_tiles(target, tiles)
+        return target, plan, self._finish_frame(start, frame, "tiled",
+                                                None in shares)
+
+    def _render_share(self, service, sink: str, frame: int, mode: str,
+                      draw, overlap: bool = False):
+        """One share of a distributed frame, on its own clock branch.
+
+        ``draw`` renders the share on ``service``, and the framebuffer's
+        trip to the ``sink`` host is priced — and paid on this branch
+        when the mode overlaps transfers (``overlap``).  Returns ``(fb,
+        transfer seconds)``, or ``None`` when the service is not live or
+        the render or its route fails; the branch still costs whatever it
+        consumed before failing.
+        """
+        if not self.service_live(service):
+            return None
+        network = self.data_service.network
+        start = network.sim.now
+        try:
+            fb, _ = draw()
+            rendered = network.sim.now
+            transfer = network.transfer_time(service.host, sink,
+                                             fb.nbytes_with_depth)
+        except (NetworkError, ServiceError):
+            return None
+        obs = _obs()
+        if obs.enabled:
+            obs.tracer.record("render", start, rendered,
+                              session=self.session_id, frame=frame,
+                              service=service.name, mode=mode)
+        if overlap:
+            self._transfer(service, transfer, frame, mode)
+        return fb, transfer
+
+    def _transfer(self, service, seconds: float, frame: int,
+                  mode: str) -> None:
+        """Advance the current clock over one framebuffer transfer."""
+        if not seconds:
+            return
+        clock = self.data_service.network.sim.clock
+        start = clock.now
+        clock.advance(seconds)
+        obs = _obs()
+        if obs.enabled:
+            obs.tracer.record("transfer", start, clock.now,
+                              session=self.session_id, frame=frame,
+                              service=service.name, mode=mode)
+
+    def _finish_frame(self, start: float, frame: int, mode: str,
+                      degraded: bool) -> float:
+        """Shared frame accounting for both modes; returns the latency."""
         self.last_frame_degraded = degraded
         if degraded:
             self.degraded_frames += 1
-        assemble_tiles(target, tiles)
+        now = self.data_service.network.sim.now
+        latency = now - start
+        obs = _obs()
         if obs.enabled:
-            end = clock.now + slowest
-            obs.tracer.record("composite", end, end,
+            obs.tracer.record("composite", now, now,
                               session=self.session_id, frame=frame,
-                              mode="tiled")
-            self._count_frame(obs, "tiled", slowest)
-        return target, plan, slowest
-
-    def _count_frame(self, obs, mode: str, latency: float) -> None:
-        """Shared frame accounting for both rendering modes."""
-        m = obs.metrics
-        m.counter("rave_session_frames_total", "frames rendered",
-                  session=self.session_id, mode=mode).inc()
-        if self.last_frame_degraded:
-            m.counter("rave_session_degraded_frames_total",
-                      "frames completed from stale/blank content",
-                      session=self.session_id).inc()
-        m.histogram("rave_session_frame_latency_seconds",
-                    "end-to-end frame latency", mode=mode).observe(latency)
+                              mode=mode)
+            m = obs.metrics
+            m.counter("rave_session_frames_total", "frames rendered",
+                      session=self.session_id, mode=mode).inc()
+            if degraded:
+                m.counter("rave_session_degraded_frames_total",
+                          "frames completed from stale/blank content",
+                          session=self.session_id).inc()
+            m.histogram("rave_session_frame_latency_seconds",
+                        "end-to-end frame latency",
+                        mode=mode).observe(latency)
+        return latency
 
     def frame_timeline(self) -> dict:
         """Per-frame span chains for this session from the active tracer.
@@ -805,11 +817,6 @@ class CollaborativeSession:
         return _obs().tracer.chains(session=self.session_id)
 
     # -- migration ---------------------------------------------------------------------------
-
-    def observe_frame(self, service, fps: float) -> None:
-        """Feed a frame-rate observation into the migration policy."""
-        self.migrator.record_frame(
-            service, self.data_service.network.sim.clock.now, fps)
 
     def rebalance(self, alerts=None) -> list:
         """One migration-policy pass; returns the actions taken.

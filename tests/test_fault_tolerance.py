@@ -736,6 +736,74 @@ class TestSessionRecovery:
         assert (fb.color[rows, cols] == BACKGROUND).all()
         assert (fb.color == BACKGROUND).all()
 
+    @staticmethod
+    def split(cs):
+        """Make sure the first two attached services both hold a share."""
+        first, second = cs.render_services[:2]
+        for service in (first, second):
+            if not cs.share_of(service):
+                donor = max(cs.render_services,
+                            key=lambda s: len(cs.share_of(s)))
+                cs.reassign_nodes(donor, service,
+                                  [next(iter(cs.share_of(donor)))])
+        return first, second
+
+    @staticmethod
+    def render(cs, mode, cam, local):
+        if mode == "composite":
+            _, latency = cs.render_composite(cam, 96, 96)
+        else:
+            _, _, latency = cs.render_tiled(cam, 96, 96, local_service=local)
+        return latency
+
+    @pytest.mark.parametrize("mode", ["composite", "tiled",
+                                      "tiled-assistant-down"])
+    def test_clock_advances_by_the_frame_latency(self, testbed, mode):
+        """Shares overlap in simulated time: the clock advance, the
+        returned latency and the frame's span chain agree."""
+        from repro import obs
+        from repro.render.camera import Camera
+
+        cs = self.build(testbed)
+        local, assistant = self.split(cs)
+        if mode == "tiled-assistant-down":
+            FaultInjector(testbed.network).crash_host(assistant.host)
+        sim = testbed.network.sim
+        cam = Camera.looking_at((0, 0, 5), (0, 0, 0))
+        with obs.observed():
+            for frame in range(2):
+                start = sim.now
+                latency = self.render(cs, mode.split("-")[0], cam, local)
+                assert sim.now - start == latency
+                chain = cs.frame_timeline()[frame]
+                assert chain[0].start == start
+                assert chain[-1].end - start == pytest.approx(latency,
+                                                              rel=1e-12)
+                assert cs.last_frame_degraded == mode.endswith("down")
+
+    @pytest.mark.parametrize("mode", ["composite", "tiled"])
+    def test_unreachable_share_is_skipped_and_flags_frame(self, testbed,
+                                                          mode):
+        """A share whose host stays up but has every link cut renders,
+        cannot deliver, and is skipped in either mode; its branch still
+        costs the render it did before the transfer failed."""
+        from repro.render.camera import Camera
+
+        cs = self.build(testbed)
+        local, assistant = self.split(cs)
+        FaultInjector(testbed.network).partition({assistant.host})
+        frame_seconds = assistant.telemetry.registry.histogram(
+            "rave_rs_frame_seconds")
+        rendered = frame_seconds.sum
+        sim = testbed.network.sim
+        start = sim.now
+        latency = self.render(cs, mode,
+                              Camera.looking_at((0, 0, 5), (0, 0, 0)), local)
+        assert cs.last_frame_degraded
+        assert cs.degraded_frames == 1
+        assert sim.now - start == latency
+        assert latency >= frame_seconds.sum - rendered > 0
+
     def test_heartbeat_death_triggers_auto_recovery(self, testbed):
         inj = FaultInjector(testbed.network, seed=11)
         cs = self.build(testbed)

@@ -662,18 +662,34 @@ class TestSessionMetrics:
         from repro.render.camera import Camera
 
         cs = self.build(testbed)
+        holders = [s for s in cs.render_services if cs.share_of(s)]
+        if len(holders) < 2:
+            idle = next(s for s in cs.render_services if not cs.share_of(s))
+            cs.reassign_nodes(holders[0], idle,
+                              [next(iter(cs.share_of(holders[0])))])
         cam = Camera.looking_at((0, 0, 5), (0, 0, 0))
-        cs.render_composite(cam, 48, 48)
-        cs.render_composite(cam, 48, 48)
+        sim = testbed.network.sim
+        frames = []
+        for _ in range(2):
+            start = sim.now
+            _, latency = cs.render_composite(cam, 48, 48)
+            frames.append((start, latency, sim.now - start))
         m = bundle.metrics
         assert m.value("rave_session_frames_total",
                        session=cs.session_id, mode="composite") == 2
         timeline = cs.frame_timeline()
         assert sorted(timeline) == [0, 1]
-        for spans in timeline.values():
+        for (start, latency, advance), spans in zip(frames,
+                                                    timeline.values()):
             names = [sp.name for sp in spans]
             assert names[0] == "render"
             assert names[-1] == "composite"
+            # shares render side by side, then their framebuffers queue
+            # at the compositor: the clock pays exactly the latency
+            assert names.count("render") >= 2
+            assert advance == latency
+            assert spans[0].start == start
+            assert spans[-1].end - start == pytest.approx(latency, rel=1e-12)
 
     def test_recovery_counted(self, testbed, bundle):
         cs = self.build(testbed)

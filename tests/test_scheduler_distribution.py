@@ -132,7 +132,7 @@ class TestDatasetDistributor:
         plan = dist.plan(tree, {"a": total * 0.55, "b": total * 0.55})
         got = 0
         for name in ("a", "b"):
-            sub = dist.subtree_for(tree, plan, name)
+            sub = tree.extract_subtree(sorted(plan.share_of(name)))
             assert sub.total_polygons() == plan.costs[name].polygons
             got += sub.total_polygons()
         assert got == tree_cost(tree).polygons
@@ -196,9 +196,3 @@ class TestFramebufferDistributor:
     def test_invalid_weights(self):
         with pytest.raises(ValueError):
             FramebufferDistributor().plan(100, 100, "l", {"a": 0.0})
-
-    def test_tiles_of(self):
-        plan = FramebufferDistributor().plan(
-            200, 100, "local", {"a": 1.0}, local_share=1.0)
-        assert len(plan.tiles_of("a")) == 1
-        assert plan.tiles_of("ghost") == []

@@ -188,5 +188,5 @@ class TestLiveMigration:
         cs = CollaborativeSession(testbed.data_service, "obs")
         rs = testbed.render_service("centrino")
         cs.connect(rs)
-        cs.observe_frame(rs, fps=5.0)
+        cs.migrator.record_frame(rs, testbed.network.sim.now, fps=5.0)
         assert cs.migrator.tracker(rs.name).n_samples == 1

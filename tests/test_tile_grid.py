@@ -1,80 +1,21 @@
-"""The 2D tile-grid distribution mode."""
+"""The 2D tile grid: grid tiles reassemble like column strips."""
 
-import pytest
+import numpy as np
 
-from repro.core.distribution import FramebufferDistributor
-from repro.render.compositor import check_tiling
-
-
-@pytest.fixture
-def dist():
-    return FramebufferDistributor()
-
-
-class TestPlanGrid:
-    def test_grid_covers_target(self, dist):
-        plan = dist.plan_grid(120, 80, 3, 2, "local",
-                              {"a": 1.0, "b": 1.0})
-        check_tiling(120, 80, [a.tile for a in plan.assignments])
-        assert len(plan.assignments) == 6
-
-    def test_every_service_gets_a_tile(self, dist):
-        plan = dist.plan_grid(100, 100, 2, 2, "local", {"a": 10.0})
-        names = {a.service_name for a in plan.assignments}
-        assert names == {"local", "a"}
-
-    def test_counts_proportional_to_weight(self, dist):
-        plan = dist.plan_grid(160, 160, 4, 4, "local",
-                              {"fast": 6.0, "slow": 1.0},
-                              local_share=1.0)
-        counts = {}
-        for a in plan.assignments:
-            counts[a.service_name] = counts.get(a.service_name, 0) + 1
-        assert sum(counts.values()) == 16
-        assert counts["fast"] > 3 * counts["slow"]
-
-    def test_local_takes_first_cells(self, dist):
-        plan = dist.plan_grid(100, 100, 2, 2, "local", {"a": 1.0})
-        assert plan.assignments[0].local
-        assert plan.assignments[0].tile.x0 == 0
-        assert plan.assignments[0].tile.y0 == 0
-
-    def test_too_many_services_for_grid(self, dist):
-        with pytest.raises(ValueError):
-            dist.plan_grid(100, 100, 2, 1, "local",
-                           {"a": 1.0, "b": 1.0, "c": 1.0})
-
-    def test_invalid_weight(self, dist):
-        with pytest.raises(ValueError):
-            dist.plan_grid(100, 100, 2, 2, "local", {"a": 0.0})
-
-    def test_no_assistants(self, dist):
-        plan = dist.plan_grid(100, 100, 2, 2, "local", {})
-        assert all(a.service_name == "local" for a in plan.assignments)
-        assert len(plan.assignments) == 4
-
-    def test_tiles_of_by_service(self, dist):
-        plan = dist.plan_grid(100, 100, 3, 3, "local", {"a": 2.0})
-        assert len(plan.tiles_of("local")) + len(plan.tiles_of("a")) == 9
+from repro.render.camera import Camera
+from repro.render.compositor import assemble_tiles
+from repro.render.framebuffer import FrameBuffer, split_tiles
+from repro.render.rasterizer import rasterize_mesh
 
 
 class TestGridRendering:
-    def test_grid_assembles_to_monolithic(self, dist, small_galleon):
+    def test_grid_assembles_to_monolithic(self, small_galleon):
         """Grid tiles reassemble pixel-exactly, like column strips."""
-        import numpy as np
-
-        from repro.render.camera import Camera
-        from repro.render.compositor import assemble_tiles
-        from repro.render.framebuffer import FrameBuffer
-        from repro.render.rasterizer import rasterize_mesh
-
         cam = Camera.looking_at((2.2, 1.4, 1.2))
         mono = FrameBuffer(96, 96)
         rasterize_mesh(small_galleon, cam, mono)
 
-        plan = dist.plan_grid(96, 96, 2, 2, "local", {"a": 1.0})
         target = FrameBuffer(96, 96)
-        assemble_tiles(target,
-                       [(a.tile, mono.extract(a.tile))
-                        for a in plan.assignments])
+        assemble_tiles(target, [(tile, mono.extract(tile))
+                                for tile in split_tiles(96, 96, 2, 2)])
         assert np.array_equal(target.color, mono.color)
