@@ -43,8 +43,6 @@ class DistributionPlan:
     shares: dict[str, set[int]] = field(default_factory=dict)
     #: service name → assigned cost
     costs: dict[str, NodeCost] = field(default_factory=dict)
-    #: node ids created by exploding oversized meshes
-    exploded: list[int] = field(default_factory=list)
 
     def share_of(self, service_name: str) -> set[int]:
         return self.shares.get(service_name, set())
@@ -75,6 +73,18 @@ def explode_mesh_node(tree: SceneTree, node_id: int,
         tree.add(child, parent=group)
         new_ids.append(child.node_id)
     return new_ids
+
+
+def explode_to_grain(tree: SceneTree, node_ids, grain: int) -> list[int]:
+    """Explode each mesh among ``node_ids`` above ``grain`` polygons into
+    ``ceil(polygons / grain)`` even pieces; returns the new leaf ids."""
+    created: list[int] = []
+    for nid in node_ids:
+        node = tree.node(nid)
+        if isinstance(node, MeshNode) and node.n_polygons > grain:
+            n_parts = int(np.ceil(node.n_polygons / grain))
+            created.extend(explode_mesh_node(tree, nid, n_parts))
+    return created
 
 
 class DatasetDistributor:
@@ -132,26 +142,16 @@ class DatasetDistributor:
             raise SceneGraphError("every service has zero budget")
         grain = min(self.max_grain_polygons, max(min(positive), 1.0))
         last_error: SceneGraphError | None = None
-        exploded: list[int] = []
         for _ in range(4):
-            exploded.extend(self._explode_to_grain(tree, int(grain)))
+            explode_to_grain(tree, [n.node_id for n in tree.geometry_nodes()],
+                             int(grain))
             plan = self._assign(tree, budgets, volume_hosts or set())
             if plan is not None:
-                plan.exploded = exploded
                 return plan
             last_error = SceneGraphError(
                 f"could not pack dataset at grain {grain:.0f}")
             grain = max(1.0, grain / 2)
         raise last_error  # pragma: no cover - needs adversarial budgets
-
-    def _explode_to_grain(self, tree: SceneTree, grain: int) -> list[int]:
-        created: list[int] = []
-        for node in list(tree.geometry_nodes()):
-            if isinstance(node, MeshNode) and node.n_polygons > grain:
-                n_parts = int(np.ceil(node.n_polygons / grain))
-                created.extend(
-                    explode_mesh_node(tree, node.node_id, n_parts))
-        return created
 
     def _assign(self, tree: SceneTree, budgets: dict[str, float],
                 volume_hosts: set[str]) -> DistributionPlan | None:

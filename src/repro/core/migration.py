@@ -19,11 +19,15 @@ Implementation:
 - :class:`WorkloadMigrator` — the policy: detect overload/underload, pick a
   peer with headroom, and choose the node set to move with a greedy
   knapsack over per-node costs that never overshoots the receiver's
-  headroom (the fine-grain guarantee).
+  headroom (the fine-grain guarantee).  When every node is too big for
+  it, the move splits the donor's smallest mesh into pieces that fit
+  (placement's own ``explode_to_grain``), unless those pieces would fall
+  under :data:`SPLIT_FLOOR`; then it moves nothing.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -36,6 +40,13 @@ from repro.obs.rules import (
     DEFAULT_UNDERLOAD_UTILISATION,
 )
 from repro.obs.vocab import ALERT_OVERLOAD, ALERT_UNDERLOAD, EVENT_MIGRATION
+
+#: The smallest piece a migration split may cut, as a share of the donor's
+#: polygon budget at the target frame rate: the paper's grain is "another
+#: 5k polygons" on services drawing hundreds of thousands, and every piece
+#: is one more node each later hand-off marshals.  An even split's pieces
+#: are over half its grain, so a grain under twice the floor is refused.
+SPLIT_FLOOR = 0.01
 
 
 @dataclass(frozen=True)
@@ -286,18 +297,22 @@ class WorkloadMigrator:
             if headroom <= 0:
                 continue
             # Donating must never push the donor below the underload
-            # threshold itself, or two lightly loaded services ping-pong
-            # the same nodes between consecutive plan() passes.
-            donor_spare = (
-                donor.committed_polygons()
-                - self.underload_utilisation
-                * donor.capacity().polygon_budget(self.target_fps))
-            if donor_spare <= 0:
+            # threshold, nor leave the puller more utilised than the
+            # donor: either way the next plan() pass pulls the same nodes
+            # back.  The second cap solves (puller's load + x) / budget
+            # == (given - x) / donor_budget for x.
+            budget = service.capacity().polygon_budget(self.target_fps)
+            donor_budget = donor.capacity().polygon_budget(self.target_fps)
+            given = donor.committed_polygons()
+            cap = min(given - self.underload_utilisation * donor_budget,
+                      (budget * given
+                       - donor_budget * service.committed_polygons())
+                      / (budget + donor_budget))
+            if cap <= 0:
                 continue
             action = self._move(session, donor, service,
-                                polygons_needed=min(headroom * 0.5,
-                                                    donor_spare),
-                                reason=ALERT_UNDERLOAD, hard_cap=donor_spare)
+                                polygons_needed=min(headroom * 0.5, cap),
+                                reason=ALERT_UNDERLOAD, hard_cap=cap)
             if action is not None:
                 actions.append(action)
 
@@ -345,21 +360,28 @@ class WorkloadMigrator:
     def _move(self, session, source, destination, polygons_needed: float,
               reason: str,
               hard_cap: float | None = None) -> MigrationAction | None:
+        tree = session.master_tree
         share = session.share_of(source)
         if not share:
             return None
         headroom = self._headroom(destination)
         node_ids, moved = self.select_nodes(
-            session.master_tree, share, polygons_needed,
+            tree, share, polygons_needed,
             receiver_headroom=headroom, hard_cap=hard_cap)
-        if not node_ids and hasattr(session, "refine_share"):
-            # Monolithic nodes too big to move anywhere: explode them to a
-            # grain the receiver can absorb, then retry.
-            grain = max(1, int(headroom * 0.5))
-            if session.refine_share(source, grain):
-                share = session.share_of(source)
+        if not node_ids:
+            # Every node is above the knapsack's budget, which is then
+            # min(headroom, hard_cap): split the smallest node into pieces
+            # within it, unless they would fall under the floor.
+            grain = int(headroom if hard_cap is None
+                        else min(headroom, hard_cap))
+            floor = max(1, math.ceil(SPLIT_FLOOR * (
+                source.capacity().polygon_budget(self.target_fps))))
+            sizes = [(tree.node(n).n_polygons, n) for n in share
+                     if n in tree and tree.node(n).n_polygons]
+            if sizes and grain >= 2 * floor:
+                session.split_node(source, min(sizes)[1], grain)
                 node_ids, moved = self.select_nodes(
-                    session.master_tree, share, polygons_needed,
+                    tree, session.share_of(source), polygons_needed,
                     receiver_headroom=headroom, hard_cap=hard_cap)
         if not node_ids:
             return None

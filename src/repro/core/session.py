@@ -16,9 +16,9 @@ from repro.core.capacity import DEFAULT_TARGET_FPS
 from repro.core.cost import node_cost, tree_cost
 from repro.core.distribution import (
     DatasetDistributor,
-    DistributionPlan,
     FramebufferDistributor,
     TilePlan,
+    explode_to_grain,
 )
 from repro.core.health import DEAD, HeartbeatMonitor, HeartbeatSource
 from repro.core.migration import WorkloadMigrator
@@ -222,14 +222,9 @@ class CollaborativeSession:
         orphans = set(attachment.share)
         reassigned: dict[str, tuple[int, ...]] = {}
         if orphans:
-            assigned = self._pack_orphans(orphans, peers)
             attachment.share = set()
             self._narrow(attachment.service, set())
-            for receiver_name, ids in assigned.items():
-                receiver = self._attachments[receiver_name]
-                receiver.share |= ids
-                self._hand_off_share(receiver)
-                reassigned[receiver_name] = tuple(sorted(ids))
+            reassigned = self._drain(orphans, peers)
         self.disconnect(attachment.service)
         obs = _obs()
         if obs.enabled:
@@ -359,7 +354,10 @@ class CollaborativeSession:
             }
             plan = self.distributor.plan(self.master_tree, budgets,
                                          volume_hosts=volume_hosts)
-            self.apply_distribution(plan)
+            for name, ids in plan.shares.items():
+                attachment = self._attachments[name]
+                attachment.share = set(ids)
+                self._hand_off_share(attachment)
         self.placement = placement
         obs = _obs()
         if obs.enabled:
@@ -368,15 +366,6 @@ class CollaborativeSession:
                 detail=f"{self.session_id}: {placement.mode} across "
                        f"{[a.service.name for a in placement.assignments]}")
         return placement
-
-    def apply_distribution(self, plan: DistributionPlan) -> None:
-        for name, ids in plan.shares.items():
-            attachment = self._attachments.get(name)
-            if attachment is None:
-                raise SessionError(
-                    f"plan references unattached service {name!r}")
-            attachment.share = set(ids)
-            self._hand_off_share(attachment)
 
     def _hand_off_share(self, attachment: ServiceAttachment) -> None:
         """Ship a service its share as a self-contained subtree.
@@ -418,41 +407,26 @@ class CollaborativeSession:
                 return name
         return None
 
-    def refine_share(self, service, grain: int) -> bool:
-        """Explode a service's oversized mesh nodes so migration can move
-        fine-grained pieces ("nodes must [be] carefully selected to perform
-        a fine-grain movement of work").  Returns True when anything split.
-        """
-        import math
-
-        from repro.core.distribution import explode_mesh_node
-        from repro.scenegraph.nodes import MeshNode
-
-        if grain < 1:
-            raise ValueError("grain must be >= 1")
+    def split_node(self, service, node_id: int, grain: int) -> list[int]:
+        """Explode one mesh of a service's share into pieces of at most
+        ``grain`` polygons for migration to move; the share takes the
+        pieces and is re-shipped.  Returns the piece ids."""
         attachment = self.attachment(service)
-        changed = False
-        for nid in list(attachment.share):
-            if nid not in self.master_tree:
-                continue
-            node = self.master_tree.node(nid)
-            if isinstance(node, MeshNode) and node.n_polygons > grain:
-                n_parts = math.ceil(node.n_polygons / grain)
-                new_ids = explode_mesh_node(self.master_tree, nid, n_parts)
-                attachment.share.discard(nid)
-                attachment.share.update(new_ids)
-                changed = True
-        if changed:
+        pieces = explode_to_grain(self.master_tree, [node_id], grain)
+        if pieces:
+            attachment.share.discard(node_id)
+            attachment.share.update(pieces)
             self._hand_off_share(attachment)
-        return changed
+        return pieces
 
     def reassign_nodes(self, source, destination, node_ids: list[int]
                        ) -> None:
         """Move responsibility for nodes between services (migration).
 
-        The receiver gets the moved nodes' geometry shipped as a subtree;
-        the donor merely narrows its assignment (its copy keeps the stale
-        geometry until the session ends, as the paper's scheme does).
+        The receiver's whole share, moved nodes included, is re-shipped
+        as one subtree; the donor merely narrows its assignment (its copy
+        keeps the stale geometry until the session ends, as the paper's
+        scheme does).
         """
         src = self.attachment(source)
         dst = self.attachment(destination)
@@ -562,12 +536,7 @@ class CollaborativeSession:
                 raise ServiceError(
                     f"no live render services left to absorb the share of "
                     f"{name!r} ({len(orphans)} nodes)")
-            assigned = self._pack_orphans(orphans, survivors)
-            for receiver_name, ids in assigned.items():
-                receiver = self._attachments[receiver_name]
-                receiver.share |= ids
-                self._hand_off_share(receiver)
-                reassigned[receiver_name] = tuple(sorted(ids))
+            reassigned = self._drain(orphans, survivors)
 
         report = RecoveryReport(
             failed=name, reassigned=reassigned,
@@ -598,10 +567,12 @@ class CollaborativeSession:
         return max(0.0, service.capacity().polygon_budget(self.target_fps)
                    - service.committed_polygons())
 
-    def _pack_orphans(self, orphans: set[int],
-                      survivors: list) -> dict[str, set[int]]:
-        """Greedy bin-pack: largest orphan first to the most headroom.
+    def _drain(self, orphans: set[int],
+               survivors: list) -> dict[str, tuple[int, ...]]:
+        """Hand ``orphans`` to ``survivors`` and ship each receiver its
+        grown share; returns receiver name → the node ids it absorbed.
 
+        Greedy bin-pack: largest orphan first to the most headroom.
         Headroom can go negative — every node *must* land somewhere, the
         packing just keeps the overload as even as possible; the migration
         policy evens things out further once load reports resume.
@@ -618,7 +589,13 @@ class CollaborativeSession:
             receiver = max(remaining, key=lambda n: remaining[n])
             assigned.setdefault(receiver, set()).add(nid)
             remaining[receiver] -= polys
-        return assigned
+        reassigned: dict[str, tuple[int, ...]] = {}
+        for name, ids in assigned.items():
+            attachment = self._attachments[name]
+            attachment.share |= ids
+            self._hand_off_share(attachment)
+            reassigned[name] = tuple(sorted(ids))
+        return reassigned
 
     def handle_data_failure(self):
         """Fail over to a data-service mirror and re-subscribe everyone.

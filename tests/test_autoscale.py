@@ -20,12 +20,14 @@ plumbing it rides on:
 """
 
 import json
+import math
 from types import SimpleNamespace
 
 import pytest
 
 from repro import obs
 from repro.core.autoscale import RecruitmentAutoscaler, ScaleEvent
+from repro.core.migration import SPLIT_FLOOR
 from repro.core.recruitment import (
     RAVE_BUSINESS,
     RENDER_TMODEL,
@@ -48,7 +50,7 @@ from repro.scenegraph.tree import SceneTree
 from repro.services.monitor import GRID_SERVICE
 from repro.services.uddi import UddiClient, UddiRegistry
 from repro.services.wsdl import RENDER_SERVICE_WSDL
-from repro.testbed import build_testbed
+from repro.testbed import RENDER_HOSTS, build_testbed
 
 MONITOR_HOST = "registry-host"
 
@@ -406,6 +408,7 @@ def run_autoscaled_loop(tb):
     bundle = obs.install(clock=tb.clock)
     try:
         cs = small_session(tb)
+        placed = len(list(cs.master_tree.geometry_nodes()))
         scaler = tb.autoscale(cs, cooldown_seconds=5.0,
                               min_services=3)
 
@@ -432,6 +435,11 @@ def run_autoscaled_loop(tb):
             "snapshot": tb.monitor.snapshot(),
             "recorder": bundle.recorder,
             "reattached": sorted(s.name for s in reattached),
+            "placed": placed,
+            "split_floor": min(
+                math.ceil(SPLIT_FLOOR * tb.render_service(host).capacity()
+                          .polygon_budget(cs.target_fps))
+                for host in RENDER_HOSTS),
         }
     finally:
         obs.uninstall()
@@ -498,6 +506,14 @@ class TestClosedLoopAutoscaling:
         text = render_dashboard(loop["snapshot"])
         assert "render pool (autoscale)" in text
         assert "grow" in text and "release" in text
+
+    def test_migration_splits_keep_the_tree_small(self, loop):
+        """Every split piece holds at least the split floor of some
+        member's budget, so the tree never outgrows placed nodes plus
+        total polygons / that floor."""
+        geometry = list(loop["session"].master_tree.geometry_nodes())
+        total = sum(n.n_polygons for n in geometry)
+        assert len(geometry) <= loop["placed"] + total // loop["split_floor"]
 
     def test_the_whole_story_is_deterministic(self, loop):
         replay = run_autoscaled_loop(monitored_testbed())

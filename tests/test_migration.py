@@ -1,14 +1,24 @@
 """Workload migration: load tracking, thresholds, fine-grain node moves."""
 
+import math
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from repro.core.migration import LoadSample, LoadTracker, WorkloadMigrator
+from repro.core.distribution import explode_to_grain
+from repro.core.migration import (
+    SPLIT_FLOOR,
+    LoadSample,
+    LoadTracker,
+    WorkloadMigrator,
+)
+from repro.core.session import CollaborativeSession
 from repro.data.generators import skeleton
 from repro.obs.vocab import ALERT_OVERLOAD, ALERT_UNDERLOAD
-from repro.scenegraph.nodes import MeshNode
+from repro.scenegraph.nodes import GroupNode, MeshNode
 from repro.scenegraph.tree import SceneTree
+from repro.testbed import build_testbed
 
 
 class TestLoadTracker:
@@ -189,6 +199,13 @@ class FakeSession:
         src._committed -= moved
         dst._committed += moved
         self.moves.append((src.name, dst.name, tuple(node_ids)))
+
+    def split_node(self, service, node_id, grain):
+        pieces = explode_to_grain(self.master_tree, [node_id], grain)
+        if pieces:
+            self._shares[service.name].discard(node_id)
+            self._shares[service.name].update(pieces)
+        return pieces
 
     def recruit_more(self):
         return []
@@ -428,3 +445,168 @@ class TestOneDirectionPerPass:
         assert self.plan(session, migrator,
                          a=[ALERT_OVERLOAD], c=[ALERT_UNDERLOAD]) \
             == [("a", "b", ALERT_OVERLOAD)]
+
+
+class TestAlertDrivenPullsSettle:
+    """An under-alerted service pulls no further than the donor's own
+    utilisation: pulling past it leaves the puller the more loaded one,
+    and the donor — alerted too — pulls the same nodes straight back."""
+
+    def test_the_second_pass_returns_nothing_the_first_moved(self):
+        mesh = skeleton(2000).normalized()
+        tree = SceneTree()
+        per_node = mesh.n_triangles
+        budget = 50 * per_node
+        # "low" sits at 0.1 of its budget, "high" at 0.66; high's nodes
+        # carry the larger ids, so a largest-first pull back takes them
+        shares = {name: {tree.add(MeshNode(mesh, name=f"{name}{i}")).node_id
+                         for i in range(n)}
+                  for name, n in (("low", 5), ("high", 33))}
+        high = FakeService("high", rate=budget * 10, committed=per_node * 33)
+        low = FakeService("low", rate=budget * 10, committed=per_node * 5)
+        session = FakeSession(tree, [high, low], shares)
+        migrator = WorkloadMigrator(target_fps=10,
+                                    underload_utilisation=0.3,
+                                    smoothing_seconds=3.0)
+        alerts = [SimpleNamespace(kind=ALERT_UNDERLOAD, service=name)
+                  for name in ("high", "low")]
+        first = migrator.plan(session, alerts=alerts)
+        assert [(a.source, a.destination) for a in first] \
+            == [("high", "low")]
+        assert low.utilisation() <= high.utilisation()
+        moved = set(first[0].node_ids)
+        second = migrator.plan(session, alerts=alerts)
+        assert not [a for a in second
+                    if a.destination == "high" and moved & set(a.node_ids)]
+
+
+class TestSplitOnDemand:
+    """When every node is too big for the receiver, the move splits one
+    mesh — the smallest one above the knapsack's budget — and no more."""
+
+    @staticmethod
+    def build(donor_sizes):
+        """A donor holding one mesh per size and a receiver holding one
+        small mesh, with 5 k polygons of headroom left on the receiver."""
+        tree = SceneTree()
+        donor_ids = [tree.add(MeshNode(skeleton(size).normalized(),
+                                       name=f"d{i}")).node_id
+                     for i, size in enumerate(donor_sizes)]
+        own = tree.add(MeshNode(skeleton(600).normalized(), name="own"))
+        donor = FakeService("donor", rate=1e6, committed=sum(
+            tree.node(n).n_polygons for n in donor_ids))
+        receiver = FakeService("receiver", rate=(own.n_polygons + 5000) * 10,
+                               committed=own.n_polygons)
+        session = FakeSession(tree, [donor, receiver],
+                              {"donor": set(donor_ids),
+                               "receiver": {own.node_id}})
+        migrator = WorkloadMigrator(target_fps=10, overload_fps=8.0,
+                                    smoothing_seconds=3.0)
+        return session, migrator, donor_ids, own
+
+    @staticmethod
+    def shed(session, migrator):
+        return migrator.plan(session, alerts=[
+            SimpleNamespace(kind=ALERT_OVERLOAD, service="donor")])
+
+    def test_the_paper_case_moves_at_most_the_headroom(self):
+        """'capacity for another 5k polygons ... we do not want to add
+        100k polygons by mistake'."""
+        session, migrator, (big,), own = self.build([100_000])
+        tree = session.master_tree
+        big_polys, own_polys = tree.node(big).n_polygons, own.n_polygons
+        (action,) = self.shed(session, migrator)
+        assert action.destination == "receiver"
+        assert 0 < action.polygons <= 5000
+        assert isinstance(tree.node(big), GroupNode)
+        pieces = tree.node(big).children
+        assert len(pieces) == math.ceil(big_polys / 5000)
+        assert all(p.n_polygons <= 5000 for p in pieces)
+        assert set(action.node_ids) <= {p.node_id for p in pieces}
+        # nothing but the one mesh was split
+        assert tree.node(own.node_id).n_polygons == own_polys
+        assert len(list(tree.geometry_nodes())) == 1 + len(pieces)
+
+    def test_only_the_smallest_oversized_mesh_is_split(self):
+        session, migrator, (big, medium), _ = self.build([100_000, 20_000])
+        big_polys = session.master_tree.node(big).n_polygons
+        (action,) = self.shed(session, migrator)
+        tree = session.master_tree
+        assert isinstance(tree.node(big), MeshNode)
+        assert tree.node(big).n_polygons == big_polys
+        assert isinstance(tree.node(medium), GroupNode)
+        assert 0 < action.polygons <= 5000
+
+    def test_a_budget_under_the_floor_splits_nothing(self):
+        session, migrator, (big,), own = self.build([100_000])
+        floor = SPLIT_FLOOR * 1e6 / 10
+        receiver = session.render_services[1]
+        receiver._rate = (own.n_polygons + 2 * floor - 1) * 10
+        nodes = len(session.master_tree)
+        assert self.shed(session, migrator) == []
+        assert len(session.master_tree) == nodes
+        assert session.moves == []
+
+
+_MESHES = {}
+
+
+def _mesh(size):
+    if size not in _MESHES:
+        _MESHES[size] = skeleton(size).normalized()
+    return _MESHES[size]
+
+
+_ALERTS = st.sampled_from([(), (ALERT_OVERLOAD,), (ALERT_UNDERLOAD,),
+                           (ALERT_OVERLOAD, ALERT_UNDERLOAD)])
+_HOSTS = ("centrino", "athlon", "onyx")
+
+
+class TestSplitBound:
+    """After any sequence of load samples and alerts, migration splits
+    keep the master tree bounded: every piece a split creates holds at
+    least the split floor of some donor's budget, so the geometry nodes
+    number at most the placed ones plus total polygons / that floor."""
+
+    @settings(max_examples=30, deadline=None)
+    @example(sizes=[6000, 6000, 6000], target_fps=1500,
+             steps=[(1.0, ((), (), (ALERT_UNDERLOAD,)))])
+    @given(sizes=st.lists(st.sampled_from([600, 2000, 6000]),
+                          min_size=1, max_size=3),
+           target_fps=st.sampled_from([600, 1500]),
+           steps=st.lists(st.tuples(st.floats(1.0, 60.0),
+                                    st.tuples(_ALERTS, _ALERTS, _ALERTS)),
+                          min_size=1, max_size=6))
+    def test_migration_splits_stay_above_the_floor(self, sizes, target_fps,
+                                                   steps):
+        tb = build_testbed()
+        tree = SceneTree("bounded")
+        for i, size in enumerate(sizes):
+            tree.add(MeshNode(_mesh(size), name=f"m{i}"))
+        tb.publish_tree("bounded", tree)
+        cs = CollaborativeSession(tb.data_service, "bounded",
+                                  target_fps=target_fps)
+        services = [tb.render_service(host) for host in _HOSTS]
+        for service in services:
+            cs.connect(service)
+        cs.place_dataset()
+        tree = cs.master_tree
+        placed = {n.node_id for n in tree.geometry_nodes()}
+        total = sum(n.n_polygons for n in tree.geometry_nodes())
+        floor = min(max(1, math.ceil(
+            SPLIT_FLOOR * s.capacity().polygon_budget(cs.target_fps)))
+            for s in services)
+        for t, (fps, kinds) in enumerate(steps):
+            for service in services:
+                cs.migrator.record_frame(service, float(t), fps)
+            cs.rebalance(alerts=[
+                SimpleNamespace(kind=kind, service=service.name)
+                for service, alerted in zip(services, kinds)
+                for kind in alerted])
+            geometry = list(tree.geometry_nodes())
+            assert len(geometry) <= len(placed) + total // floor
+            assert all(n.n_polygons >= floor for n in geometry
+                       if n.node_id not in placed)
+            # every geometry node is still owned by exactly one service
+            owned = [nid for s in services for nid in cs.share_of(s)]
+            assert sorted(owned) == sorted(n.node_id for n in geometry)

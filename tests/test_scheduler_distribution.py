@@ -108,12 +108,14 @@ class TestDatasetDistributor:
 
     def test_oversized_mesh_exploded(self):
         tree = self.big_tree()
+        before = len(list(tree.geometry_nodes()))
         plan = DatasetDistributor(max_grain_polygons=5_000).plan(
             tree, {"a": 1e9, "b": 1e9})
-        assert plan.exploded           # the 60k mesh had to be split
-        # exploded leaves exist in the tree
-        for nid in plan.exploded:
-            assert nid in tree
+        leaves = list(tree.geometry_nodes())
+        assert len(leaves) > before     # the 60k mesh had to be split
+        assert all(n.n_polygons <= 5_000 for n in leaves)
+        assert set().union(*plan.shares.values()) \
+            == {n.node_id for n in leaves}
 
     def test_impossible_budgets_rejected(self):
         tree = self.big_tree()
