@@ -136,22 +136,25 @@ class DatasetDistributor:
 
         # Grain: parts must fit the *smallest* budget, or LPT packing can
         # strand a piece with no bin large enough.  On a packing failure
-        # (fragmentation), retry at half the grain.
+        # (fragmentation), retry at half the grain; then once at
+        # slack / (k - 1) for k budgets, where LPT cannot fail: before
+        # each piece of weight w the budgets left sum to at least
+        # w + slack, so the most-spare one holds (w + slack) / k >= w.
         positive = [b for b in budgets.values() if b > 0]
         if not positive:
             raise SceneGraphError("every service has zero budget")
         grain = min(self.max_grain_polygons, max(min(positive), 1.0))
-        last_error: SceneGraphError | None = None
-        for _ in range(4):
+        grains = [max(1.0, grain / 2 ** i) for i in range(4)]
+        guaranteed = (total_budget - demand) // max(len(positive) - 1, 1)
+        if guaranteed >= 1:
+            grains.append(guaranteed)
+        for grain in grains:
             explode_to_grain(tree, [n.node_id for n in tree.geometry_nodes()],
                              int(grain))
             plan = self._assign(tree, budgets, volume_hosts or set())
             if plan is not None:
                 return plan
-            last_error = SceneGraphError(
-                f"could not pack dataset at grain {grain:.0f}")
-            grain = max(1.0, grain / 2)
-        raise last_error  # pragma: no cover - needs adversarial budgets
+        raise SceneGraphError(f"could not pack dataset at grain {grain:.0f}")
 
     def _assign(self, tree: SceneTree, budgets: dict[str, float],
                 volume_hosts: set[str]) -> DistributionPlan | None:

@@ -293,7 +293,7 @@ class WorkloadMigrator:
             donor = self._most_loaded(services, service, took)
             if donor is None:
                 continue
-            headroom = self._headroom(service)
+            headroom = service.headroom(self.target_fps)
             if headroom <= 0:
                 continue
             # Donating must never push the donor below the underload
@@ -337,17 +337,14 @@ class WorkloadMigrator:
 
     # -- helpers ----------------------------------------------------------------------
 
-    def _headroom(self, service) -> float:
-        return max(0.0, service.capacity().polygon_budget(self.target_fps)
-                   - service.committed_polygons())
-
     def _best_receiver(self, services, exclude, gave: set[str]):
         candidates = [s for s in services
                       if s is not exclude and s.name not in gave
-                      and self._headroom(s) > 0]
+                      and s.headroom(self.target_fps) > 0]
         if not candidates:
             return None
-        return max(candidates, key=self._headroom)
+        return max(candidates,
+                   key=lambda s: s.headroom(self.target_fps))
 
     def _most_loaded(self, services, exclude, took: set[str]):
         candidates = [s for s in services
@@ -364,7 +361,7 @@ class WorkloadMigrator:
         share = session.share_of(source)
         if not share:
             return None
-        headroom = self._headroom(destination)
+        headroom = destination.headroom(self.target_fps)
         node_ids, moved = self.select_nodes(
             tree, share, polygons_needed,
             receiver_headroom=headroom, hard_cap=hard_cap)

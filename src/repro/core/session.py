@@ -270,7 +270,7 @@ class CollaborativeSession:
         over = {a.service for a in alerts if a.kind == ALERT_OVERLOAD}
         live = [s for s in self.render_services if self.service_live(s)]
         alerted = [s for s in live if s.name in over]
-        headroom = sum(self._headroom(s) for s in live
+        headroom = sum(s.headroom(self.target_fps) for s in live
                        if s.name not in over)
         need = sum(0.1 * s.capacity().polygon_budget(self.target_fps)
                    for s in alerted)
@@ -290,7 +290,7 @@ class CollaborativeSession:
             return []
         candidate = min(live, key=lambda s: (s.utilisation(self.target_fps),
                                              s.name))
-        peers_headroom = sum(self._headroom(s) for s in live
+        peers_headroom = sum(s.headroom(self.target_fps) for s in live
                              if s is not candidate)
         tree = self.master_tree
         share_cost = sum(node_cost(tree.node(nid)).polygons
@@ -330,13 +330,10 @@ class CollaborativeSession:
         placement = self.scheduler.place(cost, pool)
         for service in placement.recruited:
             if service.name not in self._attachments:
-                self.connect(service)
+                self._join_idle(service)
 
         if placement.mode == "single":
             service = placement.assignments[0].service
-            for attachment in self._attachments.values():
-                attachment.share = set()
-                self._narrow(attachment.service, set())
             self.attachment(service).share = {
                 n.node_id for n in self.master_tree.geometry_nodes()}
             self._narrow(service, None)
@@ -528,7 +525,8 @@ class CollaborativeSession:
         if orphans:
             survivors = [a for a in self._attachments.values()
                          if self.service_live(a.service)]
-            if not any(self._headroom(a.service) > 0 for a in survivors):
+            if not any(a.service.headroom(self.target_fps) > 0
+                       for a in survivors):
                 recruited = [s.name for s in self.recruit_more()]
                 survivors = [a for a in self._attachments.values()
                              if self.service_live(a.service)]
@@ -563,10 +561,6 @@ class CollaborativeSession:
                           session=self.session_id).inc(len(recruited))
         return report
 
-    def _headroom(self, service) -> float:
-        return max(0.0, service.capacity().polygon_budget(self.target_fps)
-                   - service.committed_polygons())
-
     def _drain(self, orphans: set[int],
                survivors: list) -> dict[str, tuple[int, ...]]:
         """Hand ``orphans`` to ``survivors`` and ship each receiver its
@@ -582,7 +576,7 @@ class CollaborativeSession:
               if nid in self.master_tree else 0, nid)
              for nid in orphans),
             reverse=True)
-        remaining = {a.service.name: self._headroom(a.service)
+        remaining = {a.service.name: a.service.headroom(self.target_fps)
                      for a in survivors}
         assigned: dict[str, set[int]] = {}
         for polys, nid in costed:

@@ -42,33 +42,6 @@ class SoapFault(ServiceError):
         self.reason = reason
 
 
-class CallTimeout(ServiceError):
-    """A remote call exceeded its per-attempt timeout or overall deadline.
-
-    ``elapsed`` is how long the caller waited (simulated seconds) and
-    ``attempts`` how many tries were made before giving up.
-    """
-
-    def __init__(self, message: str, *, elapsed: float = 0.0,
-                 attempts: int = 0) -> None:
-        super().__init__(message)
-        self.elapsed = elapsed
-        self.attempts = attempts
-
-
-class CircuitOpenError(ServiceError):
-    """A circuit breaker refused the call without attempting it.
-
-    Raised while the breaker for a repeatedly-failing service is open;
-    ``retry_at`` is the simulated time at which the breaker will next
-    admit a probe call.
-    """
-
-    def __init__(self, message: str, *, retry_at: float = 0.0) -> None:
-        super().__init__(message)
-        self.retry_at = retry_at
-
-
 class DiscoveryError(ServiceError):
     """UDDI lookup failed (unknown business, tModel, or service key)."""
 
@@ -97,9 +70,8 @@ class TooManyRequestsError(ServiceError):
     """The grid explicitly refused a request because it is full (HTTP 429).
 
     This is *backpressure*, not a failure: the service is healthy but at
-    capacity, so the caller must not retry immediately, must not count
-    the refusal against a circuit breaker, and should surface the
-    explanation to the user.  ``retry_after`` is the server's hint (in
+    capacity, so the caller must not retry immediately and should surface
+    the explanation to the user.  ``retry_after`` is the server's hint (in
     simulated seconds) for when capacity may free up; ``queue_position``
     is set when the request was dropped from (or refused a place in) a
     bounded admission queue.

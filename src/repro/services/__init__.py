@@ -17,8 +17,8 @@ data plane "backs off from SOAP" onto raw sockets — modelled by
 - :mod:`repro.services.clients` — the thin client (PDA) and active render
   client;
 - :mod:`repro.services.protocol` — binary data-plane message framing;
-- :mod:`repro.services.retry` — control-plane hardening: retry policies,
-  deadlines, circuit breakers, reliable SOAP channels.
+- :mod:`repro.services.retry` — the retry policy of the thin client's
+  frame requests.
 """
 
 from repro.services.soap import SoapEnvelope, soap_decode, soap_encode
@@ -42,13 +42,7 @@ from repro.services.protocol import (
 from repro.services.data_service import DataService, DataSession
 from repro.services.render_service import RenderService, RenderSession
 from repro.services.clients import ActiveRenderClient, ThinClient, FrameTiming
-from repro.services.retry import (
-    CircuitBreaker,
-    ReliableSoapChannel,
-    RetryPolicy,
-    ServiceHealthLedger,
-    call_with_retry,
-)
+from repro.services.retry import RetryPolicy
 
 __all__ = [
     "SoapEnvelope",
@@ -78,8 +72,4 @@ __all__ = [
     "ActiveRenderClient",
     "FrameTiming",
     "RetryPolicy",
-    "CircuitBreaker",
-    "ReliableSoapChannel",
-    "ServiceHealthLedger",
-    "call_with_retry",
 ]

@@ -144,6 +144,11 @@ class RenderService:
         budget = self.capacity().polygon_budget(target_fps)
         return self.committed_polygons() / budget if budget > 0 else float("inf")
 
+    def headroom(self, target_fps: float) -> float:
+        """Polygons this service can still take on at ``target_fps``."""
+        return max(0.0, self.capacity().polygon_budget(target_fps)
+                   - self.committed_polygons())
+
     # -- session bootstrap ----------------------------------------------------------
 
     def create_render_session(self, data_service: DataService,

@@ -340,18 +340,3 @@ def soap_cpu_seconds(nbytes: int, cpu_factor: float = 1.0) -> float:
     """Simulated CPU time to produce or parse ``nbytes`` of SOAP XML."""
     return (ENVELOPE_FIXED_SECONDS + nbytes * XML_SECONDS_PER_BYTE) / cpu_factor
 
-
-#: fault codes a client may transparently retry: the server never started
-#: (or never finished) the operation, so repeating it is safe
-RETRYABLE_FAULT_CODES = frozenset({
-    "Receiver", "Timeout", "Unavailable", "ServiceBusy",
-})
-
-
-def is_retryable_fault(code: str) -> bool:
-    """Is a SOAP fault with this code safe to retry?
-
-    ``Sender`` faults (the request itself is wrong) and authorization
-    failures are permanent; receiver-side faults are transient.
-    """
-    return code in RETRYABLE_FAULT_CODES

@@ -1,7 +1,7 @@
 """The fault-tolerance stack, layer by layer.
 
-Fault injection (crashes, flaps, spikes, loss, partitions), control-plane
-retries + circuit breaking, heartbeat-lease failure detection, and the
+Fault injection (crashes, flaps, spikes, loss, partitions), the thin
+client's frame retries, heartbeat-lease failure detection, and the
 session-level recovery paths — each exercised in isolation before
 ``test_chaos.py`` runs them together.
 """
@@ -17,22 +17,12 @@ from repro.core.health import (
     HeartbeatMonitor,
     HeartbeatSource,
 )
-from repro.errors import (
-    CallTimeout,
-    CircuitOpenError,
-    NetworkError,
-    ServiceError,
-)
+from repro.errors import NetworkError, ServiceError
 from repro.network.clock import Simulator
 from repro.network.faults import FaultInjector
 from repro.network.simnet import Network
-from repro.services.retry import (
-    CircuitBreaker,
-    RetryPolicy,
-    ServiceHealthLedger,
-    call_with_retry,
-    reliable_request,
-)
+from repro.services.clients import ThinClient
+from repro.services.retry import RetryPolicy
 
 
 def star_network():
@@ -228,174 +218,84 @@ class TestRetryPolicy:
             RetryPolicy(max_attempts=0)
         with pytest.raises(ValueError):
             RetryPolicy(jitter=1.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(deadline_s=0.0)
 
 
-class TestCallWithRetry:
-    def test_flaky_call_eventually_succeeds(self):
-        sim = Simulator()
-        calls = []
+class TestThinClientRetry:
+    """The one retry loop: ``ThinClient.request_frame`` under a policy.
 
-        def flaky():
-            calls.append(sim.now)
-            if len(calls) < 3:
-                raise NetworkError("flap")
-            return "ok"
+    The PDA's wireless uplink is cut, so every attempt fails at the
+    request; each failure burns the attempt timeout, then a seeded backoff.
+    """
 
-        policy = RetryPolicy(max_attempts=4, jitter=0.0)
-        assert call_with_retry(flaky, policy, sim) == "ok"
-        assert len(calls) == 3
-        assert sim.now > 0                # backoff charged to the clock
+    def attached_client(self, testbed, policy, seed=0):
+        from repro.data.generators import skeleton
+        from repro.scenegraph.nodes import MeshNode
+        from repro.scenegraph.tree import SceneTree
 
-    def test_exhausted_attempts_raise_call_timeout(self):
-        sim = Simulator()
-        policy = RetryPolicy(max_attempts=3, jitter=0.0)
+        tree = SceneTree("pda")
+        tree.add(MeshNode(skeleton(2000).normalized(), name="skel"))
+        testbed.publish_tree("pda", tree)
+        rs = testbed.render_service("centrino")
+        rsession, _ = rs.create_render_session(testbed.data_service, "pda")
+        client = ThinClient("pda-user", "zaurus", testbed.network,
+                            retry_policy=policy, retry_seed=seed)
+        client.attach(rs, rsession.render_session_id)
+        return client
 
-        def always_fails():
-            raise NetworkError("down")
+    def expected_waits(self, policy, seed, failures):
+        rng = random.Random(seed)
+        return [policy.timeout_s + policy.backoff_seconds(attempt, rng)
+                for attempt in range(1, failures + 1)]
 
-        with pytest.raises(CallTimeout) as err:
-            call_with_retry(always_fails, policy, sim)
-        assert err.value.attempts == 3
+    def test_events_fire_during_backoff_waits(self, small_testbed):
+        """A simulator-scheduled link restoration lands mid-backoff and
+        the next attempt sees it: the waits pump the event queue."""
+        net = small_testbed.network
+        policy = RetryPolicy(max_attempts=5, timeout_s=0.5,
+                             base_backoff_s=0.5, jitter=0.0)
+        client = self.attached_client(small_testbed, policy)
+        net.set_link_up("zaurus", "switch", False)
+        start = net.sim.now
+        net.sim.schedule_at(start + 0.75,
+                            lambda: net.set_link_up("zaurus", "switch", True))
+        fb, timing = client.request_frame(80, 60)
+        assert client.frame_retries == 1
+        assert client.frames_received == 1
+        assert timing.retry_seconds == pytest.approx(1.0)
 
-    def test_deadline_propagates_through_retries(self):
-        sim = Simulator()
-        policy = RetryPolicy(max_attempts=100, base_backoff_s=1.0,
-                             backoff_multiplier=1.0, jitter=0.0,
-                             deadline_s=2.5)
+    def test_exhausted_attempts_reraise_after_every_wait(self, small_testbed):
+        net = small_testbed.network
+        policy = RetryPolicy(max_attempts=3, timeout_s=0.5,
+                             base_backoff_s=0.25, jitter=0.2)
+        client = self.attached_client(small_testbed, policy, seed=7)
+        net.set_link_up("zaurus", "switch", False)
+        start = net.sim.now
+        with pytest.raises(NetworkError):
+            client.request_frame(80, 60)
+        assert client.frame_retries == policy.max_attempts
+        assert client.frames_received == 0
+        # no wait after the last attempt: it re-raises at once
+        assert net.sim.now - start == pytest.approx(
+            sum(self.expected_waits(policy, 7, policy.max_attempts - 1)))
 
-        def always_fails():
-            raise NetworkError("down")
-
-        with pytest.raises(CallTimeout):
-            call_with_retry(always_fails, policy, sim)
-        # backoffs are clamped to the deadline: never sleeps past it
-        assert sim.now <= 2.5 + 1e-9
-
-    def test_non_retryable_raises_immediately(self):
-        sim = Simulator()
-        calls = []
-
-        def broken():
-            calls.append(1)
-            raise ServiceError("logic bug")
-
-        with pytest.raises(ServiceError):
-            call_with_retry(broken, RetryPolicy(), sim)
-        assert len(calls) == 1
-
-    def test_events_fire_during_backoff_waits(self):
-        """A simulator-scheduled recovery lands mid-backoff and the next
-        attempt sees it — the waits pump the event queue."""
-        sim = Simulator()
-        state = {"up": False}
-        sim.schedule_at(0.3, lambda: state.update(up=True))
-
-        def call():
-            if not state["up"]:
-                raise NetworkError("still down")
-            return "ok"
-
-        policy = RetryPolicy(max_attempts=5, base_backoff_s=0.5,
-                             jitter=0.0)
-        assert call_with_retry(call, policy, sim) == "ok"
-
-
-class TestCircuitBreaker:
-    def test_opens_after_threshold(self):
-        sim = Simulator()
-        b = CircuitBreaker(sim, failure_threshold=3, reset_timeout_s=10.0)
-        for _ in range(3):
-            b.record_failure()
-        assert b.state == CircuitBreaker.OPEN
-        assert b.trips == 1
-        with pytest.raises(CircuitOpenError):
-            b.check()
-
-    def test_half_open_probe_after_cooldown(self):
-        sim = Simulator()
-        b = CircuitBreaker(sim, failure_threshold=1, reset_timeout_s=5.0)
-        b.record_failure()
-        assert b.state == CircuitBreaker.OPEN
-        sim.clock.advance(5.0)
-        assert b.state == CircuitBreaker.HALF_OPEN
-        b.check()                           # probe admitted
-        b.record_success()
-        assert b.state == CircuitBreaker.CLOSED
-
-    def test_failed_probe_reopens(self):
-        sim = Simulator()
-        b = CircuitBreaker(sim, failure_threshold=1, reset_timeout_s=5.0)
-        b.record_failure()
-        sim.clock.advance(5.0)
-        assert b.state == CircuitBreaker.HALF_OPEN
-        b.record_failure()
-        assert b.state == CircuitBreaker.OPEN
-        sim.clock.advance(4.9)
-        assert b.state == CircuitBreaker.OPEN
-
-    def test_success_resets_failure_count(self):
-        sim = Simulator()
-        b = CircuitBreaker(sim, failure_threshold=3)
-        b.record_failure()
-        b.record_failure()
-        b.record_success()
-        b.record_failure()
-        assert b.state == CircuitBreaker.CLOSED
-
-    def test_ledger_shares_breakers_and_reports_health(self):
-        sim = Simulator()
-        ledger = ServiceHealthLedger(sim, failure_threshold=2)
-        assert ledger.healthy("rs-a")
-        b = ledger.breaker("rs-a")
-        assert ledger.breaker("rs-a") is b
-        b.record_failure()
-        b.record_failure()
-        assert not ledger.healthy("rs-a")
-        assert ledger.unhealthy_services() == ["rs-a"]
-
-
-class TestReliableSoap:
-    def test_reliable_request_survives_injected_loss(self):
-        net = star_network()
-        inj = FaultInjector(net, seed=5)
-        inj.set_loss("a", "c", 0.6)
-        policy = RetryPolicy(max_attempts=8, timeout_s=0.5, jitter=0.0)
-        decoded, timing = reliable_request(
-            net, "a", "c", ("Ping", {"n": 1}), ("Pong", {"n": 1}),
-            policy=policy, seed=5)
-        assert decoded == ("Pong", {"n": 1})
-
-    def test_unroutable_call_charges_timeouts_then_raises(self):
-        net = star_network()
-        FaultInjector(net)
-        net.set_host_up("c", False)
-        policy = RetryPolicy(max_attempts=2, timeout_s=1.0, jitter=0.0)
-        t0 = net.sim.now
-        with pytest.raises(CallTimeout):
-            reliable_request(net, "a", "c", ("Ping", {}), ("Pong", {}),
-                             policy=policy)
-        # two attempt timeouts + one backoff were charged to the clock
-        assert net.sim.now - t0 >= 2.0
-
-    def test_breaker_feeds_on_soap_failures(self):
-        net = star_network()
-        FaultInjector(net)
-        net.set_host_up("c", False)
-        breaker = CircuitBreaker(net.sim, failure_threshold=2,
-                                 reset_timeout_s=60.0, name="c")
-        policy = RetryPolicy(max_attempts=2, timeout_s=0.1, jitter=0.0)
-        with pytest.raises(CallTimeout):
-            reliable_request(net, "a", "c", ("Ping", {}), ("Pong", {}),
-                             policy=policy, breaker=breaker)
-        assert breaker.state == CircuitBreaker.OPEN
-        # further calls are rejected without consuming the timeout budget
-        t0 = net.sim.now
-        with pytest.raises(CircuitOpenError):
-            reliable_request(net, "a", "c", ("Ping", {}), ("Pong", {}),
-                             policy=policy, breaker=breaker)
-        assert net.sim.now == t0
+    def test_retry_seconds_is_the_clock_before_the_last_attempt(
+            self, small_testbed):
+        net = small_testbed.network
+        policy = RetryPolicy(max_attempts=4, timeout_s=0.5,
+                             base_backoff_s=0.25, jitter=0.2)
+        client = self.attached_client(small_testbed, policy, seed=3)
+        waits = self.expected_waits(policy, 3, 2)
+        net.set_link_up("zaurus", "switch", False)
+        start = net.sim.now
+        # restored during the second backoff: two attempts fail
+        net.sim.schedule_at(start + waits[0] + policy.timeout_s + 0.01,
+                            lambda: net.set_link_up("zaurus", "switch", True))
+        fb, timing = client.request_frame(80, 60)
+        attempt_latency = timing.total_latency - timing.retry_seconds
+        assert client.frame_retries == 2
+        assert timing.retry_seconds == pytest.approx(sum(waits))
+        assert timing.retry_seconds == pytest.approx(
+            net.sim.now - start - attempt_latency)
 
 
 class TestHeartbeatMonitor:

@@ -20,13 +20,7 @@ from repro.core.grid import (
     TenantQuota,
 )
 from repro.data.generators import uv_sphere
-from repro.errors import (
-    CallTimeout,
-    SessionError,
-    TooManyRequestsError,
-)
-from repro.network.faults import FaultInjector
-from repro.network.simnet import Network
+from repro.errors import SessionError, TooManyRequestsError
 from repro.obs.vocab import (
     EVENT_ADMIT,
     EVENT_QUEUE,
@@ -35,13 +29,6 @@ from repro.obs.vocab import (
 from repro.scenegraph.nodes import MeshNode
 from repro.scenegraph.tree import SceneTree
 from repro.services.protocol import frame_reject, unframe_reject
-from repro.services.retry import (
-    BACKPRESSURE_ERRORS,
-    CircuitBreaker,
-    RetryPolicy,
-    call_with_retry,
-    reliable_request,
-)
 from repro.testbed import build_testbed
 
 # at 3000 fps one ~1100-polygon sphere costs ~3.3 Mpps, so the
@@ -280,84 +267,6 @@ class TestRejectWireContract:
         assert err.value.status == 429
         assert err.value.tenant == "acme"
         assert err.value.retry_after == grid.queue_timeout
-
-
-class TestBackpressureBypassesTheBreaker:
-    """Satellite regression: a 429 is the service *working*, not failing.
-
-    Before the fix, ``TooManyRequestsError`` fell through the generic
-    retryable/terminal split in ``call_with_retry``: the breaker counted
-    it as a failure and repeated backpressure opened the circuit to a
-    healthy-but-full service.
-    """
-
-    def test_429_does_not_count_toward_the_breaker(self):
-        sim = Network().sim
-
-        def full():
-            raise TooManyRequestsError("at capacity", retry_after=3.0)
-
-        breaker = CircuitBreaker(sim, failure_threshold=1,
-                                 reset_timeout_s=60.0, name="rs")
-        for _ in range(5):
-            with pytest.raises(TooManyRequestsError):
-                call_with_retry(full, RetryPolicy(max_attempts=4), sim,
-                                breaker=breaker)
-        # threshold 1: a single *counted* failure would have opened it
-        assert breaker.state == CircuitBreaker.CLOSED
-
-    def test_429_does_not_burn_the_retry_budget(self):
-        sim = Network().sim
-        calls = []
-
-        def full():
-            calls.append(1)
-            raise TooManyRequestsError("at capacity")
-
-        t0 = sim.now
-        with pytest.raises(TooManyRequestsError):
-            call_with_retry(full, RetryPolicy(max_attempts=6), sim)
-        assert len(calls) == 1          # no blind retries against a full grid
-        assert sim.now == t0            # and no backoff waits charged
-
-    def test_soap_fault_decodes_to_too_many_requests(self):
-        net = Network()
-        for name in ("a", "c"):
-            net.add_host(name)
-        net.add_ethernet_segment(["a", "c"], "hub", bandwidth_bps=100e6)
-        FaultInjector(net)
-        breaker = CircuitBreaker(net.sim, failure_threshold=1,
-                                 reset_timeout_s=60.0, name="c")
-        fault = ("Fault", {"code": "TooManyRequests",
-                           "reason": "admission queue full",
-                           "retry_after": 7.5})
-        with pytest.raises(TooManyRequestsError) as err:
-            reliable_request(net, "a", "c", ("Open", {}), fault,
-                             policy=RetryPolicy(max_attempts=3, jitter=0.0),
-                             breaker=breaker)
-        assert err.value.retry_after == 7.5
-        assert "admission queue full" in str(err.value)
-        assert breaker.state == CircuitBreaker.CLOSED
-
-    def test_retryable_faults_still_retry_and_feed_the_breaker(self):
-        """The contrast case: the generic path is untouched."""
-        net = Network()
-        for name in ("a", "c"):
-            net.add_host(name)
-        net.add_ethernet_segment(["a", "c"], "hub", bandwidth_bps=100e6)
-        FaultInjector(net)
-        breaker = CircuitBreaker(net.sim, failure_threshold=2,
-                                 reset_timeout_s=60.0, name="c")
-        fault = ("Fault", {"code": "ServiceBusy", "reason": "busy"})
-        with pytest.raises(CallTimeout):
-            reliable_request(net, "a", "c", ("Open", {}), fault,
-                             policy=RetryPolicy(max_attempts=2, jitter=0.0,
-                                                timeout_s=0.1),
-                             breaker=breaker)
-        assert breaker.state == CircuitBreaker.OPEN
-
-    def test_backpressure_errors_is_the_shared_vocabulary(self):
-        assert TooManyRequestsError in BACKPRESSURE_ERRORS
 
 
 class TestShedAndRestore:

@@ -178,6 +178,9 @@ class FakeService:
     def utilisation(self, target_fps=10.0):
         return self._committed / (self._rate / target_fps)
 
+    def headroom(self, target_fps):
+        return max(0.0, self._rate / target_fps - self._committed)
+
 
 class FakeSession:
     """Minimal CollaborativeSession facade for migrator policy tests."""

@@ -459,6 +459,9 @@ class _FakeService:
     def utilisation(self, target_fps=10.0):
         return self._committed / (self._rate / target_fps)
 
+    def headroom(self, target_fps):
+        return max(0.0, self._rate / target_fps - self._committed)
+
 
 class _FakeSession:
     def __init__(self, tree, services, shares):

@@ -126,6 +126,45 @@ class TestPlacement:
         with pytest.raises(SessionError):
             cs.render_composite(CameraNode(), 64, 64)
 
+    @pytest.mark.parametrize("fps", [300, 600])
+    def test_recruits_left_without_a_share_commit_nothing(self, testbed,
+                                                          fps):
+        """A UDDI recruit the plan gives no share joins idle: it neither
+        commits the scene nor subscribes to every update."""
+        publish_big(testbed, 120_000, name="skel")
+        cs = CollaborativeSession(testbed.data_service, "skel",
+                                  target_fps=fps,
+                                  recruiter=testbed.recruiter())
+        cs.connect(testbed.render_service("onyx"))
+        placement = cs.place_dataset()
+        assigned = {a.service.name for a in placement.assignments}
+        idle = [s for s in placement.recruited if s.name not in assigned]
+        assert idle
+        for service in cs.render_services:
+            assert service.committed_polygons() == cs.share_polygons(service)
+            assert service.utilisation(fps) <= 1.0
+        subscribers = testbed.data_service.session("skel").subscribers
+        for service in idle:
+            assert not cs.share_of(service)
+            assert all(sub.interests == set()
+                       for name, sub in subscribers.items()
+                       if name.startswith(f"{service.name}/"))
+
+    @pytest.mark.parametrize("fps", [440, 450])
+    def test_a_placement_the_scheduler_accepted_packs(self, testbed, fps):
+        """Two assignees with little slack: halving the grain four times
+        still strands a piece, the slack-sized grain packs."""
+        publish_big(testbed, 120_000, name="skel")
+        cs = CollaborativeSession(testbed.data_service, "skel",
+                                  target_fps=fps,
+                                  recruiter=testbed.recruiter())
+        placement = cs.place_dataset()
+        assert placement.mode == "dataset-distributed"
+        placed = set().union(*(cs.share_of(s) for s in cs.render_services))
+        assert placed == {n.node_id for n in cs.master_tree.geometry_nodes()}
+        for service in cs.render_services:
+            assert service.utilisation(fps) <= 1.0
+
 
 class TestReassignment:
     def test_reassign_moves_interest_and_session(self, testbed):
