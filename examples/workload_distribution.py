@@ -67,7 +67,7 @@ def main() -> None:
     for i in range(10):
         cs.migrator.tracker(victim.name).record(LoadSample(
             time=t0 + i * 0.5, fps=1.5,
-            utilisation=victim.utilisation(cs.target_fps)))
+            utilisation=victim.utilisation()))
     actions = cs.rebalance()
     for action in actions:
         print(f"  migrated {action.polygons:,} polygons "

@@ -9,7 +9,12 @@ Capacities are expressed against an *interactive frame-rate target*: a
 service with R polygons/second aiming at F frames/second can host
 ``R / F`` polygons of scene ("if an underloaded service has capacity for
 another 5k polygons/sec and still maintain its current interactive frame
-rate...").
+rate...").  What is already committed is one figure in the same unit,
+polygons per second: every render session on the service charges its
+polygons at its own frame rate
+(:meth:`~repro.services.render_service.RenderService.committed_pps`), so
+a 600 fps session costs sixty times what a 10 fps one of the same size
+does, whoever reads the service.
 """
 
 from __future__ import annotations
@@ -55,20 +60,16 @@ class CapacityReport:
     service_name: str
     host: str
     capacity: RenderCapacity
-    #: load already committed on the service, in polygons at the
-    #: interrogating session's fps.  For a stand-alone session this is the
-    #: service's raw polygon count (every co-tenant charged at the
-    #: newcomer's fps); for a pool-owned one it is the grid ledger's
-    #: figure (:meth:`~repro.core.grid.SessionGridManager.committed_polygons`),
-    #: which charges each co-tenant at its own admitted rate
-    committed_polygons: float
+    #: polygon rate already committed on the service, each of its
+    #: render sessions charged at its own frame rate
+    committed_pps: float
     elapsed_seconds: float
 
-    def headroom(self, target_fps: float = DEFAULT_TARGET_FPS) -> float:
+    def headroom(self, target_fps: float) -> float:
         """Remaining polygon budget at the target frame rate."""
         return max(0.0,
                    self.capacity.polygon_budget(target_fps)
-                   - self.committed_polygons)
+                   - self.committed_pps / target_fps)
 
 
 def capacity_from_profile(profile) -> RenderCapacity:
@@ -89,17 +90,8 @@ def capacity_from_profile(profile) -> RenderCapacity:
     )
 
 
-def interrogate(render_service, requester_host: str,
-                committed_polygons: float | None = None) -> CapacityReport:
-    """The data service's timed ``getCapacity`` SOAP call.
-
-    The report's committed load is the service's own
-    :meth:`~repro.services.render_service.RenderService.committed_polygons`
-    unless the caller passes ``committed_polygons``: a pool-owned
-    session's scheduler passes its grid's ledger figure, in polygons at
-    the session's fps.  The SOAP round trip and its simulated cost are
-    the same either way.
-    """
+def interrogate(render_service, requester_host: str) -> CapacityReport:
+    """The data service's timed ``getCapacity`` SOAP call."""
     from repro.network.transport import SoapChannel
 
     network = render_service.container.network
@@ -118,8 +110,6 @@ def interrogate(render_service, requester_host: str,
         service_name=render_service.name,
         host=render_service.host,
         capacity=cap,
-        committed_polygons=(render_service.committed_polygons()
-                            if committed_polygons is None
-                            else committed_polygons),
+        committed_pps=render_service.committed_pps(),
         elapsed_seconds=timing.total_seconds,
     )

@@ -296,35 +296,6 @@ class SessionGridManager:
                 continue
         return out
 
-    def _member_spare_pps(self, service) -> float:
-        """Uncommitted polygon rate on one member.
-
-        Each grid session's share is charged at that session's admitted
-        frame rate; any polygons committed by non-grid users of the
-        member are charged at the grid's base fps.
-        """
-        grid_polys = 0.0
-        grid_pps = 0.0
-        for gs in self._sessions.values():
-            polys = gs.session.share_polygons(service.name)
-            grid_polys += polys
-            grid_pps += polys * gs.requested_fps
-        foreign = max(0.0, service.committed_polygons() - grid_polys)
-        committed = grid_pps + foreign * self.target_fps
-        return service.capacity().polygons_per_second - committed
-
-    def committed_polygons(self, service, fps: float) -> float:
-        """One member's committed load, in polygons at ``fps``.
-
-        The ledger's own figure (:meth:`_member_spare_pps`) expressed as
-        the scene size that would draw the same polygon rate at ``fps``:
-        what a pool-owned session's scheduler reads in place of the
-        member's raw polygon count, so placement charges every co-tenant
-        at its own admitted rate, exactly as admission did.
-        """
-        return (service.capacity().polygons_per_second
-                - self._member_spare_pps(service)) / fps
-
     # -- capacity accounting -----------------------------------------------------------
 
     def pool_pps(self) -> float:
@@ -333,10 +304,25 @@ class SessionGridManager:
                    for s in self.live_members())
 
     def committed_pps(self) -> float:
+        """The polygon rate the grid's tenants were admitted for."""
         return sum(gs.pps for gs in self._sessions.values())
 
+    @staticmethod
+    def _spare_rate(service) -> float:
+        """One member's polygon rate less its ``committed_pps()``."""
+        rate = service.capacity().polygons_per_second
+        return rate - service.committed_pps()
+
     def spare_pps(self) -> float:
-        return self.pool_pps() - self.committed_pps()
+        """Uncommitted polygon rate of the live pool.
+
+        The live members' spare rates, so stand-alone users of a member
+        count exactly as the grid's tenants do; never more than the pool
+        less :meth:`committed_pps`, so the load a dead member's tenants
+        still owe counts until they recover it.
+        """
+        return min(self.pool_pps() - self.committed_pps(),
+                   sum(self._spare_rate(s) for s in self.live_members()))
 
     def tenant_pps(self, tenant: str) -> float:
         return sum(gs.pps for gs in self._sessions.values()
@@ -499,18 +485,16 @@ class SessionGridManager:
         """Bin-pack: the fewest most-spare members that can hold the demand.
 
         Each member is counted as the scheduler will place on it: a whole
-        number of polygons within its ledger headroom at ``fps``.  Empty
-        when the whole live pool cannot hold the demand, so a request
-        that placement would refuse bootstraps nothing.
+        number of polygons within its headroom at ``fps``.  Empty when the
+        whole live pool cannot hold the demand, so a request that
+        placement would refuse bootstraps nothing.
         """
-        ranked = sorted(((self._member_spare_pps(s), s)
-                         for s in self.live_members()),
-                        key=lambda pair: (-pair[0], pair[1].name))
+        ranked = sorted(self.live_members(),
+                        key=lambda s: (-self._spare_rate(s), s.name))
         chosen, covered = [], 0
-        for _, service in ranked:
+        for service in ranked:
             chosen.append(service)
-            covered += int(max(0.0, service.capacity().polygon_budget(fps)
-                               - self.committed_polygons(service, fps)))
+            covered += int(service.headroom(fps))
             if covered >= demand:
                 return chosen
         return []
@@ -703,12 +687,12 @@ class SessionGridManager:
             if s.name not in attached
             and s.name not in session.failed_services
         ]
-        candidates.sort(key=lambda s: (-self._member_spare_pps(s), s.name))
+        candidates.sort(key=lambda s: (-self._spare_rate(s), s.name))
         lent = []
         for service in candidates:
             if limit is not None and len(lent) >= limit:
                 break
-            if lent and self._member_spare_pps(service) <= 0:
+            if lent and self._spare_rate(service) <= 0:
                 break
             try:
                 session._join_idle(service)

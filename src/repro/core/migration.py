@@ -154,7 +154,7 @@ class WorkloadMigrator:
         """Feed one rendered-frame observation into the tracker."""
         self.tracker(service.name).record(LoadSample(
             time=time, fps=fps,
-            utilisation=service.utilisation(self.target_fps)))
+            utilisation=service.utilisation()))
 
     # -- detection -------------------------------------------------------------
 
@@ -258,8 +258,8 @@ class WorkloadMigrator:
             if service.name in took:
                 continue
             # work to shed: enough to get back to the target frame time
-            over = service.committed_polygons() - (
-                service.capacity().polygon_budget(self.target_fps))
+            over = (service.committed_pps() / self.target_fps
+                    - service.capacity().polygon_budget(self.target_fps))
             needed = max(over,
                          0.1 * service.capacity().polygon_budget(
                              self.target_fps))
@@ -300,13 +300,15 @@ class WorkloadMigrator:
             # threshold, nor leave the puller more utilised than the
             # donor: either way the next plan() pass pulls the same nodes
             # back.  The second cap solves (puller's load + x) / budget
-            # == (given - x) / donor_budget for x.
-            budget = service.capacity().polygon_budget(self.target_fps)
-            donor_budget = donor.capacity().polygon_budget(self.target_fps)
-            given = donor.committed_polygons()
+            # == (given - x) / donor_budget for x, every load in
+            # polygons at the target frame rate.
+            fps = self.target_fps
+            budget = service.capacity().polygon_budget(fps)
+            donor_budget = donor.capacity().polygon_budget(fps)
+            given = donor.committed_pps() / fps
             cap = min(given - self.underload_utilisation * donor_budget,
                       (budget * given
-                       - donor_budget * service.committed_polygons())
+                       - donor_budget * (service.committed_pps() / fps))
                       / (budget + donor_budget))
             if cap <= 0:
                 continue
@@ -349,10 +351,10 @@ class WorkloadMigrator:
     def _most_loaded(self, services, exclude, took: set[str]):
         candidates = [s for s in services
                       if s is not exclude and s.name not in took
-                      and s.committed_polygons() > 0]
+                      and s.committed_pps() > 0]
         if not candidates:
             return None
-        return max(candidates, key=lambda s: s.utilisation(self.target_fps))
+        return max(candidates, key=lambda s: s.utilisation())
 
     def _move(self, session, source, destination, polygons_needed: float,
               reason: str,

@@ -59,21 +59,14 @@ class RenderServiceScheduler:
 
     def __init__(self, data_service,
                  target_fps: float = DEFAULT_TARGET_FPS,
-                 recruiter=None, pool=None) -> None:
+                 recruiter=None) -> None:
         self.data_service = data_service
         self.target_fps = target_fps
         self.recruiter = recruiter
-        #: the owning :class:`~repro.core.grid.SessionGridManager` of a
-        #: pool-owned session: its ledger, not each member's raw polygon
-        #: count, says what is committed, so placement agrees with the
-        #: admission that chose the members
-        self.pool = pool
 
     def interrogate_all(self, services: list) -> list[CapacityReport]:
-        host, pool = self.data_service.host, self.pool
-        reports = [interrogate(s, host, None if pool is None else
-                               pool.committed_polygons(s, self.target_fps))
-                   for s in services]
+        host = self.data_service.host
+        reports = [interrogate(s, host) for s in services]
         obs = _obs()
         if obs.enabled and reports:
             m = obs.metrics

@@ -90,8 +90,7 @@ class CollaborativeSession:
         #: the session orchestrates *work*, the grid owns *services*.
         self.pool = pool
         self.scheduler = RenderServiceScheduler(
-            data_service, target_fps=target_fps, recruiter=recruiter,
-            pool=pool)
+            data_service, target_fps=target_fps, recruiter=recruiter)
         self.distributor = distributor or DatasetDistributor()
         self.tile_distributor = FramebufferDistributor()
         self.migrator = migrator or WorkloadMigrator(target_fps=target_fps)
@@ -133,16 +132,6 @@ class CollaborativeSession:
     def share_of(self, service) -> set[int]:
         return self.attachment(service).share
 
-    def share_polygons(self, service) -> int:
-        """Polygon count of the share one attached service holds now."""
-        name = getattr(service, "name", service)
-        attachment = self._attachments.get(name)
-        if attachment is None or not attachment.share:
-            return 0
-        tree = self.master_tree
-        return sum(tree.node(nid).n_polygons
-                   for nid in attachment.share if nid in tree)
-
     # -- membership ------------------------------------------------------------------
 
     def connect(self, render_service, subset_ids: set[int] | None = None,
@@ -153,7 +142,7 @@ class CollaborativeSession:
                 f"{render_service.name!r} already attached")
         rsession, timing = render_service.create_render_session(
             self.data_service, self.session_id, subset_ids=subset_ids,
-            introspective=introspective)
+            introspective=introspective, fps=self.target_fps)
         attachment = ServiceAttachment(
             service=render_service,
             render_session_id=rsession.render_session_id,
@@ -288,8 +277,7 @@ class CollaborativeSession:
         live = [s for s in self.render_services if self.service_live(s)]
         if len(live) <= min_services:
             return []
-        candidate = min(live, key=lambda s: (s.utilisation(self.target_fps),
-                                             s.name))
+        candidate = min(live, key=lambda s: (s.utilisation(), s.name))
         peers_headroom = sum(s.headroom(self.target_fps) for s in live
                              if s is not candidate)
         tree = self.master_tree
@@ -310,9 +298,7 @@ class CollaborativeSession:
 
         On a distributed placement, plans and applies the scene-subset
         split: every service's render session is narrowed to its share and
-        the data service's interest sets follow.  A pool-owned session's
-        scheduler reads each member's committed load from the grid's
-        ledger, so it places exactly what the grid admitted.
+        the data service's interest sets follow.
         """
         cost = tree_cost(self.master_tree)
         pool = self.render_services

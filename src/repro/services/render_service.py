@@ -67,6 +67,9 @@ class RenderSession:
     tree: SceneTree
     #: node ids this service is responsible for; None = whole scene
     assigned_ids: set[int] | None = None
+    #: the frame rate it was created for: each polygon it draws costs
+    #: this many polygons per second of the service's rate
+    fps: float = DEFAULT_TARGET_FPS
     #: tile assignment when assisting framebuffer distribution
     assigned_tile: Tile | None = None
     frames_rendered: int = 0
@@ -139,15 +142,22 @@ class RenderService:
         return float(sum(s.assigned_polygons()
                          for s in self._sessions.values()))
 
-    def utilisation(self, target_fps: float = DEFAULT_TARGET_FPS) -> float:
-        """Committed render work as a fraction of the target-fps budget."""
-        budget = self.capacity().polygon_budget(target_fps)
-        return self.committed_polygons() / budget if budget > 0 else float("inf")
+    def committed_pps(self) -> float:
+        """The polygon rate its sessions take: each session's polygons at
+        that session's own frame rate.  Admission, placement, migration
+        and the utilisation gauge all read this one figure."""
+        return float(sum(s.assigned_polygons() * s.fps
+                         for s in self._sessions.values()))
+
+    def utilisation(self) -> float:
+        """Committed polygon rate as a fraction of the service's rate."""
+        rate = self.capacity().polygons_per_second
+        return self.committed_pps() / rate if rate > 0 else float("inf")
 
     def headroom(self, target_fps: float) -> float:
         """Polygons this service can still take on at ``target_fps``."""
         return max(0.0, self.capacity().polygon_budget(target_fps)
-                   - self.committed_polygons())
+                   - self.committed_pps() / target_fps)
 
     # -- session bootstrap ----------------------------------------------------------
 
@@ -155,13 +165,16 @@ class RenderService:
                               session_id: str,
                               subset_ids: set[int] | None = None,
                               introspective: bool = True,
-                              charge_instance: bool = True) -> tuple[
+                              charge_instance: bool = True,
+                              fps: float = DEFAULT_TARGET_FPS) -> tuple[
                                   RenderSession, BootstrapTiming]:
         """Bootstrap from a data service (the Table 5 "service bootstrap").
 
         A shared scene copy is reused when this service already subscribes
         to the session — additional users then cost no extra bootstrap
-        transfer ("a single copy of the data are stored").
+        transfer ("a single copy of the data are stored").  ``fps`` is the
+        frame rate the session is charged at against the service's polygon
+        rate (:meth:`committed_pps`).
         """
         clock = self.network.sim.clock
         t0 = clock.now
@@ -199,7 +212,8 @@ class RenderService:
         rsid = f"rs-{self.name}-{next(self._seq):04d}"
         session = RenderSession(
             render_session_id=rsid, data_service=data_service,
-            session_id=session_id, tree=tree, assigned_ids=subset_ids)
+            session_id=session_id, tree=tree, assigned_ids=subset_ids,
+            fps=fps)
         self._sessions[rsid] = session
         self.telemetry.event(TELEMETRY_SESSION_CREATED, clock.now,
                              f"{rsid} for {session_id}@{data_service.name}")

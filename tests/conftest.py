@@ -11,6 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.capacity import RenderCapacity
+from repro.core.distribution import explode_to_grain
 from repro.data.meshes import Mesh
 from repro.obs import NULL_OBS, FlightRecorder, MetricsRegistry, Tracer
 from repro.scenegraph.nodes import CameraNode, MeshNode, TransformNode
@@ -22,6 +24,67 @@ def assert_off_stores_nothing() -> None:
     assert NULL_OBS.metrics.families() == []
     assert NULL_OBS.tracer.spans == []
     assert NULL_OBS.recorder.seen == 0
+
+
+class FakeService:
+    """A render service reduced to its capacity figures: ``committed``
+    polygons drawn at :attr:`fps` against ``rate`` polygons per second."""
+
+    fps = 10.0
+
+    def __init__(self, name, rate, committed=0.0):
+        self.name = name
+        self._rate = rate
+        self._committed = committed
+
+    def capacity(self):
+        return RenderCapacity(
+            polygons_per_second=self._rate, points_per_second=self._rate,
+            voxels_per_second=0, texture_memory_bytes=2**30,
+            volume_support=False)
+
+    def committed_pps(self):
+        return self._committed * self.fps
+
+    def utilisation(self):
+        return self.committed_pps() / self._rate
+
+    def headroom(self, target_fps):
+        return max(0.0, self._rate / target_fps
+                   - self.committed_pps() / target_fps)
+
+
+class FakeSession:
+    """A :class:`~repro.core.session.CollaborativeSession` facade for
+    migration policy tests: shares by service name over one tree."""
+
+    def __init__(self, tree, services, shares):
+        self.master_tree = tree
+        self.render_services = services
+        self._shares = shares
+        self.recruiter = None
+        self.moves = []
+
+    def share_of(self, service):
+        return self._shares[service.name]
+
+    def reassign_nodes(self, src, dst, node_ids):
+        self._shares[src.name] -= set(node_ids)
+        self._shares[dst.name] |= set(node_ids)
+        moved = sum(self.master_tree.node(n).n_polygons for n in node_ids)
+        src._committed -= moved
+        dst._committed += moved
+        self.moves.append((src.name, dst.name, tuple(node_ids)))
+
+    def split_node(self, service, node_id, grain):
+        pieces = explode_to_grain(self.master_tree, [node_id], grain)
+        if pieces:
+            self._shares[service.name].discard(node_id)
+            self._shares[service.name].update(pieces)
+        return pieces
+
+    def recruit_more(self, limit=None):
+        return []
 
 
 @pytest.fixture(autouse=True)

@@ -22,7 +22,6 @@ import pytest
 
 from repro import obs
 from repro.core.autoscale import RecruitmentAutoscaler
-from repro.core.migration import WorkloadMigrator
 from repro.core.session import CollaborativeSession
 from repro.data.generators import skeleton
 from repro.obs.rules import GRID_OVERLOAD_KIND, GRID_UNDERLOAD_KIND, Alert
@@ -45,13 +44,13 @@ def galert(kind, service=GRID_SERVICE):
                  last_time=10.0, value=2.0, severity="critical")
 
 
-def full_session(tb, migrator=None):
+def full_session(tb):
     """Two members, scene sized to nearly fill them (no migration room)."""
     tree = SceneTree("scaled")
     tree.add(MeshNode(skeleton(30_000).normalized(), name="skel"))
     tb.publish_tree("scaled", tree)
     cs = CollaborativeSession(tb.data_service, "scaled", target_fps=600,
-                              recruiter=tb.recruiter(), migrator=migrator)
+                              recruiter=tb.recruiter())
     for host in MEMBERS:
         cs.connect(tb.render_service(host))
     cs.place_dataset()
@@ -154,12 +153,16 @@ class TestPoolContract:
 
 class TestSessionGrowthCap:
     def test_the_migrators_recruit_fallback_respects_max_services(self):
-        # every member alerted overloaded and, at the migrator's own
-        # 900 fps target, none has headroom: the migration pass falls
-        # back to recruiting, and that recruit is growth like any
-        # other — capped at max_services
+        # every member alerted overloaded and none has headroom — a
+        # stand-alone 600 fps viewer on each takes the rate the session
+        # left — so the migration pass falls back to recruiting, and
+        # that recruit is growth like any other — capped at max_services
         tb = build_testbed(monitor_host=MONITOR_HOST)
-        cs = full_session(tb, migrator=WorkloadMigrator(target_fps=900))
+        cs = full_session(tb)
+        for service in cs.render_services:
+            service.create_render_session(tb.data_service, "scaled",
+                                          fps=600)
+            assert service.headroom(600) == 0
         scaler = RecruitmentAutoscaler(cs, tb.monitor, max_services=3)
         alerts = [galert(ALERT_OVERLOAD, service=s.name)
                   for s in cs.render_services]

@@ -139,7 +139,7 @@ class TestInterrogation:
         assert report.capacity.polygons_per_second == 8.4e6
         assert report.elapsed_seconds > 0
         assert report.service_name == "rs-centrino"
-        assert report.headroom() == pytest.approx(
+        assert report.headroom(DEFAULT_TARGET_FPS) == pytest.approx(
             8.4e6 / DEFAULT_TARGET_FPS)
 
     def test_headroom_shrinks_with_commitment(self, small_testbed):
@@ -148,9 +148,11 @@ class TestInterrogation:
 
         tb = small_testbed
         service = tb.render_service("centrino")
-        before = interrogate(service, tb.data_service.host).headroom()
+        before = interrogate(service, tb.data_service.host).headroom(
+            DEFAULT_TARGET_FPS)
         tb.publish_model("m", galleon())
         service.create_render_session(tb.data_service, "m",
                                       charge_instance=False)
-        after = interrogate(service, tb.data_service.host).headroom()
+        after = interrogate(service, tb.data_service.host).headroom(
+            DEFAULT_TARGET_FPS)
         assert after < before

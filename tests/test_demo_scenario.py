@@ -100,7 +100,7 @@ def demo_day():
     for i in range(8):
         cs.migrator.tracker(victim.name).record(LoadSample(
             time=t0 + i * 0.2, fps=1.0,
-            utilisation=victim.utilisation(cs.target_fps)))
+            utilisation=victim.utilisation()))
     before = victim.committed_polygons()
     actions = cs.rebalance()
     log["migrated"] = bool(actions)

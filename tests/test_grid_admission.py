@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import obs
+from repro.core.capacity import DEFAULT_TARGET_FPS, interrogate
 from repro.core.grid import (
     REASON_DUPLICATE,
     REASON_QUEUE_TIMEOUT,
@@ -19,8 +20,15 @@ from repro.core.grid import (
     SessionGridManager,
     TenantQuota,
 )
+from repro.core.migration import WorkloadMigrator
+from repro.core.session import CollaborativeSession
 from repro.data.generators import uv_sphere
-from repro.errors import SessionError, TooManyRequestsError
+from repro.errors import (
+    InsufficientResources,
+    ServiceError,
+    SessionError,
+    TooManyRequestsError,
+)
 from repro.obs.vocab import (
     EVENT_ADMIT,
     EVENT_QUEUE,
@@ -318,8 +326,8 @@ class TestShedAndRestore:
         assert bronze.pps == 0.0
         assert grid.spare_pps() > before
         # the parked session's shares really left the members
-        assert all(bronze.session.share_polygons(s.name) == 0
-                   for s in bronze.session.render_services)
+        assert not any(bronze.session.share_of(s)
+                       for s in bronze.session.render_services)
 
     def test_shed_never_breaches_the_guaranteed_floor(self):
         tb = build_testbed()
@@ -381,6 +389,28 @@ class TestShedAndRestore:
         assert actions
         assert grid.committed_pps() <= grid.pool_pps()
 
+    def test_a_dead_members_tenants_still_count_until_recovered(self):
+        """The shares a failed member held stay owed to its tenants: no
+        new session and no unpark may take that rate from the survivors
+        before the tenants recover onto them."""
+        tb = build_testbed()
+        grid = small_grid(tb, member_hosts=("centrino", "athlon"),
+                          queue_capacity=4)
+        open_tenants(grid, "gold", "bronze")
+        for tenant, sid in (("gold", "g0"), ("bronze", "b0"),
+                            ("gold", "g1")):
+            grid.request_session(tenant, sid, scene(sid))
+        grid.handle_member_failure("rs-athlon")
+        assert grid.spare_pps() <= grid.pool_pps() - grid.committed_pps() < 0
+        decision = grid.request_session("gold", "late", scene("late", nu=8))
+        assert decision.outcome == EVENT_QUEUE
+        assert grid.shed_to_fit()
+        assert any(gs.parked for gs in grid.sessions())
+        restored = grid.restore()
+        assert restored is None or restored.action != "unpark"
+        grid.pump()
+        assert grid.committed_pps() <= grid.pool_pps()
+
 
 class TestPoolScaling:
     def test_grow_recruits_via_uddi_and_pump_drains(self):
@@ -408,7 +438,7 @@ class TestPoolScaling:
         released = grid.release_idle(min_members=1)
         assert len(grid.members) >= 1
         for name in released:
-            assert all(gs.session.share_polygons(name) == 0
+            assert all(name not in {s.name for s in gs.session.render_services}
                        for gs in grid.sessions())
 
     def test_rejection_rate_decays_with_the_window(self):
@@ -788,15 +818,13 @@ class TestPolicyQueriesReadKeptCounts:
     """
 
     def test_an_armed_session_survives_the_grid_around_it(self):
-        from repro.core.capacity import interrogate
-
         tb = build_testbed(monitor_host="registry-host")
         grid = small_grid(tb, member_hosts=("centrino", "athlon"),
                           queue_capacity=2)
         open_tenants(grid, "acme", "beta")
         assert grid.request_session("acme", "armed", scene("armed")
                                     ).outcome == EVENT_ADMIT
-        committed = {s.name: s.committed_polygons() for s in grid.members}
+        committed = {s.name: s.committed_pps() for s in grid.members}
         copies = [rs.tree for s in grid.members
                   for rs in s.render_sessions() if rs.session_id == "armed"]
         assert copies
@@ -812,8 +840,8 @@ class TestPolicyQueriesReadKeptCounts:
         tb.network.sim.run_until(tb.clock.now + 1.0)
         reports = {s.name: interrogate(s, tb.data_service.host)
                    for s in grid.members}
-        for name, polygons in committed.items():
-            assert reports[name].committed_polygons >= polygons
+        for name, pps in committed.items():
+            assert reports[name].committed_pps >= pps
         admitted = [gs.session_id for gs in grid.sessions()
                     if gs.session_id != "armed"]
         grid.release_session(admitted[0])
@@ -832,8 +860,6 @@ class RollbackSpy:
     """
 
     def __init__(self, grid, monkeypatch):
-        from repro.core.session import CollaborativeSession
-
         self.attempts = 0
         self.rolled_back = 0
         self._disconnects = 0
@@ -856,21 +882,94 @@ class RollbackSpy:
 
 
 def member_use(grid):
-    """Each live member's delivered polygon rate over its capacity."""
-    return {m.name: sum(gs.session.share_polygons(m.name) * gs.fps_budget
-                        for gs in grid.sessions() if not gs.parked)
-            / m.capacity().polygons_per_second
-            for m in grid.live_members()}
+    """Each live member's committed polygon rate over its capacity."""
+    return {m.name: m.utilisation() for m in grid.live_members()}
 
 
 class TestOneCapacityModel:
-    """A pool-owned session is placed on the grid's own ledger.
+    """Admission, placement, migration and the utilisation gauge read one
+    figure: a member's committed polygon rate, with every render session
+    on it, grid tenant or stand-alone, charged at its own frame rate.
 
-    Admission charges each session at its own frame rate; placement used
-    to re-check each member's raw polygon count at the *newcomer's* rate.
-    Two tenants at different frame rates on the athlon (11 Mpps) and the
-    centrino (8.4 Mpps) show both ways the two models disagreed.
+    Placement used to re-check each member's raw polygon count at the
+    *newcomer's* rate, and the grid charged a stand-alone co-tenant at
+    the grid's base rate.  Tenants at different frame rates on the athlon
+    (11 Mpps) and the centrino (8.4 Mpps) show how the models disagreed.
     """
+
+    RATES = (10.0, 60.0, 600.0, 1346.0, 3000.0)
+
+    @given(steps=st.lists(
+        st.tuples(st.booleans(), st.sampled_from(RATES),
+                  st.sampled_from((8, 24, 40)),
+                  st.sampled_from(("centrino", "athlon"))),
+        min_size=1, max_size=6))
+    @settings(max_examples=30, deadline=None)
+    def test_every_reader_charges_each_session_at_its_own_rate(self, steps):
+        tb = build_testbed()
+        grid = small_grid(tb, member_hosts=("centrino", "athlon"),
+                          target_fps=DEFAULT_TARGET_FPS)
+        open_tenants(grid, "acme", "beta")
+        fps_of = {}
+        for k, (pooled, fps, nu, host) in enumerate(steps):
+            sid = f"s{k}"
+            fps_of[sid] = fps
+            if pooled:
+                grid.request_session(("acme", "beta")[k % 2], sid,
+                                     scene(sid, nu=nu), target_fps=fps)
+            else:
+                tb.publish_tree(sid, scene(sid, nu=nu))
+                alone = CollaborativeSession(tb.data_service, sid,
+                                             target_fps=fps)
+                service = tb.render_service(host)
+                alone.connect(service)
+                try:
+                    alone.place_dataset()
+                except InsufficientResources:
+                    alone.disconnect(service)
+            spare = 0.0
+            for member in grid.live_members():
+                rate = member.capacity().polygons_per_second
+                committed = sum(rs.assigned_polygons() * fps_of[rs.session_id]
+                                for rs in member.render_sessions())
+                assert committed <= rate * (1 + 1e-9), member.name
+                spare += rate - committed
+                # the scheduler's interrogation, at any newcomer's rate
+                report = interrogate(member, tb.data_service.host)
+                for rate_asked in self.RATES:
+                    assert report.headroom(rate_asked) == max(
+                        0.0, rate / rate_asked - committed / rate_asked)
+                # the migrator's load sample and the scraped gauge the
+                # monitor's rules and the autoscaler act on
+                migrator = WorkloadMigrator()
+                migrator.record_frame(member, 0.0, fps=fps)
+                assert migrator.tracker(member.name).smoothed_utilisation() \
+                    == committed / rate
+                member.telemetry.collect()
+                assert member.telemetry.registry.value(
+                    "rave_rs_utilisation") == committed / rate
+            assert grid.spare_pps() == spare
+
+    def test_a_stand_alone_co_tenant_is_charged_at_its_own_rate(self):
+        """Half the centrino held by a stand-alone 1 346 fps session used
+        to read 99.6 % spare to a 10 fps grid, which then admitted a
+        request for 0.9 of the member's rate and left it at 1.40x."""
+        tb = build_testbed()
+        grid = small_grid(tb, target_fps=DEFAULT_TARGET_FPS)
+        open_tenants(grid, "acme")
+        centrino = tb.render_service("centrino")
+        rate = centrino.capacity().polygons_per_second
+        tb.publish_tree("alone", scene("alone", nu=40))
+        alone = CollaborativeSession(tb.data_service, "alone",
+                                     target_fps=1346.0)
+        alone.connect(centrino)
+        alone.place_dataset()
+        request = scene("grid")
+        decision = grid.request_session(
+            "acme", "grid", request,
+            target_fps=0.9 * rate / request.total_polygons())
+        assert decision.outcome in (EVENT_QUEUE, EVENT_REJECT)
+        assert centrino.utilisation() == pytest.approx(0.5, rel=1e-3)
 
     def two_member_grid(self, tb):
         grid = small_grid(tb, member_hosts=("centrino", "athlon"),
@@ -931,9 +1030,6 @@ class TestOneCapacityModel:
         """A placement that fails after connecting (here: a bootstrap
         that outlasts the queue timeout, then a fault) is rolled back,
         named, and queued with its deadline counted from the rollback."""
-        from repro.core.session import CollaborativeSession
-        from repro.errors import ServiceError
-
         tb = build_testbed()
         grid = small_grid(tb, queue_timeout=5.0)
         open_tenants(grid, "acme")

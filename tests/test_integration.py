@@ -165,7 +165,7 @@ class TestWorkloadDistributionEndToEnd:
         for i in range(10):
             cs.migrator.tracker(victim.name).record(LoadSample(
                 time=t0 + i * 0.2, fps=1.0,
-                utilisation=victim.utilisation(cs.target_fps)))
+                utilisation=victim.utilisation()))
         actions = cs.rebalance()
         moved = [a for a in actions if a.source == victim.name]
         assert moved, "overloaded service should shed work"

@@ -11,9 +11,17 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import registered_rules, run_lint
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def result():
+    """One lint run over the whole tree, read by every check below."""
+    return run_lint(root=REPO_ROOT)
 
 
 def test_all_eight_rules_are_registered():
@@ -24,16 +32,14 @@ def test_all_eight_rules_are_registered():
     }
 
 
-def test_repository_tree_is_clean():
-    result = run_lint(root=REPO_ROOT)
+def test_repository_tree_is_clean(result):
     report = "\n".join(
         f"{f.path}:{f.line}: {f.severity} [{f.rule}] {f.message}"
         for f in result.findings)
     assert not result.findings, f"unsuppressed ravelint findings:\n{report}"
 
 
-def test_no_baseline_debt():
+def test_no_baseline_debt(result):
     """The committed baseline stays empty: new findings get fixed, not
     grandfathered."""
-    result = run_lint(root=REPO_ROOT)
     assert not result.baselined

@@ -6,7 +6,6 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core.distribution import explode_to_grain
 from repro.core.migration import (
     SPLIT_FLOOR,
     LoadSample,
@@ -19,6 +18,7 @@ from repro.obs.vocab import ALERT_OVERLOAD, ALERT_UNDERLOAD
 from repro.scenegraph.nodes import GroupNode, MeshNode
 from repro.scenegraph.tree import SceneTree
 from repro.testbed import build_testbed
+from tests.conftest import FakeService, FakeSession
 
 
 class TestLoadTracker:
@@ -158,62 +158,6 @@ class TestNodeSelection:
         assert chosen == []
 
 
-class FakeService:
-    def __init__(self, name, rate, committed=0.0):
-        self.name = name
-        self._rate = rate
-        self._committed = committed
-
-    def capacity(self):
-        from repro.core.capacity import RenderCapacity
-
-        return RenderCapacity(
-            polygons_per_second=self._rate, points_per_second=self._rate,
-            voxels_per_second=0, texture_memory_bytes=2**30,
-            volume_support=False)
-
-    def committed_polygons(self):
-        return self._committed
-
-    def utilisation(self, target_fps=10.0):
-        return self._committed / (self._rate / target_fps)
-
-    def headroom(self, target_fps):
-        return max(0.0, self._rate / target_fps - self._committed)
-
-
-class FakeSession:
-    """Minimal CollaborativeSession facade for migrator policy tests."""
-
-    def __init__(self, tree, services, shares):
-        self.master_tree = tree
-        self.render_services = services
-        self._shares = shares
-        self.recruiter = None
-        self.moves = []
-
-    def share_of(self, service):
-        return self._shares[service.name]
-
-    def reassign_nodes(self, src, dst, node_ids):
-        self._shares[src.name] -= set(node_ids)
-        self._shares[dst.name] |= set(node_ids)
-        moved = sum(self.master_tree.node(n).n_polygons for n in node_ids)
-        src._committed -= moved
-        dst._committed += moved
-        self.moves.append((src.name, dst.name, tuple(node_ids)))
-
-    def split_node(self, service, node_id, grain):
-        pieces = explode_to_grain(self.master_tree, [node_id], grain)
-        if pieces:
-            self._shares[service.name].discard(node_id)
-            self._shares[service.name].update(pieces)
-        return pieces
-
-    def recruit_more(self):
-        return []
-
-
 class TestMigrationPolicy:
     def build(self):
         tree = SceneTree()
@@ -234,7 +178,7 @@ class TestMigrationPolicy:
         for i in range(8):
             migrator.tracker(service.name).record(
                 LoadSample(float(i), fps=2.0,
-                           utilisation=service.utilisation(10.0)))
+                           utilisation=service.utilisation()))
 
     def test_overload_triggers_move(self):
         session, slow, fast = self.build()
@@ -338,7 +282,7 @@ class TestUnderloadConvergence:
             for i in range(8):
                 migrator.tracker(service.name).record(
                     LoadSample(float(i), fps=200.0,
-                               utilisation=service.utilisation(10.0)))
+                               utilisation=service.utilisation()))
         return session, migrator
 
     def test_consecutive_passes_converge(self):
@@ -374,11 +318,11 @@ class TestUnderloadConvergence:
         assert any(a.reason == "underload" and a.destination == "idle"
                    for a in actions)
         floor = 0.3 * donor.capacity().polygon_budget(10.0)
-        assert donor.committed_polygons() >= floor
+        assert donor._committed >= floor
         # and the system settles: repeated passes stop moving work
         for _ in range(3):
             migrator.plan(session)
-        assert donor.committed_polygons() >= floor
+        assert donor._committed >= floor
 
 
 class TestOneDirectionPerPass:
@@ -392,7 +336,7 @@ class TestOneDirectionPerPass:
         # a: one big node just over its budget, so shedding it leaves a
         # the most headroom; b: room for it, and small nodes to give back
         a = self.join(session, "a", rate=1.0, sizes=(20000,))
-        a._rate = 9 * a.committed_polygons()
+        a._rate = 9 * a._committed
         self.join(session, "b", rate=4e5, sizes=(600,) * 6)
         migrator = WorkloadMigrator(target_fps=10, overload_fps=8.0,
                                     underload_utilisation=0.3,

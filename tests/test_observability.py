@@ -24,7 +24,11 @@ from repro.obs import (
     snapshot,
     write_snapshot,
 )
-from tests.conftest import assert_off_stores_nothing
+from tests.conftest import (
+    FakeService,
+    FakeSession,
+    assert_off_stores_nothing,
+)
 
 
 @pytest.fixture
@@ -439,51 +443,6 @@ class TestSchedulerMetrics:
         assert not bundle.metrics.has("rave_scheduler_placements_total")
 
 
-class _FakeService:
-    def __init__(self, name, rate, committed=0.0):
-        self.name = name
-        self._rate = rate
-        self._committed = committed
-
-    def capacity(self):
-        from repro.core.capacity import RenderCapacity
-
-        return RenderCapacity(
-            polygons_per_second=self._rate, points_per_second=self._rate,
-            voxels_per_second=0, texture_memory_bytes=2**30,
-            volume_support=False)
-
-    def committed_polygons(self):
-        return self._committed
-
-    def utilisation(self, target_fps=10.0):
-        return self._committed / (self._rate / target_fps)
-
-    def headroom(self, target_fps):
-        return max(0.0, self._rate / target_fps - self._committed)
-
-
-class _FakeSession:
-    def __init__(self, tree, services, shares):
-        self.master_tree = tree
-        self.render_services = services
-        self._shares = shares
-        self.recruiter = None
-
-    def share_of(self, service):
-        return self._shares[service.name]
-
-    def reassign_nodes(self, src, dst, node_ids):
-        self._shares[src.name] -= set(node_ids)
-        self._shares[dst.name] |= set(node_ids)
-        moved = sum(self.master_tree.node(n).n_polygons for n in node_ids)
-        src._committed -= moved
-        dst._committed += moved
-
-    def recruit_more(self):
-        return []
-
-
 class TestMigrationMetrics:
     def build(self):
         from repro.data.generators import skeleton
@@ -497,9 +456,9 @@ class TestMigrationMetrics:
                                      name=f"part{i}"))
             ids.append(node.node_id)
         per_node = tree.node(ids[0]).n_polygons
-        slow = _FakeService("slow", rate=3e4, committed=per_node * 6)
-        fast = _FakeService("fast", rate=1e7, committed=0.0)
-        session = _FakeSession(tree, [slow, fast],
+        slow = FakeService("slow", rate=3e4, committed=per_node * 6)
+        fast = FakeService("fast", rate=1e7, committed=0.0)
+        session = FakeSession(tree, [slow, fast],
                                {"slow": set(ids), "fast": set()})
         return session, slow, fast
 

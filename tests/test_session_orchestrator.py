@@ -140,9 +140,11 @@ class TestPlacement:
         assigned = {a.service.name for a in placement.assignments}
         idle = [s for s in placement.recruited if s.name not in assigned]
         assert idle
+        tree = cs.master_tree
         for service in cs.render_services:
-            assert service.committed_polygons() == cs.share_polygons(service)
-            assert service.utilisation(fps) <= 1.0
+            assert service.committed_polygons() == sum(
+                tree.node(n).n_polygons for n in cs.share_of(service))
+            assert service.utilisation() <= 1.0
         subscribers = testbed.data_service.session("skel").subscribers
         for service in idle:
             assert not cs.share_of(service)
@@ -163,7 +165,7 @@ class TestPlacement:
         placed = set().union(*(cs.share_of(s) for s in cs.render_services))
         assert placed == {n.node_id for n in cs.master_tree.geometry_nodes()}
         for service in cs.render_services:
-            assert service.utilisation(fps) <= 1.0
+            assert service.utilisation() <= 1.0
 
 
 class TestReassignment:
@@ -215,7 +217,7 @@ class TestLiveMigration:
                 __import__("repro.core.migration",
                            fromlist=["LoadSample"]).LoadSample(
                     time=float(i), fps=1.0,
-                    utilisation=loaded.utilisation(1000)))
+                    utilisation=loaded.utilisation()))
         before = len(cs.share_of(loaded))
         actions = cs.rebalance()
         shed = [a for a in actions if a.source == loaded.name]
