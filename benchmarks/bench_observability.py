@@ -40,6 +40,7 @@ from repro.core.session import CollaborativeSession
 from repro.data.generators import skeleton
 from repro.network.faults import FaultInjector
 from repro.obs import write_snapshot
+from repro.obs.rules import RuleEngine
 from repro.render.camera import Camera
 from repro.scenegraph.nodes import MeshNode
 from repro.scenegraph.tree import SceneTree
@@ -121,15 +122,15 @@ def bulk_scene_transfers(tb, cs, nbytes: int) -> None:
 
 def migration_pressure(cs, samples: int) -> None:
     """Feed sustained low-fps samples so the migrator plans real moves."""
-    migrator = WorkloadMigrator(target_fps=10, overload_fps=8.0,
-                                smoothing_seconds=3.0)
     loaded = next((s for s in cs.render_services if cs.share_of(s)), None)
     if loaded is None:
         return
+    engine = RuleEngine()
     now = cs.data_service.network.sim.now
     for i in range(samples):
-        migrator.record_frame(loaded, time=now + i, fps=2.0)
-    migrator.plan(cs)
+        engine.observe(loaded.name, now + i, {
+            "rave_rs_fps": 2.0, "rave_rs_utilisation": loaded.utilisation()})
+    WorkloadMigrator(target_fps=10).plan(cs, engine.firing())
 
 
 def tail_latency_breach(tb) -> None:

@@ -9,9 +9,9 @@
 3. A console user logs onto a render machine — its frame rate collapses.
    The monitor's sustained-threshold rule (the migration policy's own
    8 fps / 3 s contract) raises a ``render-overload`` alert.
-4. The alert is handed to ``cs.rebalance(alerts=...)``: the migrator
-   sheds work off the overloaded service even though its *local*
-   trackers never saw a sample — monitoring drives the policy.
+4. The alert is handed to ``cs.rebalance(alerts)``: the migrator keeps
+   no load history of its own and sheds work off exactly the services
+   the monitor's alerts name — monitoring drives the policy.
 5. The SLO report records the violation window and its recovery, and the
    text dashboard renders the whole story.
 6. The flight-recorder dump (path = first argv, default

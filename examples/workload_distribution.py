@@ -7,8 +7,9 @@
 2. Every service renders its subset with the shared camera; the
    framebuffers depth-composite into the final image.
 3. A console user logs onto one of the machines (its frame rate
-   collapses); the migration policy detects the sustained overload and
-   moves fine-grained node sets to machines with headroom.
+   collapses); a rule engine detects the sustained overload, and the
+   migration policy moves fine-grained node sets off that machine to
+   ones with headroom (the example fails if nothing moves).
 4. For comparison, the same frame is produced with framebuffer (tile)
    distribution.
 
@@ -20,8 +21,9 @@ from pathlib import Path
 
 from repro import build_testbed
 from repro.core import CollaborativeSession
-from repro.core.migration import LoadSample
 from repro.data import skeleton
+from repro.obs.rules import RuleEngine
+from repro.obs.vocab import ALERT_OVERLOAD
 from repro.scenegraph import CameraNode, MeshNode, SceneTree
 
 OUTPUT = Path(__file__).parent / "output"
@@ -63,18 +65,20 @@ def main() -> None:
                  key=lambda s: s.committed_polygons())
     print(f"{victim.name} frame rate collapses "
           f"(was committed {victim.committed_polygons():,.0f} polygons)")
+    engine = RuleEngine()
     t0 = tb.clock.now
     for i in range(10):
-        cs.migrator.tracker(victim.name).record(LoadSample(
-            time=t0 + i * 0.5, fps=1.5,
-            utilisation=victim.utilisation()))
-    actions = cs.rebalance()
+        engine.observe(victim.name, t0 + i * 0.5, {
+            "rave_rs_fps": 1.5,
+            "rave_rs_utilisation": victim.utilisation()})
+    actions = cs.rebalance(engine.firing())
     for action in actions:
         print(f"  migrated {action.polygons:,} polygons "
               f"({len(action.node_ids)} nodes) "
               f"{action.source} -> {action.destination} [{action.reason}]")
-    if not actions:
-        print("  (no receiver had spare capacity)")
+    assert any(a.source == victim.name and a.reason == ALERT_OVERLOAD
+               and a.polygons > 0 for a in actions), \
+        f"the sustained overload moved no work off {victim.name}"
     fb2, latency2 = cs.render_composite(cam, 256, 256)
     fb2.save_ppm(OUTPUT / "distribution_after_migration.ppm")
     print(f"post-migration frame: coverage {fb2.coverage():.0%}, "

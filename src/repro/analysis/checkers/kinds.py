@@ -15,7 +15,9 @@ Accepted kind expressions at a ``note``/``event`` call site:
 - a ``Name``/``Attribute`` whose terminal identifier is a constant
   defined by the vocabulary module (``EVENT_MIGRATION``);
 - a concatenation or f-string whose *leading* part is one of the above
-  prefixes (``EVENT_FAULT_PREFIX + kind``, ``f"telemetry:{kind}"``).
+  prefixes (``EVENT_FAULT_PREFIX + kind``, ``f"telemetry:{kind}"``);
+- a conditional expression whose two branches are each one of the above
+  (``EVENT_RESTORE if restore else EVENT_SHED``).
 
 Anything else — an unknown literal, or an expression built from names
 the vocabulary does not define — is a finding.
@@ -138,6 +140,10 @@ class KindVocabularyChecker(Checker):
                     f"does not define — route the kind through the shared "
                     f"vocabulary",
                     symbol=name)
+            return
+        if isinstance(expr, ast.IfExp):
+            for branch in (expr.body, expr.orelse):
+                yield from self._check_kind_expr(sf, branch, allowed, what)
             return
         if isinstance(expr, ast.BinOp) and isinstance(expr.op, ast.Add):
             yield from self._check_prefix_part(sf, expr.left, what)

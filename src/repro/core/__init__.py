@@ -38,12 +38,7 @@ from repro.core.distribution import (
 )
 from repro.core.recruitment import Recruiter, RecruitmentResult
 from repro.core.autoscale import RecruitmentAutoscaler, ScaleEvent
-from repro.core.migration import (
-    LoadSample,
-    LoadTracker,
-    MigrationAction,
-    WorkloadMigrator,
-)
+from repro.core.migration import MigrationAction, WorkloadMigrator
 from repro.core.health import HeartbeatMonitor, HeartbeatSource
 from repro.core.session import CollaborativeSession, RecoveryReport
 from repro.core.grid import (
@@ -72,8 +67,6 @@ __all__ = [
     "RecruitmentResult",
     "RecruitmentAutoscaler",
     "ScaleEvent",
-    "LoadSample",
-    "LoadTracker",
     "MigrationAction",
     "WorkloadMigrator",
     "CollaborativeSession",

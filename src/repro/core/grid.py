@@ -744,14 +744,14 @@ class SessionGridManager:
         if changed:
             budgets = ", ".join(
                 f"{gs.session_id}@{gs.fps_budget:g}fps" for gs in live)
-            return self._record_shed(
+            return self._record_step(
                 "degrade", tenant, changed, now,
                 f"fps budgets halved toward floor ({budgets})")
         # step 2: park a whole session, floor permitting
         for gs in live:
             if current - gs.pps >= floor:
                 self._park(gs)
-                return self._record_shed(
+                return self._record_step(
                     "park", tenant, [gs.session_id], now,
                     "last-good-tile mode; shares released to the pool")
         return None
@@ -789,9 +789,9 @@ class SessionGridManager:
                     self._unpark(gs)
                     if gs.parked:
                         continue
-                    return self._record_restore(
+                    return self._record_step(
                         "unpark", tenant, [gs.session_id], now,
-                        "shares re-placed onto the pool")
+                        "shares re-placed onto the pool", restore=True)
         for tenant in order:
             changed = []
             for gs in self.tenant_sessions(tenant):
@@ -800,9 +800,10 @@ class SessionGridManager:
                 gs.fps_budget = min(gs.requested_fps, gs.fps_budget * 2.0)
                 changed.append(gs.session_id)
             if changed:
-                return self._record_restore(
+                return self._record_step(
                     "raise", tenant, changed, now,
-                    "fps budgets raised toward requested rates")
+                    "fps budgets raised toward requested rates",
+                    restore=True)
         return None
 
     def _park(self, gs: GridSession) -> None:
@@ -826,28 +827,16 @@ class SessionGridManager:
         except (InsufficientResources, ServiceError, NetworkError):
             gs.parked = True
 
-    def _record_shed(self, action: str, tenant: str, sessions, now: float,
-                     detail: str) -> ShedAction:
+    def _record_step(self, action: str, tenant: str, sessions, now: float,
+                     detail: str, restore: bool = False) -> ShedAction:
+        """Log one shed step, or with ``restore`` one restore step."""
         record = ShedAction(time=now, action=action, tenant=tenant,
                             sessions=tuple(sessions), detail=detail)
         self.shed_actions.append(record)
         obs = _obs()
         if obs.enabled:
             obs.recorder.note(
-                EVENT_SHED, time=now,
-                detail=f"{tenant}: {action} {list(record.sessions)} "
-                       f"— {detail}")
-        return record
-
-    def _record_restore(self, action: str, tenant: str, sessions,
-                        now: float, detail: str) -> ShedAction:
-        record = ShedAction(time=now, action=action, tenant=tenant,
-                            sessions=tuple(sessions), detail=detail)
-        self.shed_actions.append(record)
-        obs = _obs()
-        if obs.enabled:
-            obs.recorder.note(
-                EVENT_RESTORE, time=now,
+                EVENT_RESTORE if restore else EVENT_SHED, time=now,
                 detail=f"{tenant}: {action} {list(record.sessions)} "
                        f"— {detail}")
         return record

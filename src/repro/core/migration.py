@@ -12,33 +12,27 @@ underloaded service has capacity for another 5k polygons/sec and still
 maintain its current interactive frame rate, we do not want to add 100k
 polygons by mistake."
 
-Implementation:
-
-- :class:`LoadTracker` — smoothed fps/utilisation history per service with
-  sustained-duration thresholds (the "smooth out spikes" requirement);
-- :class:`WorkloadMigrator` — the policy: detect overload/underload, pick a
-  peer with headroom, and choose the node set to move with a greedy
-  knapsack over per-node costs that never overshoots the receiver's
-  headroom (the fine-grain guarantee).  When every node is too big for
-  it, the move splits the donor's smallest mesh into pieces that fit
-  (placement's own ``explode_to_grain``), unless those pieces would fall
-  under :data:`SPLIT_FLOOR`; then it moves nothing.
+Detection is the monitoring plane's: :class:`repro.obs.rules.RuleEngine`
+fires an ``overload`` / ``underload`` alert only when a threshold holds
+for the rule's whole duration (the "smooth out spikes" requirement).
+:class:`WorkloadMigrator` is the policy that acts on those alerts: pick a
+peer with headroom, and choose the node set to move with a greedy
+knapsack over per-node costs that never overshoots the receiver's
+headroom (the fine-grain guarantee).  When every node is too big for
+it, the move splits the donor's smallest mesh into pieces that fit
+(placement's own ``explode_to_grain``), unless those pieces would fall
+under :data:`SPLIT_FLOOR`; then it moves nothing.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 from repro.core.capacity import DEFAULT_TARGET_FPS
 from repro.core.cost import node_cost
 from repro.obs import active as _obs
-from repro.obs.rules import (
-    DEFAULT_OVERLOAD_FPS,
-    DEFAULT_SMOOTHING_SECONDS,
-    DEFAULT_UNDERLOAD_UTILISATION,
-)
+from repro.obs.rules import DEFAULT_UNDERLOAD_UTILISATION
 from repro.obs.vocab import ALERT_OVERLOAD, ALERT_UNDERLOAD, EVENT_MIGRATION
 
 #: The smallest piece a migration split may cut, as a share of the donor's
@@ -48,69 +42,9 @@ from repro.obs.vocab import ALERT_OVERLOAD, ALERT_UNDERLOAD, EVENT_MIGRATION
 #: are over half its grain, so a grain under twice the floor is refused.
 SPLIT_FLOOR = 0.01
 
-
-@dataclass(frozen=True)
-class LoadSample:
-    time: float
-    fps: float
-    utilisation: float
-
-
-class LoadTracker:
-    """Sliding-window load history for one render service."""
-
-    def __init__(self, window_seconds: float = 10.0) -> None:
-        self.window_seconds = window_seconds
-        self._samples: deque[LoadSample] = deque()
-
-    def record(self, sample: LoadSample) -> None:
-        if self._samples and sample.time < self._samples[-1].time:
-            raise ValueError("load samples must be time-ordered")
-        self._samples.append(sample)
-        cutoff = sample.time - self.window_seconds
-        while self._samples and self._samples[0].time < cutoff:
-            self._samples.popleft()
-
-    @property
-    def n_samples(self) -> int:
-        return len(self._samples)
-
-    def smoothed_fps(self) -> float:
-        if not self._samples:
-            return float("inf")
-        return sum(s.fps for s in self._samples) / len(self._samples)
-
-    def smoothed_utilisation(self) -> float:
-        if not self._samples:
-            return 0.0
-        return (sum(s.utilisation for s in self._samples)
-                / len(self._samples))
-
-    def _sustained_below(self, key: str, threshold: float,
-                         duration: float) -> bool:
-        """Has ``key`` stayed below ``threshold`` for at least ``duration``?
-
-        Requires the window to actually span ``duration`` (a single spike
-        sample can never trigger), then checks every sample inside the
-        trailing ``duration`` — including one landing exactly on the cutoff.
-        """
-        if not self._samples:
-            return False
-        span = self._samples[-1].time - self._samples[0].time
-        if span < duration:
-            return False
-        cutoff = self._samples[-1].time - duration
-        return all(getattr(s, key) < threshold for s in self._samples
-                   if s.time >= cutoff)
-
-    def sustained_below_fps(self, threshold: float,
-                            duration: float) -> bool:
-        """Has fps stayed below ``threshold`` for at least ``duration``?"""
-        return self._sustained_below("fps", threshold, duration)
-
-    def sustained_below_utilisation(self, threshold: float,
-                                    duration: float) -> bool:
-        return self._sustained_below("utilisation", threshold, duration)
+#: The least work an overload shed asks for, as a share of the
+#: overloaded service's polygon budget at the target frame rate.
+SHED_QUANTUM = 0.1
 
 
 @dataclass(frozen=True)
@@ -132,41 +66,8 @@ def _directions(actions) -> tuple[set[str], set[str]]:
 class WorkloadMigrator:
     """The data service's migration policy engine."""
 
-    def __init__(self,
-                 target_fps: float = DEFAULT_TARGET_FPS,
-                 overload_fps: float = DEFAULT_OVERLOAD_FPS,
-                 underload_utilisation: float = DEFAULT_UNDERLOAD_UTILISATION,
-                 smoothing_seconds: float = DEFAULT_SMOOTHING_SECONDS) -> None:
+    def __init__(self, target_fps: float = DEFAULT_TARGET_FPS) -> None:
         self.target_fps = target_fps
-        self.overload_fps = overload_fps
-        self.underload_utilisation = underload_utilisation
-        self.smoothing_seconds = smoothing_seconds
-        self.trackers: dict[str, LoadTracker] = {}
-        self.actions: list[MigrationAction] = []
-
-    def tracker(self, service_name: str) -> LoadTracker:
-        if service_name not in self.trackers:
-            self.trackers[service_name] = LoadTracker(
-                window_seconds=max(10.0, 3 * self.smoothing_seconds))
-        return self.trackers[service_name]
-
-    def record_frame(self, service, time: float, fps: float) -> None:
-        """Feed one rendered-frame observation into the tracker."""
-        self.tracker(service.name).record(LoadSample(
-            time=time, fps=fps,
-            utilisation=service.utilisation()))
-
-    # -- detection -------------------------------------------------------------
-
-    def overloaded(self, service) -> bool:
-        return self.tracker(service.name).sustained_below_fps(
-            self.overload_fps, self.smoothing_seconds)
-
-    def underloaded(self, service) -> bool:
-        t = self.tracker(service.name)
-        return (t.n_samples > 0
-                and t.sustained_below_utilisation(
-                    self.underload_utilisation, self.smoothing_seconds))
 
     # -- node selection (the fine-grain knapsack) -------------------------------------
 
@@ -216,7 +117,7 @@ class WorkloadMigrator:
 
     # -- the rebalancing pass ------------------------------------------------------------
 
-    def plan(self, session, alerts=None,
+    def plan(self, session, alerts,
              recruit_limit: int | None = None) -> list[MigrationAction]:
         """One policy pass over a :class:`CollaborativeSession`.
 
@@ -227,28 +128,24 @@ class WorkloadMigrator:
         receives none, and one that received gives none, so one pass never
         sends the same nodes back and forth.
 
-        ``alerts`` — optional monitor-plane alerts
-        (:class:`repro.obs.rules.Alert`); a service named by a sustained
-        ``overload``/``underload`` alert is treated as crossing the
-        corresponding threshold even when this migrator's own trackers
-        hold no samples, which lets a
-        :class:`~repro.services.monitor.MonitorService` drive the policy
-        from scraped telemetry.  Without alerts, behaviour is unchanged.
+        ``alerts`` — the sustained ``overload`` / ``underload`` alerts
+        (:class:`repro.obs.rules.Alert`) a monitor's
+        :class:`~repro.obs.rules.RuleEngine` fired; only the services
+        they name are overloaded or underloaded.
 
         ``recruit_limit`` — how many services the recruiting fallback may
         attach over the whole pass (``0``: none; ``None``: no cap).
         """
         obs = _obs()
-        over_alerted = {a.service for a in alerts or ()
+        over_alerted = {a.service for a in alerts
                         if a.kind == ALERT_OVERLOAD}
-        under_alerted = {a.service for a in alerts or ()
+        under_alerted = {a.service for a in alerts
                          if a.kind == ALERT_UNDERLOAD}
         actions: list[MigrationAction] = []
         services = list(session.render_services)
 
         for service in services:
-            if not (self.overloaded(service)
-                    or service.name in over_alerted):
+            if service.name not in over_alerted:
                 continue
             if obs.enabled:
                 obs.metrics.counter("rave_migration_triggers_total",
@@ -261,7 +158,7 @@ class WorkloadMigrator:
             over = (service.committed_pps() / self.target_fps
                     - service.capacity().polygon_budget(self.target_fps))
             needed = max(over,
-                         0.1 * service.capacity().polygon_budget(
+                         SHED_QUANTUM * service.capacity().polygon_budget(
                              self.target_fps))
             receiver = self._best_receiver(services, service, gave)
             if receiver is None and session.recruiter is not None \
@@ -280,8 +177,7 @@ class WorkloadMigrator:
                 actions.append(action)
 
         for service in list(services):
-            if not (self.underloaded(service)
-                    or service.name in under_alerted):
+            if service.name not in under_alerted:
                 continue
             if obs.enabled:
                 obs.metrics.counter("rave_migration_triggers_total",
@@ -306,7 +202,7 @@ class WorkloadMigrator:
             budget = service.capacity().polygon_budget(fps)
             donor_budget = donor.capacity().polygon_budget(fps)
             given = donor.committed_pps() / fps
-            cap = min(given - self.underload_utilisation * donor_budget,
+            cap = min(given - DEFAULT_UNDERLOAD_UTILISATION * donor_budget,
                       (budget * given
                        - donor_budget * (service.committed_pps() / fps))
                       / (budget + donor_budget))
@@ -334,7 +230,6 @@ class WorkloadMigrator:
                     EVENT_MIGRATION, time=now,
                     detail=f"{action.source} -> {action.destination}: "
                            f"{action.polygons} polygons ({action.reason})")
-        self.actions.extend(actions)
         return actions
 
     # -- helpers ----------------------------------------------------------------------

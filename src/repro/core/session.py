@@ -21,7 +21,7 @@ from repro.core.distribution import (
     explode_to_grain,
 )
 from repro.core.health import DEAD, HeartbeatMonitor, HeartbeatSource
-from repro.core.migration import WorkloadMigrator
+from repro.core.migration import SHED_QUANTUM, WorkloadMigrator
 from repro.core.scheduler import Placement, RenderServiceScheduler
 from repro.errors import NetworkError, ServiceError, SessionError
 from repro.obs import active as _obs
@@ -76,8 +76,6 @@ class CollaborativeSession:
     def __init__(self, data_service, session_id: str,
                  target_fps: float = DEFAULT_TARGET_FPS,
                  recruiter=None,
-                 distributor: DatasetDistributor | None = None,
-                 migrator: WorkloadMigrator | None = None,
                  pool=None) -> None:
         self.data_service = data_service
         self.session_id = session_id
@@ -91,9 +89,9 @@ class CollaborativeSession:
         self.pool = pool
         self.scheduler = RenderServiceScheduler(
             data_service, target_fps=target_fps, recruiter=recruiter)
-        self.distributor = distributor or DatasetDistributor()
+        self.distributor = DatasetDistributor()
         self.tile_distributor = FramebufferDistributor()
-        self.migrator = migrator or WorkloadMigrator(target_fps=target_fps)
+        self.migrator = WorkloadMigrator(target_fps=target_fps)
         self._attachments: dict[str, ServiceAttachment] = {}
         self.placement: Placement | None = None
         # -- fault tolerance state (see enable_fault_tolerance) --
@@ -252,16 +250,17 @@ class CollaborativeSession:
 
         Every live recruit joins, at most ``limit``.  Migration headroom
         is the unalerted members' spare capacity against the shed quantum
-        the migrator asks per overloaded member (a tenth of its budget).
-        With no member singled out, or the whole pool alerted, shuffling
-        work is zero-sum: only recruiting helps.
+        the migrator asks per overloaded member (``SHED_QUANTUM`` of its
+        budget).  With no member singled out, or the whole pool alerted,
+        shuffling work is zero-sum: only recruiting helps.
         """
         over = {a.service for a in alerts if a.kind == ALERT_OVERLOAD}
         live = [s for s in self.render_services if self.service_live(s)]
         alerted = [s for s in live if s.name in over]
         headroom = sum(s.headroom(self.target_fps) for s in live
                        if s.name not in over)
-        need = sum(0.1 * s.capacity().polygon_budget(self.target_fps)
+        need = sum(SHED_QUANTUM
+                   * s.capacity().polygon_budget(self.target_fps)
                    for s in alerted)
         if alerted and headroom >= need:
             return []
@@ -775,11 +774,11 @@ class CollaborativeSession:
 
     # -- migration ---------------------------------------------------------------------------
 
-    def rebalance(self, alerts=None) -> list:
+    def rebalance(self, alerts) -> list:
         """One migration-policy pass; returns the actions taken.
 
-        ``alerts`` — optional monitor-plane alerts forwarded to
-        :meth:`WorkloadMigrator.plan`, letting scraped telemetry trigger
-        migrations the local trackers haven't seen yet.
+        ``alerts`` — the monitor-plane alerts forwarded to
+        :meth:`WorkloadMigrator.plan`: only the services a sustained
+        ``overload`` / ``underload`` alert names shed or pull work.
         """
         return self.migrator.plan(self, alerts=alerts)

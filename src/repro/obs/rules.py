@@ -3,14 +3,15 @@
 Two evaluation engines over scraped telemetry:
 
 - :class:`RuleEngine` fires :class:`Alert` objects from declarative
-  :class:`AlertRule` thresholds with the *same sustained semantics* as
-  :class:`repro.core.migration.LoadTracker` — the observation window must
+  :class:`AlertRule` thresholds, sustained: the observation window must
   span the rule's duration and every sample inside the trailing window
-  must violate, so a single spike never alerts.  The default rules use
-  the migration policy's own thresholds (overload below 8 fps,
-  underload below 0.3 utilisation, sustained 3 s), which is what lets
-  ``WorkloadMigrator.plan(session, alerts=...)`` consume monitor alerts
-  as a drop-in signal source.
+  must violate, so a single spike never alerts (paper §3.2.7, "for a
+  given amount of time, to smooth out spikes").  It is the system's
+  one sustained-threshold detector.  The default rules carry the
+  migration policy's thresholds (overload below 8 fps, underload below
+  0.3 utilisation, sustained 3 s), and
+  ``WorkloadMigrator.plan(session, alerts)`` acts only on the alerts
+  they fire.
 
 - :class:`SloTracker` scores each scrape against :class:`SloTarget`
   objectives derived from the paper's published rates (Table 2 streaming
@@ -43,8 +44,9 @@ from repro.obs.vocab import (
     TAIL_LATENCY_KIND,
 )
 
-#: the migration policy's thresholds (paper §3.2.7), shared with
-#: :class:`repro.core.migration.WorkloadMigrator`
+#: the migration policy's thresholds (paper §3.2.7); the default rules
+#: fire on them, and :class:`repro.core.migration.WorkloadMigrator` caps
+#: an underload pull at the underload one
 DEFAULT_OVERLOAD_FPS = 8.0
 DEFAULT_UNDERLOAD_UTILISATION = 0.3
 DEFAULT_SMOOTHING_SECONDS = 3.0
@@ -267,9 +269,9 @@ class RuleEngine:
                    ) -> tuple[float, float, float] | None:
         """(since, last_time, value) when the rule fires, else None.
 
-        Mirrors ``LoadTracker._sustained_below``: the window must span
-        ``for_seconds`` and every sample in the trailing duration —
-        including one landing exactly on the cutoff — must violate.
+        The window must span ``for_seconds`` and every sample in the
+        trailing duration — including one landing exactly on the
+        cutoff — must violate.
         """
         if not history:
             return None

@@ -15,16 +15,17 @@ On every scrape the monitor:
   (:func:`repro.obs.telemetry.federate` — every series gains
   ``service``/``host`` labels);
 - feeds flattened values to the :class:`~repro.obs.rules.RuleEngine`
-  (same sustained-threshold semantics as the migration policy's
-  ``LoadTracker``) and the :class:`~repro.obs.rules.SloTracker`
-  (objectives from the paper's published rates);
+  (the one sustained-threshold detector: the migration policy acts on
+  its alerts and keeps no load history of its own) and the
+  :class:`~repro.obs.rules.SloTracker` (objectives from the paper's
+  published rates);
 - forwards newly-arrived remote service events into the active flight
   recorder, so a post-mortem dump shows the whole grid's timeline.
 
-Alerts are plain data, consumable by
-``WorkloadMigrator.plan(session, alerts=...)`` — the closed loop the
-issue demonstrates.  Without a monitor nothing here runs and service
-behaviour is unchanged.
+Alerts are plain data, consumed by
+``WorkloadMigrator.plan(session, alerts)`` — the closed loop
+``examples/monitored_session.py`` demonstrates.  Without a monitor
+nothing here runs and service behaviour is unchanged.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from repro.core.capacity import RenderCapacity
 from repro.core.distribution import explode_to_grain
 from repro.data.meshes import Mesh
 from repro.obs import NULL_OBS, FlightRecorder, MetricsRegistry, Tracer
+from repro.obs.rules import RuleEngine
 from repro.scenegraph.nodes import CameraNode, MeshNode, TransformNode
 from repro.scenegraph.tree import SceneTree
 
@@ -85,6 +86,22 @@ class FakeSession:
 
     def recruit_more(self, limit=None):
         return []
+
+
+def load_alerts(*services, fps, utilisation=None, samples=8, start=0.0,
+                step=1.0):
+    """The alerts a default :class:`RuleEngine` fires after ``samples``
+    scrapes, ``step`` seconds apart, of each service drawing ``fps`` at
+    ``utilisation`` (default: the service's own)."""
+    engine = RuleEngine()
+    for i in range(samples):
+        for service in services:
+            engine.observe(service.name, start + i * step, {
+                "rave_rs_fps": fps,
+                "rave_rs_utilisation": (service.utilisation()
+                                        if utilisation is None
+                                        else utilisation)})
+    return engine.firing()
 
 
 @pytest.fixture(autouse=True)

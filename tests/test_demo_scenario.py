@@ -12,7 +12,6 @@ import pytest
 from repro.collab.avatar import AvatarManager
 from repro.collab.interaction import InteractionController
 from repro.compression import AdaptiveCodec, BandwidthEstimator
-from repro.core.migration import LoadSample
 from repro.core.session import CollaborativeSession
 from repro.data.generators import skeletal_hand
 from repro.scenegraph.nodes import CameraNode, MeshNode
@@ -20,6 +19,7 @@ from repro.scenegraph.tree import SceneTree
 from repro.services.container import ServiceContainer
 from repro.services.data_service import DataService
 from repro.testbed import build_testbed
+from tests.conftest import load_alerts
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +87,6 @@ def demo_day():
     cs = CollaborativeSession(tb.data_service, "sc2004",
                               target_fps=1200,
                               recruiter=tb.recruiter())
-    cs.migrator.smoothing_seconds = 0.5
     placement = cs.place_dataset()
     log["placement_mode"] = placement.mode
     cam = CameraNode(position=(0.4, 2.2, 1.0))
@@ -96,13 +95,9 @@ def demo_day():
 
     victim = max((s for s in cs.render_services if cs.share_of(s)),
                  key=lambda s: s.committed_polygons())
-    t0 = tb.clock.now
-    for i in range(8):
-        cs.migrator.tracker(victim.name).record(LoadSample(
-            time=t0 + i * 0.2, fps=1.0,
-            utilisation=victim.utilisation()))
+    alerts = load_alerts(victim, fps=1.0, start=tb.clock.now, step=0.5)
     before = victim.committed_polygons()
-    actions = cs.rebalance()
+    actions = cs.rebalance(alerts)
     log["migrated"] = bool(actions)
     log["victim_relieved"] = victim.committed_polygons() < before
     fb2, _ = cs.render_composite(cam, 96, 96)

@@ -13,6 +13,7 @@ from repro.core.session import CollaborativeSession
 from repro.data.generators import galleon, skeletal_hand
 from repro.scenegraph.nodes import MeshNode
 from repro.scenegraph.tree import SceneTree
+from tests.conftest import load_alerts
 
 
 class TestTestbedConstruction:
@@ -147,26 +148,19 @@ class TestWorkloadDistributionEndToEnd:
     def test_migration_after_console_user_returns(self, testbed):
         """§6: 'we can stop using a machine once it becomes loaded by ...
         a local user logging on'."""
-        from repro.core.migration import LoadSample
-
         tree = SceneTree("mig")
         tree.add(MeshNode(skeletal_hand(20_000).normalized(), name="hand"))
         testbed.publish_tree("mig", tree)
         cs = CollaborativeSession(testbed.data_service, "mig",
                                   target_fps=1500,
                                   recruiter=testbed.recruiter())
-        cs.migrator.smoothing_seconds = 0.5
         cs.place_dataset()
         holders = [s for s in cs.render_services if cs.share_of(s)]
         victim = holders[0]
         committed_before = victim.committed_polygons()
         # the console user logs in: the service's frame rate collapses
-        t0 = testbed.clock.now
-        for i in range(10):
-            cs.migrator.tracker(victim.name).record(LoadSample(
-                time=t0 + i * 0.2, fps=1.0,
-                utilisation=victim.utilisation()))
-        actions = cs.rebalance()
+        actions = cs.rebalance(load_alerts(
+            victim, fps=1.0, samples=10, start=testbed.clock.now, step=0.4))
         moved = [a for a in actions if a.source == victim.name]
         assert moved, "overloaded service should shed work"
         assert victim.committed_polygons() < committed_before

@@ -1,4 +1,4 @@
-"""Workload migration: load tracking, thresholds, fine-grain node moves."""
+"""Workload migration: sustained thresholds, fine-grain node moves."""
 
 import math
 from types import SimpleNamespace
@@ -6,102 +6,162 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core.migration import (
-    SPLIT_FLOOR,
-    LoadSample,
-    LoadTracker,
-    WorkloadMigrator,
-)
+from repro.core.migration import SPLIT_FLOOR, WorkloadMigrator
 from repro.core.session import CollaborativeSession
 from repro.data.generators import skeleton
+from repro.obs.rules import AlertRule, RuleEngine
 from repro.obs.vocab import ALERT_OVERLOAD, ALERT_UNDERLOAD
 from repro.scenegraph.nodes import GroupNode, MeshNode
 from repro.scenegraph.tree import SceneTree
 from repro.testbed import build_testbed
-from tests.conftest import FakeService, FakeSession
+from tests.conftest import FakeService, FakeSession, load_alerts
+
+
+def _rule(metric="rave_rs_fps", below=8.0, duration=3.0,
+          kind=ALERT_OVERLOAD):
+    return AlertRule(name=f"{metric}-below", metric=metric, kind=kind,
+                     below=below, for_seconds=duration)
+
+
+def _fires(engine, service="rs"):
+    """The rule names firing for ``service``."""
+    return {a.rule for a in engine.firing() if a.service == service}
 
 
 class TestLoadTracker:
+    """The migrator's load tracking is the monitor's :class:`RuleEngine`:
+    a rule fires only when the window spans its duration and every
+    sample in the trailing duration violates (paper §3.2.7, "for a given
+    amount of time, to smooth out spikes")."""
+
+    @staticmethod
+    def engine(*samples, duration=3.0, window_seconds=None):
+        """A one-rule engine (fps below 8) fed ``(time, fps)`` samples."""
+        engine = RuleEngine([_rule(duration=duration)],
+                            window_seconds=window_seconds)
+        for time, fps in samples:
+            engine.observe("rs", time, {"rave_rs_fps": fps})
+        return engine
+
     def test_smoothing(self):
-        t = LoadTracker()
-        for i, fps in enumerate([10.0, 20.0, 30.0]):
-            t.record(LoadSample(time=float(i), fps=fps, utilisation=0.5))
-        assert t.smoothed_fps() == pytest.approx(20.0)
-        assert t.smoothed_utilisation() == pytest.approx(0.5)
+        """Samples that dip below the threshold and recover never fire,
+        and a sustained run reports its window and latest value."""
+        flapping = self.engine(*[(float(i), (2.0, 20.0)[i % 2])
+                                 for i in range(12)])
+        assert flapping.firing() == []
+        (alert,) = self.engine(*[(float(i), 2.0 + i / 10)
+                                 for i in range(6)]).firing()
+        assert (alert.since, alert.last_time) == (2.0, 5.0)
+        assert alert.value == pytest.approx(2.5)
 
     def test_window_eviction(self):
-        t = LoadTracker(window_seconds=5.0)
-        t.record(LoadSample(0.0, fps=1.0, utilisation=0.1))
-        t.record(LoadSample(10.0, fps=9.0, utilisation=0.9))
-        assert t.n_samples == 1
-        assert t.smoothed_fps() == 9.0
+        """A sample older than the window no longer counts as history."""
+        engine = self.engine((0.0, 1.0), (10.0, 1.0), window_seconds=5.0)
+        assert engine.firing() == []          # span 0: the t=0 one is gone
+        engine.observe("rs", 13.0, {"rave_rs_fps": 1.0})
+        assert _fires(engine) == {"rave_rs_fps-below"}
 
     def test_time_ordering_enforced(self):
-        t = LoadTracker()
-        t.record(LoadSample(5.0, 1.0, 0.5))
+        engine = self.engine((5.0, 1.0))
         with pytest.raises(ValueError):
-            t.record(LoadSample(4.0, 1.0, 0.5))
+            engine.observe("rs", 4.0, {"rave_rs_fps": 1.0})
 
     def test_empty_tracker_defaults(self):
-        t = LoadTracker()
-        assert t.smoothed_fps() == float("inf")
-        assert t.smoothed_utilisation() == 0.0
-        assert not t.sustained_below_fps(100, 1.0)
+        """No history never fires, nor does a value the rule ignores."""
+        engine = RuleEngine()
+        assert engine.firing() == []
+        for i in range(6):
+            engine.observe("rs", float(i), {"cpu_load": 0.0})
+        assert engine.firing() == []
 
     def test_sustained_needs_duration(self):
         """A single slow spike must NOT trigger ('smooth out spikes')."""
-        t = LoadTracker()
-        t.record(LoadSample(0.0, fps=100.0, utilisation=0.1))
-        t.record(LoadSample(1.0, fps=2.0, utilisation=0.9))
-        assert not t.sustained_below_fps(8.0, duration=3.0)
+        assert self.engine((0.0, 100.0), (1.0, 2.0)).firing() == []
 
     def test_sustained_fires_after_duration(self):
-        t = LoadTracker()
-        for i in range(6):
-            t.record(LoadSample(float(i), fps=2.0, utilisation=0.95))
-        assert t.sustained_below_fps(8.0, duration=3.0)
+        engine = self.engine(*[(float(i), 2.0) for i in range(6)])
+        assert _fires(engine) == {"rave_rs_fps-below"}
 
     def test_recovery_resets(self):
-        t = LoadTracker()
-        for i in range(4):
-            t.record(LoadSample(float(i), fps=2.0, utilisation=0.9))
-        t.record(LoadSample(4.0, fps=50.0, utilisation=0.2))
-        assert not t.sustained_below_fps(8.0, duration=3.0)
+        engine = self.engine(*[(float(i), 2.0) for i in range(4)],
+                             (4.0, 50.0))
+        assert engine.firing() == []
 
     def test_sustained_underutilisation(self):
-        t = LoadTracker()
+        """The default rules: sustained low utilisation is an underload
+        alert, and nothing else fires while the frame rate is healthy."""
+        engine = RuleEngine()
         for i in range(6):
-            t.record(LoadSample(float(i), fps=60.0, utilisation=0.05))
-        assert t.sustained_below_utilisation(0.3, duration=3.0)
+            engine.observe("rs", float(i), {"rave_rs_fps": 60.0,
+                                            "rave_rs_utilisation": 0.05})
+        assert [a.kind for a in engine.firing()] == [ALERT_UNDERLOAD]
 
     def test_window_spanning_exactly_duration_is_eligible(self):
         """span == duration is enough history — not a spike."""
-        t = LoadTracker()
-        for i in range(4):                       # t = 0..3, span == 3.0
-            t.record(LoadSample(float(i), fps=2.0, utilisation=0.9))
-        assert t.sustained_below_fps(8.0, duration=3.0)
-        assert t.sustained_below_utilisation(0.95, duration=3.0)
+        engine = self.engine(*[(float(i), 2.0) for i in range(4)])
+        assert _fires(engine) == {"rave_rs_fps-below"}
 
     def test_sample_exactly_at_cutoff_counts(self):
         """A fast sample landing exactly ``duration`` ago must veto."""
-        t = LoadTracker()
-        t.record(LoadSample(0.0, fps=2.0, utilisation=0.9))
-        t.record(LoadSample(2.0, fps=100.0, utilisation=0.9))  # at cutoff
-        for time in (3.0, 4.0, 5.0):
-            t.record(LoadSample(time, fps=2.0, utilisation=0.9))
+        samples = [(0.0, 2.0), (2.0, 100.0), (3.0, 2.0), (4.0, 2.0),
+                   (5.0, 2.0)]
         # cutoff = 5.0 - 3.0 = 2.0; the t=2.0 sample is inside the window
-        assert not t.sustained_below_fps(8.0, duration=3.0)
+        assert self.engine(*samples).firing() == []
         # whereas a strictly older fast sample is outside and ignored
-        assert t.sustained_below_fps(8.0, duration=2.5)
+        assert _fires(self.engine(*samples, duration=2.5)) \
+            == {"rave_rs_fps-below"}
 
     def test_fps_and_utilisation_share_one_rule(self):
-        """Both detectors are the same sustained-below rule on
-        different keys — identical histories give identical verdicts."""
-        t = LoadTracker()
-        for i in range(5):
-            t.record(LoadSample(float(i), fps=2.0, utilisation=2.0))
-        assert (t.sustained_below_fps(8.0, 3.0)
-                == t.sustained_below_utilisation(8.0, 3.0))
+        """The default overload and underload rules are the same
+        sustained-below rule on different gauges — histories that
+        violate both give identical verdicts at every step."""
+        engine = RuleEngine()
+        for i in range(8):
+            low = i != 2
+            engine.observe("rs", float(i), {
+                "rave_rs_fps": 2.0 if low else 20.0,
+                "rave_rs_utilisation": 0.1 if low else 0.9})
+            kinds = [a.kind for a in engine.firing()]
+            assert kinds in ([], [ALERT_OVERLOAD, ALERT_UNDERLOAD])
+
+    @settings(max_examples=200, deadline=None)
+    @given(steps=st.lists(st.tuples(
+               st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 11.0]),
+               st.sampled_from(["a", "b"]),
+               st.sampled_from([1.0, 7.5, 8.0, 30.0]),
+               st.sampled_from([0.1, 0.3, 0.6])), max_size=24),
+           duration=st.sampled_from([0.0, 0.5, 1.0, 3.0, 5.0]),
+           window=st.sampled_from([None, 5.0, 10.0, 15.0]))
+    def test_firing_matches_a_brute_force_reference(self, steps, duration,
+                                                    window):
+        """For any time-ordered samples, a rule fires for a service iff
+        some sample inside the window lies at least ``duration`` before
+        that service's latest one, and every sample in the trailing
+        ``duration`` violates.  Times are dyadic, so sums are exact."""
+        rules = [_rule(duration=duration),
+                 _rule(metric="rave_rs_utilisation", below=0.3,
+                       duration=duration, kind=ALERT_UNDERLOAD)]
+        engine = RuleEngine(rules, window_seconds=window)
+        seen = {"a": [], "b": []}
+        now = 0.0
+        for dt, service, fps, utilisation in steps:
+            now += dt
+            values = {"rave_rs_fps": fps, "rave_rs_utilisation": utilisation}
+            engine.observe(service, now, values)
+            seen[service].append((now, values))
+        span = engine.window_seconds
+        expected = set()
+        for service, samples in seen.items():
+            if not samples:
+                continue
+            last = samples[-1][0]
+            kept = [(t, v) for t, v in samples if t >= last - span]
+            for rule in rules:
+                if (any(t <= last - duration for t, _ in kept)
+                        and all(v[rule.metric] < rule.below
+                                for t, v in kept if t >= last - duration)):
+                    expected.add((rule.name, service))
+        assert {(a.rule, a.service) for a in engine.firing()} == expected
 
 
 class TestNodeSelection:
@@ -174,18 +234,10 @@ class TestMigrationPolicy:
         session = FakeSession(tree, [overloaded, idle], shares)
         return session, overloaded, idle
 
-    def feed_overload(self, migrator, service):
-        for i in range(8):
-            migrator.tracker(service.name).record(
-                LoadSample(float(i), fps=2.0,
-                           utilisation=service.utilisation()))
-
     def test_overload_triggers_move(self):
         session, slow, fast = self.build()
-        migrator = WorkloadMigrator(target_fps=10, overload_fps=8.0,
-                                    smoothing_seconds=3.0)
-        self.feed_overload(migrator, slow)
-        actions = migrator.plan(session)
+        migrator = WorkloadMigrator(target_fps=10)
+        actions = migrator.plan(session, load_alerts(slow, fps=2.0))
         assert actions
         action = actions[0]
         assert action.source == "slow" and action.destination == "fast"
@@ -194,40 +246,25 @@ class TestMigrationPolicy:
 
     def test_no_move_without_sustained_overload(self):
         session, slow, fast = self.build()
-        migrator = WorkloadMigrator(target_fps=10, overload_fps=8.0,
-                                    smoothing_seconds=3.0)
-        migrator.tracker(slow.name).record(LoadSample(0.0, 2.0, 2.0))
-        assert migrator.plan(session) == []
+        migrator = WorkloadMigrator(target_fps=10)
+        alerts = load_alerts(slow, fps=2.0, utilisation=2.0, samples=1)
+        assert alerts == []
+        assert migrator.plan(session, alerts) == []
 
     def test_underload_pulls_work(self):
         session, slow, fast = self.build()
-        migrator = WorkloadMigrator(target_fps=10,
-                                    underload_utilisation=0.3,
-                                    smoothing_seconds=3.0)
-        for i in range(8):
-            migrator.tracker(fast.name).record(
-                LoadSample(float(i), fps=200.0, utilisation=0.0))
-        actions = migrator.plan(session)
+        migrator = WorkloadMigrator(target_fps=10)
+        actions = migrator.plan(session, load_alerts(fast, fps=200.0))
         assert any(a.reason == "underload" and a.destination == "fast"
                    for a in actions)
-
-    def test_actions_logged(self):
-        session, slow, fast = self.build()
-        migrator = WorkloadMigrator(target_fps=10, overload_fps=8.0,
-                                    smoothing_seconds=3.0)
-        self.feed_overload(migrator, slow)
-        migrator.plan(session)
-        assert migrator.actions
 
     def test_overloaded_service_with_empty_share_is_a_noop(self):
         """Overload with nothing assigned: the policy must not plan a
         move (there are no nodes to shed) and must not crash."""
         session, slow, fast = self.build()
         session._shares["slow"] = set()
-        migrator = WorkloadMigrator(target_fps=10, overload_fps=8.0,
-                                    smoothing_seconds=3.0)
-        self.feed_overload(migrator, slow)
-        assert migrator.plan(session) == []
+        migrator = WorkloadMigrator(target_fps=10)
+        assert migrator.plan(session, load_alerts(slow, fps=2.0)) == []
         assert session.moves == []
 
     def test_recruitment_returning_nothing_is_a_noop(self):
@@ -248,12 +285,9 @@ class TestMigrationPolicy:
         session.recruiter = object()        # non-None: recruiting allowed
         recruit_calls = []
         session.recruit_more = lambda limit=None: recruit_calls.append(1) or []
-        migrator = WorkloadMigrator(target_fps=10, overload_fps=8.0,
-                                    smoothing_seconds=3.0)
-        for i in range(8):
-            migrator.tracker(slow.name).record(
-                LoadSample(float(i), fps=2.0, utilisation=2.0))
-        assert migrator.plan(session) == []
+        migrator = WorkloadMigrator(target_fps=10)
+        alerts = load_alerts(slow, fps=2.0, utilisation=2.0)
+        assert migrator.plan(session, alerts) == []
         assert recruit_calls            # it did try to recruit
         assert session.moves == []
 
@@ -275,19 +309,12 @@ class TestUnderloadConvergence:
         a = FakeService("a", rate=1e6, committed=per_node * 4)
         b = FakeService("b", rate=1e6, committed=per_node * 4)
         session = FakeSession(tree, [a, b], shares)
-        migrator = WorkloadMigrator(target_fps=10,
-                                    underload_utilisation=0.3,
-                                    smoothing_seconds=3.0)
-        for service in (a, b):
-            for i in range(8):
-                migrator.tracker(service.name).record(
-                    LoadSample(float(i), fps=200.0,
-                               utilisation=service.utilisation()))
-        return session, migrator
+        return session, load_alerts(a, b, fps=200.0)
 
     def test_consecutive_passes_converge(self):
-        session, migrator = self.build_lightly_loaded_pair()
-        passes = [migrator.plan(session) for _ in range(4)]
+        session, alerts = self.build_lightly_loaded_pair()
+        migrator = WorkloadMigrator(target_fps=10)
+        passes = [migrator.plan(session, alerts) for _ in range(4)]
         # a donor below the threshold has no spare to give: the first
         # pass must already be stable, and nothing may oscillate later
         assert passes == [[], [], [], []]
@@ -308,20 +335,16 @@ class TestUnderloadConvergence:
         idle = FakeService("idle", rate=1e7, committed=0.0)
         session = FakeSession(tree, [donor, idle],
                               {"donor": set(ids), "idle": set()})
-        migrator = WorkloadMigrator(target_fps=10,
-                                    underload_utilisation=0.3,
-                                    smoothing_seconds=3.0)
-        for i in range(8):
-            migrator.tracker("idle").record(
-                LoadSample(float(i), fps=200.0, utilisation=0.0))
-        actions = migrator.plan(session)
+        migrator = WorkloadMigrator(target_fps=10)
+        alerts = load_alerts(idle, fps=200.0)
+        actions = migrator.plan(session, alerts)
         assert any(a.reason == "underload" and a.destination == "idle"
                    for a in actions)
         floor = 0.3 * donor.capacity().polygon_budget(10.0)
         assert donor._committed >= floor
         # and the system settles: repeated passes stop moving work
         for _ in range(3):
-            migrator.plan(session)
+            migrator.plan(session, alerts)
         assert donor._committed >= floor
 
 
@@ -338,10 +361,7 @@ class TestOneDirectionPerPass:
         a = self.join(session, "a", rate=1.0, sizes=(20000,))
         a._rate = 9 * a._committed
         self.join(session, "b", rate=4e5, sizes=(600,) * 6)
-        migrator = WorkloadMigrator(target_fps=10, overload_fps=8.0,
-                                    underload_utilisation=0.3,
-                                    smoothing_seconds=3.0)
-        return session, migrator
+        return session, WorkloadMigrator(target_fps=10)
 
     @staticmethod
     def join(session, name, rate, sizes=()):
@@ -412,9 +432,7 @@ class TestAlertDrivenPullsSettle:
         high = FakeService("high", rate=budget * 10, committed=per_node * 33)
         low = FakeService("low", rate=budget * 10, committed=per_node * 5)
         session = FakeSession(tree, [high, low], shares)
-        migrator = WorkloadMigrator(target_fps=10,
-                                    underload_utilisation=0.3,
-                                    smoothing_seconds=3.0)
+        migrator = WorkloadMigrator(target_fps=10)
         alerts = [SimpleNamespace(kind=ALERT_UNDERLOAD, service=name)
                   for name in ("high", "low")]
         first = migrator.plan(session, alerts=alerts)
@@ -447,8 +465,7 @@ class TestSplitOnDemand:
         session = FakeSession(tree, [donor, receiver],
                               {"donor": set(donor_ids),
                                "receiver": {own.node_id}})
-        migrator = WorkloadMigrator(target_fps=10, overload_fps=8.0,
-                                    smoothing_seconds=3.0)
+        migrator = WorkloadMigrator(target_fps=10)
         return session, migrator, donor_ids, own
 
     @staticmethod
@@ -543,10 +560,13 @@ class TestSplitBound:
         floor = min(max(1, math.ceil(
             SPLIT_FLOOR * s.capacity().polygon_budget(cs.target_fps)))
             for s in services)
+        engine = RuleEngine()
         for t, (fps, kinds) in enumerate(steps):
             for service in services:
-                cs.migrator.record_frame(service, float(t), fps)
-            cs.rebalance(alerts=[
+                engine.observe(service.name, float(t), {
+                    "rave_rs_fps": fps,
+                    "rave_rs_utilisation": service.utilisation()})
+            cs.rebalance(engine.firing() + [
                 SimpleNamespace(kind=kind, service=service.name)
                 for service, alerted in zip(services, kinds)
                 for kind in alerted])

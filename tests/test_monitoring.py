@@ -509,7 +509,7 @@ def run_closed_loop(tb):
             pump(tb, 1.0)
         alerts = tb.monitor.firing_alerts()
 
-        unalerted = cs.rebalance()               # migrator saw no samples
+        unalerted = cs.rebalance([])             # no alert, no move
         actions = cs.rebalance(alerts=alerts)    # the monitor drives it
 
         for _ in range(4):                       # load gone; fps recovers
@@ -550,8 +550,8 @@ class TestClosedLoop:
         assert alert.last_time - alert.since >= 3.0
 
     def test_alertless_rebalance_is_a_noop(self, loop):
-        # the migrator's own trackers never saw a frame sample, so the
-        # slowdown is invisible without the monitor's alerts
+        # the migrator keeps no load history, so the slowdown is
+        # invisible without the monitor's alerts
         assert loop["unalerted"] == []
 
     def test_alerts_drive_migration_off_the_victim(self, loop):

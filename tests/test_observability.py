@@ -28,6 +28,7 @@ from tests.conftest import (
     FakeService,
     FakeSession,
     assert_off_stores_nothing,
+    load_alerts,
 )
 
 
@@ -466,11 +467,8 @@ class TestMigrationMetrics:
         from repro.core.migration import WorkloadMigrator
 
         session, slow, fast = self.build()
-        migrator = WorkloadMigrator(target_fps=10, overload_fps=8.0,
-                                    smoothing_seconds=3.0)
-        for i in range(8):
-            migrator.record_frame(slow, time=float(i), fps=2.0)
-        actions = migrator.plan(session)
+        migrator = WorkloadMigrator(target_fps=10)
+        actions = migrator.plan(session, load_alerts(slow, fps=2.0))
         assert actions
         m = bundle.metrics
         assert m.value("rave_migration_triggers_total",

@@ -237,14 +237,15 @@ class TestEventKindRule:
             def run(obs, alert, home_grown_kind):
                 obs.recorder.note("bogus", time=0.0)
                 obs.recorder.note(home_grown_kind, time=0.0)
+                obs.recorder.note("ping" if alert else "frosty", time=0.0)
                 Alert(rule="r", kind="cold", service="s", since=0,
                       last_time=0, value=0, severity="warning")
                 if alert.kind == "chilly":
                     return True
             """})
         result = lint(root, "event-kind")
-        assert symbols(result) == {"bogus", "home_grown_kind", "cold",
-                                   "chilly"}
+        assert symbols(result) == {"bogus", "home_grown_kind", "frosty",
+                                   "cold", "chilly"}
         assert all(f.severity == "error" for f in result.findings)
 
     def test_passes_vocabulary_members_and_prefixes(self, tmp_path):
@@ -260,6 +261,8 @@ class TestEventKindRule:
                 obs.recorder.note("fault:crash", time=0.0)
                 obs.recorder.note(EVENT_FAULT_PREFIX + kind, time=0.0)
                 obs.recorder.note(f"fault:{kind}", time=0.0)
+                obs.recorder.note(EVENT_PING if kind else "fault:x",
+                                  time=0.0)
                 obs.telemetry.event("tick", 0.0, "detail")
                 Alert(rule="r", kind="hot", service="s", since=0,
                       last_time=0, value=0, severity="warning")

@@ -8,6 +8,7 @@ from repro.data.generators import skeleton
 from repro.errors import SessionError
 from repro.scenegraph.nodes import CameraNode, MeshNode
 from repro.scenegraph.tree import SceneTree
+from tests.conftest import load_alerts
 
 
 def publish_big(tb, n=40_000, name="big"):
@@ -205,29 +206,14 @@ class TestLiveMigration:
         cs = CollaborativeSession(testbed.data_service, "hot",
                                   target_fps=1000,
                                   recruiter=testbed.recruiter())
-        cs.migrator.overload_fps = 1e9       # everything counts as slow
-        cs.migrator.smoothing_seconds = 0.0
         cs.recruit_more()
         cs.place_dataset()
 
         loaded = max(cs.render_services,
                      key=lambda s: len(cs.share_of(s)))
-        for i in range(5):
-            cs.migrator.tracker(loaded.name).record(
-                __import__("repro.core.migration",
-                           fromlist=["LoadSample"]).LoadSample(
-                    time=float(i), fps=1.0,
-                    utilisation=loaded.utilisation()))
+        alerts = load_alerts(loaded, fps=1.0, samples=5)
         before = len(cs.share_of(loaded))
-        actions = cs.rebalance()
+        actions = cs.rebalance(alerts)
         shed = [a for a in actions if a.source == loaded.name]
         if shed:  # a receiver with headroom existed
             assert len(cs.share_of(loaded)) < before
-
-    def test_observe_frame_feeds_tracker(self, testbed):
-        publish_big(testbed, 10_000, name="obs")
-        cs = CollaborativeSession(testbed.data_service, "obs")
-        rs = testbed.render_service("centrino")
-        cs.connect(rs)
-        cs.migrator.record_frame(rs, testbed.network.sim.now, fps=5.0)
-        assert cs.migrator.tracker(rs.name).n_samples == 1
