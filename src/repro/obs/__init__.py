@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-from repro.obs.export import prometheus_text, snapshot, write_snapshot
+from repro.obs.export import prometheus_text, snapshot
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.recorder import FlightEvent, FlightRecorder, assert_story
 from repro.obs.tracing import (
@@ -136,5 +136,4 @@ __all__ = [
     "observed",
     "prometheus_text",
     "snapshot",
-    "write_snapshot",
 ]

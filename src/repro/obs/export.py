@@ -6,15 +6,11 @@ Two consumers, two formats:
   format (``# HELP`` / ``# TYPE`` headers, ``_bucket``/``_sum``/``_count``
   expansion for histograms) so a scrape endpoint or a text diff can read
   it;
-- :func:`snapshot` / :func:`write_snapshot` produce the plain-JSON form
-  the benchmark harness stores as a trajectory artifact: simulated time,
-  every metric family, every span, and the reassembled per-frame chains.
+- :func:`snapshot` produces the plain-JSON form: simulated time, every
+  metric family, every span, and the reassembled per-frame chains.
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.quantiles import format_le
@@ -75,15 +71,14 @@ def prometheus_text(registry: MetricsRegistry) -> str:
 
 def snapshot(registry: MetricsRegistry, tracer: Tracer | None = None,
              clock=None, meta: dict | None = None, source: str = "default",
-             recorder=None, extra: dict | None = None) -> dict:
+             recorder=None) -> dict:
     """One self-describing dict: metrics + spans + per-frame chains.
 
     ``source`` names the producer: registry-level metadata (family /
     series / sample counts, simulated time) lands under
     ``wall_meta[source]``, so snapshots from different services federate
     with a plain dict union — no key collisions.  ``recorder`` adds the
-    flight recorder's dumps; ``extra`` merges caller sections (e.g. a
-    monitor-service report) top-level.
+    flight recorder's dumps.
     """
     sim_now = clock.now if clock is not None else None
     stats = registry.stats()
@@ -110,28 +105,10 @@ def snapshot(registry: MetricsRegistry, tracer: Tracer | None = None,
             "capacity": recorder.capacity,
             "dumps": list(recorder.dumps),
         }
-    if extra:
-        for key, section in extra.items():
-            out[key] = section
     return out
-
-
-def write_snapshot(path, registry: MetricsRegistry,
-                   tracer: Tracer | None = None, clock=None,
-                   meta: dict | None = None, source: str = "default",
-                   recorder=None, extra: dict | None = None) -> Path:
-    """Serialise :func:`snapshot` to ``path`` as indented JSON."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(
-        snapshot(registry, tracer, clock, meta, source=source,
-                 recorder=recorder, extra=extra),
-        indent=2, sort_keys=False) + "\n")
-    return target
 
 
 __all__ = [
     "prometheus_text",
     "snapshot",
-    "write_snapshot",
 ]

@@ -580,6 +580,11 @@ class TestClosedLoop:
         scrapes = loop["snapshot"]["scrapes"]
         assert scrapes["count"] > 0
         assert scrapes["bytes"] > 0
+        # a scrape ships only the events past the monitor's cursor, so
+        # its size must not grow with a service's history: 684 B here
+        # (105 scrapes, 71 779 B)
+        per_scrape = scrapes["bytes"] / scrapes["count"]
+        assert per_scrape < 800, f"{per_scrape:.0f} B per scrape"
 
     def test_migration_and_telemetry_land_in_flight_recorder(self, loop):
         recorder = loop["recorder"]
@@ -619,6 +624,9 @@ class TestSnapshotAndDashboard:
         assert {"service": "rs-onyx", "host": "onyx"} in \
             [s["labels"] for s in series]
         assert snap["scrapes"]["count"] > 0
+        assert snap["slo"], "SLO attainment report is empty"
+        for name, section in snap["slo"].items():
+            assert "objective" in section, f"SLO {name} has no objective"
 
     def test_snapshot_is_json_serialisable(self):
         json.dumps(self.make_snapshot())

@@ -22,7 +22,6 @@ from repro.obs import (
     Tracer,
     prometheus_text,
     snapshot,
-    write_snapshot,
 )
 from tests.conftest import (
     FakeService,
@@ -275,14 +274,6 @@ class TestExporters:
         assert snap["frames"] == {"0": ["render", "blit"]}
         assert snap["spans_dropped"] == 0
 
-    def test_write_snapshot_roundtrips(self, tmp_path):
-        path = tmp_path / "nested" / "snap.json"
-        write_snapshot(path, self.make_registry())
-        data = json.loads(path.read_text())
-        assert data["format"] == "rave-observability-snapshot/1"
-        assert data["simulated_seconds"] is None
-        assert "spans" not in data
-
     def test_json_serialisable_with_inf_free_payload(self):
         """Histogram +Inf bounds must not leak as non-JSON floats."""
         text = json.dumps(snapshot(self.make_registry()))
@@ -387,11 +378,6 @@ class TestSnapshotMetadata:
         assert section["events_seen"] == 1
         assert section["capacity"] == 8
         assert section["dumps"][0]["reason"] == "unit-test"
-
-    def test_snapshot_extra_sections_merge_top_level(self):
-        snap = snapshot(MetricsRegistry(),
-                        extra={"monitor": {"format": "x"}})
-        assert snap["monitor"] == {"format": "x"}
 
 
 # -- instrumented paths, end to end --------------------------------------------------

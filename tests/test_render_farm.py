@@ -674,7 +674,8 @@ class TestFarmController:
 
     def test_prewarm_bootstraps_once_and_throughput_scales(self):
         rates = {}
-        for n, hosts in ((1, ("onyx",)), (2, ("onyx", "v880z"))):
+        for n, hosts in ((1, ("onyx",)), (2, ("onyx", "v880z")),
+                         (4, ("onyx", "v880z", "centrino", "xeon"))):
             tb = farm_testbed()
             queue = tb.farm_queue
             farm = tb.render_farm(worker_hosts=hosts)
@@ -687,8 +688,10 @@ class TestFarmController:
             t0 = sim.now
             while not queue.job(JOB).finished and sim.now < t0 + 300.0:
                 sim.run_until(sim.now + 0.25)
+            assert queue.audit(JOB) == []
+            assert queue.duplicates_dropped == 0
             rates[n] = 24.0 / (queue.job(JOB).finished_at - t0)
-        assert rates[2] > rates[1]
+        assert rates[1] < rates[2] < rates[4], rates
 
     def test_release_idle_respects_backlog_and_floor(self):
         tb = farm_testbed()

@@ -6,8 +6,6 @@ just written.  Here each example runs in-process and must exit 0; then
 every expectation in its ``STORY`` is broken one at a time on a copy of
 the real dump — an event dropped, two events swapped, a forbidden event
 appended, a detail edited — and ``assert_story`` must turn red on each.
-``benchmarks/bench_observability.py``'s ``check()`` gets the same
-treatment on its smoke snapshot.
 """
 
 from __future__ import annotations
@@ -229,70 +227,3 @@ class TestAssertStory:
     def test_the_message_lists_the_kinds_it_saw(self):
         with pytest.raises(AssertionError, match=r"holds \{'a': 1\}"):
             assert_story(_dump("a"), order=("b",))
-
-
-# --------------------------------------------------------------------------
-# bench_observability.check() on its smoke snapshot
-# --------------------------------------------------------------------------
-
-bench_observability = _load(ROOT / "benchmarks" / "bench_observability.py")
-
-
-def _slo_without_objective(snap, _):
-    next(iter(snap["monitor"]["slo"].values())).pop("objective")
-
-
-def _scrapes_over_budget(snap, _):
-    scrapes = snap["monitor"]["scrapes"]
-    scrapes["bytes"] = 800 * scrapes["count"]
-
-
-def _no_tail_alert_in_the_dumps(_, recorder):
-    for dump in recorder["dumps"]:
-        dump["events"] = [e for e in dump["events"]
-                          if e["kind"] != "alert:tail-latency"]
-
-
-#: every assertion check() makes on the monitor section and the
-#: flight-recorder file, each broken on its own
-CHECK_MUTATIONS = {
-    "monitor-format": lambda s, r: s["monitor"].update(format="x/0"),
-    "no-scrapes": lambda s, r: s["monitor"]["scrapes"].update(count=0),
-    "no-scrape-bytes": lambda s, r: s["monitor"]["scrapes"].update(bytes=0),
-    "scrape-over-800-bytes": _scrapes_over_budget,
-    "empty-slo-report": lambda s, r: s["monitor"].update(slo={}),
-    "slo-without-objective": _slo_without_objective,
-    "p95-under-objective": lambda s, r: s["monitor"]["grid"].update(
-        rave_grid_queue_wait_seconds_p95=0.4),
-    "slo-not-quantile": lambda s, r: s["monitor"]["slo"][
-        "queue-wait-p95"].update(quantile=0.5),
-    "no-tail-alert": lambda s, r: s["monitor"].update(alerts=[]),
-    "no-quantile-overhead": lambda s, r: s["quantile_overhead"].update(
-        samples=0),
-    "recorder-format": lambda s, r: r.update(format="x/0"),
-    "no-recorder-dumps": lambda s, r: r.update(dumps=[]),
-    "no-tail-alert-in-the-dumps": _no_tail_alert_in_the_dumps,
-}
-
-
-@pytest.fixture(scope="module")
-def smoke_snapshot(tmp_path_factory):
-    path = tmp_path_factory.mktemp("obs") / "BENCH_observability.json"
-    bench_observability.run(smoke=True, out=path)
-    bench_observability.check(path)
-    return (json.loads(path.read_text()),
-            json.loads(path.with_name("BENCH_flight_recorder.json")
-                       .read_text()))
-
-
-@pytest.mark.parametrize("mutate", CHECK_MUTATIONS.values(),
-                         ids=CHECK_MUTATIONS)
-def test_observability_check_turns_red(smoke_snapshot, tmp_path, mutate):
-    snap, recorder = copy.deepcopy(smoke_snapshot)
-    mutate(snap, recorder)
-    path = tmp_path / "BENCH_observability.json"
-    path.write_text(json.dumps(snap))
-    path.with_name("BENCH_flight_recorder.json").write_text(
-        json.dumps(recorder))
-    with pytest.raises(AssertionError):
-        bench_observability.check(path)
