@@ -10,11 +10,17 @@ There is no separate no-op registry.  Instrumented hot paths write only
 under ``if obs.enabled:``, so the registry of the disabled
 :data:`repro.obs.NULL_OBS` bundle never materialises a family, label or
 string.
+
+Families and the registry cache their snapshots and JSON encodings until
+a value *changes* (``inc(0)`` and a gauge set to the value it holds do
+nothing) or a series is added.  Cached dicts are shared: never mutate one.
 """
 
 from __future__ import annotations
 
 import bisect
+import json
+import math
 import re
 
 from repro.obs.quantiles import estimate_quantile, format_le
@@ -25,20 +31,31 @@ DEFAULT_BUCKETS = (0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25,
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 
+#: the one encoder of telemetry JSON (compact, keys sorted)
+COMPACT_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _unobserved() -> None:
+    """The change hook of an instrument made outside any registry."""
+
 
 class Counter:
     """Monotonically increasing accumulator."""
 
     kind = "counter"
-    __slots__ = ("_value",)
+    __slots__ = ("_value", "_changed")
 
-    def __init__(self) -> None:
+    def __init__(self, changed=_unobserved) -> None:
         self._value = 0.0
+        self._changed = changed
 
     def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
+        if not amount >= 0:                     # negative, or NaN
             raise ValueError(f"counters only go up (amount={amount!r})")
-        self._value += amount
+        value = self._value + amount
+        if value != self._value:
+            self._value = value
+            self._changed()
 
     @property
     def value(self) -> float:
@@ -49,19 +66,25 @@ class Gauge:
     """A value that can go up and down (utilisation, bandwidth estimate)."""
 
     kind = "gauge"
-    __slots__ = ("_value",)
+    __slots__ = ("_value", "_changed")
 
-    def __init__(self) -> None:
+    def __init__(self, changed=_unobserved) -> None:
         self._value = 0.0
+        self._changed = changed
 
     def set(self, value: float) -> None:
-        self._value = float(value)
+        # writing NaN is always a change; -0.0 equals 0.0 but encodes apart
+        value, old = float(value), self._value
+        if value != old or (not value and
+                            math.copysign(1, value) != math.copysign(1, old)):
+            self._value = value
+            self._changed()
 
     def inc(self, amount: float = 1.0) -> None:
-        self._value += amount
+        self.set(self._value + amount)
 
     def dec(self, amount: float = 1.0) -> None:
-        self._value -= amount
+        self.set(self._value - amount)
 
     @property
     def value(self) -> float:
@@ -72,9 +95,10 @@ class Histogram:
     """Bucketed distribution of observations (count, sum, buckets)."""
 
     kind = "histogram"
-    __slots__ = ("buckets", "_bucket_counts", "_sum", "_count")
+    __slots__ = ("buckets", "_bucket_counts", "_sum", "_count", "_changed")
 
-    def __init__(self, buckets: tuple = DEFAULT_BUCKETS) -> None:
+    def __init__(self, buckets: tuple = DEFAULT_BUCKETS,
+                 changed=_unobserved) -> None:
         bounds = [float(b) for b in buckets]
         if bounds != sorted(bounds) or len(set(bounds)) != len(bounds):
             raise ValueError("histogram buckets must be strictly ascending")
@@ -84,11 +108,15 @@ class Histogram:
         self._bucket_counts = [0] * len(self.buckets)
         self._sum = 0.0
         self._count = 0
+        self._changed = changed
 
     def observe(self, value: float) -> None:
+        if value != value:              # bisect files NaN in bucket 0
+            raise ValueError("histograms cannot observe NaN")
         self._bucket_counts[bisect.bisect_left(self.buckets, value)] += 1
         self._sum += value
         self._count += 1
+        self._changed()
 
     @property
     def count(self) -> int:
@@ -116,29 +144,66 @@ class Histogram:
 
 
 class MetricFamily:
-    """All children of one metric name, keyed by their label values."""
+    """All children of one metric name, keyed by their label values;
+    its snapshot and JSON fragment are cached until :meth:`changed`."""
 
-    __slots__ = ("name", "kind", "help", "buckets", "children")
+    __slots__ = ("name", "kind", "help", "buckets", "children",
+                 "_registry_changed", "_snapshot", "_encoded")
 
     def __init__(self, name: str, kind: str, help: str = "",
-                 buckets: tuple | None = None) -> None:
+                 buckets: tuple | None = None,
+                 changed=_unobserved) -> None:
         self.name = name
         self.kind = kind
         self.help = help
         self.buckets = buckets
         self.children: dict[tuple, object] = {}
+        self._registry_changed = changed
+        self._snapshot: dict | None = None
+        self._encoded: str | None = None
 
     def child(self, labels: tuple) -> object:
         inst = self.children.get(labels)
         if inst is None:
             if self.kind == "counter":
-                inst = Counter()
+                inst = Counter(self.changed)
             elif self.kind == "gauge":
-                inst = Gauge()
+                inst = Gauge(self.changed)
             else:
-                inst = Histogram(self.buckets or DEFAULT_BUCKETS)
+                inst = Histogram(self.buckets or DEFAULT_BUCKETS,
+                                 self.changed)
             self.children[labels] = inst
+            self.changed()
         return inst
+
+    def changed(self) -> None:
+        """Drop this family's cached views and the registry's."""
+        self._snapshot = self._encoded = None
+        self._registry_changed()
+
+    def snapshot(self) -> dict:
+        """Plain-data view of every series (cached; do not mutate)."""
+        if self._snapshot is None:
+            series = []
+            for labels, inst in sorted(self.children.items()):
+                entry: dict = {"labels": dict(labels)}
+                if self.kind == "histogram":
+                    entry.update(
+                        count=inst.count, sum=inst.sum, mean=inst.mean,
+                        buckets={format_le(le): n
+                                 for le, n in inst.cumulative_buckets()})
+                else:
+                    entry["value"] = inst.value
+                series.append(entry)
+            self._snapshot = {"kind": self.kind, "help": self.help,
+                              "series": series}
+        return self._snapshot
+
+    def encoded(self) -> str:
+        """:meth:`snapshot` as a :data:`COMPACT_JSON` fragment (cached)."""
+        if self._encoded is None:
+            self._encoded = COMPACT_JSON.encode(self.snapshot())
+        return self._encoded
 
 
 class MetricsRegistry:
@@ -156,6 +221,14 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._families: dict[str, MetricFamily] = {}
+        #: snapshot, its encoding and stats; emptied by every change
+        self._cache: dict[str, object] = {}
+
+    def _cached(self, key: str, build):
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache[key] = build()
+        return value
 
     # -- instrument factories ----------------------------------------------------
 
@@ -174,12 +247,13 @@ class MetricsRegistry:
         if family is None:
             if not _NAME_RE.match(name):
                 raise ValueError(f"invalid metric name {name!r}")
-            family = MetricFamily(name, kind, help, buckets)
+            family = MetricFamily(name, kind, help, buckets,
+                                  self._cache.clear)
             self._families[name] = family
         elif family.kind != kind:
             raise ValueError(
                 f"metric {name!r} already registered as a {family.kind}")
-        return family.child(tuple(sorted(labels.items())))
+        return family.child(tuple(sorted(labels.items())) if labels else ())
 
     # -- introspection -----------------------------------------------------------
 
@@ -201,7 +275,10 @@ class MetricsRegistry:
         ``samples`` counts recorded observations — one per counter/gauge
         series plus every histogram observation — so federated snapshots
         can report how much telemetry each producer contributed.
-        """
+        Cached like :meth:`snapshot`."""
+        return self._cached("stats", self._stats)
+
+    def _stats(self) -> dict:
         families = self.families()
         series = sum(len(f.children) for f in families)
         samples = 0
@@ -212,26 +289,21 @@ class MetricsRegistry:
                 "samples": samples}
 
     def snapshot(self) -> dict:
-        """Plain-data view of every family (the JSON exporter's payload)."""
-        out: dict[str, dict] = {}
-        for family in self.families():
-            series = []
-            for labels, inst in sorted(family.children.items()):
-                entry: dict = {"labels": dict(labels)}
-                if family.kind == "histogram":
-                    entry.update(
-                        count=inst.count, sum=inst.sum, mean=inst.mean,
-                        buckets={format_le(le): n
-                                 for le, n in inst.cumulative_buckets()})
-                else:
-                    entry["value"] = inst.value
-                series.append(entry)
-            out[family.name] = {"kind": family.kind, "help": family.help,
-                                "series": series}
-        return out
+        """Plain-data view of every family (the JSON exporter's payload);
+        cached and shared, so never mutate it."""
+        return self._cached("snapshot", lambda: {
+            family.name: family.snapshot() for family in self.families()})
+
+    def snapshot_json(self) -> str:
+        """:meth:`snapshot` as :data:`COMPACT_JSON` (cached alike): the
+        families' fragments joined (names need no escaping)."""
+        return self._cached("snapshot_json", lambda: "{" + ",".join(
+            f'"{family.name}":{family.encoded()}'
+            for family in self.families()) + "}")
 
 
 __all__ = [
+    "COMPACT_JSON",
     "DEFAULT_BUCKETS",
     "Counter",
     "Gauge",

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.obs.quantiles import quantile_suffix
 from repro.obs.vocab import (
@@ -88,7 +89,7 @@ class AlertRule:
                 f"rule {self.name!r} quantile must be in (0, 1), "
                 f"got {self.quantile!r}")
 
-    @property
+    @cached_property
     def metric_key(self) -> str:
         """The flattened-values key this rule evaluates."""
         if self.quantile is None:
@@ -265,6 +266,11 @@ class RuleEngine:
             while history and history[0][0] < cutoff:
                 history.popleft()
 
+    def forget(self, service: str) -> None:
+        """Drop every rule's history for ``service`` (no longer watched)."""
+        for key in [key for key in self._history if key[1] == service]:
+            del self._history[key]
+
     def _sustained(self, rule: AlertRule, history: deque
                    ) -> tuple[float, float, float] | None:
         """(since, last_time, value) when the rule fires, else None.
@@ -322,7 +328,7 @@ class SloTarget:
     source: str = ""                    # provenance in the paper
     quantile: float | None = None       # e.g. 0.95 -> score <metric>_p95
 
-    @property
+    @cached_property
     def metric_key(self) -> str:
         """The flattened-values key this target scores."""
         if self.quantile is None:

@@ -11,11 +11,12 @@ exactly how NetLogger/Ganglia-era grid monitoring fed real schedulers.
 Gauges that mirror live state (fps, utilisation, session counts) are
 refreshed by registered *collectors* at scrape time, so the hot paths
 only touch counters/histograms they already compute.  :meth:`scrape`
-produces a plain-dict payload; :meth:`scrape_frame` wraps it in the
-binary data-plane framing (``services/protocol.py``) so a scrape has a
-real wire size and pays simulated transfer cost.  The event stream is a
-*cursor read* (see :meth:`ServiceTelemetry.scrape`), so a steady-state
-scrape does not grow with the service's history.
+produces a plain-dict payload; :meth:`scrape_frame` frames the same
+payload in the binary data-plane framing (``services/protocol.py``) so a
+scrape has a real wire size and pays simulated transfer cost, splicing
+in the registry's cached JSON so its cost follows what changed.  The
+event stream is a *cursor read* (see :meth:`ServiceTelemetry.scrape`),
+so a steady-state scrape does not grow with the service's history.
 
 :func:`federate` merges scraped payloads into one labelled metrics dict
 — every series gains ``service``/``host`` labels — which is what the
@@ -103,7 +104,21 @@ class ServiceTelemetry:
         caller), ``since`` older than the oldest entry kept (the ring
         overflowed in between), and ``since > events_seen`` (the cursor
         belongs to an earlier instance of a restarted service).
+        ``metrics`` and ``registry`` are cached: never mutate them.
         """
+        return {**self._header(now, since),
+                "metrics": self.registry.snapshot()}
+
+    def scrape_frame(self, now: float = 0.0, since: int = 0) -> bytes:
+        """The scrape as wire bytes (binary framing + JSON payload): the
+        bytes of framing :meth:`scrape`, the metrics spliced in cached."""
+        from repro.services.protocol import frame_telemetry
+
+        return frame_telemetry(self._header(now, since), encoded={
+            "metrics": self.registry.snapshot_json()})
+
+    def _header(self, now: float, since: int) -> dict:
+        """Collect, count the scrape; every payload member but metrics."""
         self.collect()
         self.scrapes += 1
         oldest = self.events_seen - len(self._events)
@@ -114,7 +129,6 @@ class ServiceTelemetry:
             "host": self.host,
             "kind": self.kind,
             "time": now,
-            "metrics": self.registry.snapshot(),
             "registry": self.registry.stats(),
             "events": [
                 {"time": e.time, "kind": e.kind, "detail": e.detail}
@@ -123,12 +137,6 @@ class ServiceTelemetry:
             "events_seen": self.events_seen,
             "scrapes": self.scrapes,
         }
-
-    def scrape_frame(self, now: float = 0.0, since: int = 0) -> bytes:
-        """The scrape as wire bytes (binary framing + JSON payload)."""
-        from repro.services.protocol import frame_telemetry
-
-        return frame_telemetry(self.scrape(now, since))
 
 
 def flatten_metrics(metrics: dict) -> dict[str, float]:

@@ -9,18 +9,19 @@ by ``services/protocol.py`` and shipped through
 :meth:`repro.network.simnet.Network.send`, so monitoring pays real
 simulated transfer cost and shows up in the network's transfer log.
 
-On every scrape the monitor:
+On every scrape that arrives the monitor:
 
-- federates the payload into its labelled metrics view
-  (:func:`repro.obs.telemetry.federate` — every series gains
-  ``service``/``host`` labels);
-- feeds flattened values to the :class:`~repro.obs.rules.RuleEngine`
+- keeps the payload, re-flattening only the families that changed;
+- feeds the flattened values to the :class:`~repro.obs.rules.RuleEngine`
   (the one sustained-threshold detector: the migration policy acts on
   its alerts and keeps no load history of its own) and the
   :class:`~repro.obs.rules.SloTracker` (objectives from the paper's
   published rates);
 - forwards newly-arrived remote service events into the active flight
   recorder, so a post-mortem dump shows the whole grid's timeline.
+
+Grid aggregates are recomputed only after a change; the labelled view
+(:func:`repro.obs.telemetry.federate`) is built only by ``snapshot()``.
 
 Alerts are plain data, consumed by
 ``WorkloadMigrator.plan(session, alerts)`` — the closed loop
@@ -130,11 +131,12 @@ class MonitorService:
     """Scrapes per-service telemetry; evaluates alerts and SLOs.
 
     Per watched service the monitor keeps the latest payload, its
-    flattened view (computed once, at ingest) and an *acknowledged event
-    cursor*: the number of that service's events it has received.  Each
-    scrape asks for events from the cursor on, and the cursor advances
-    only when a frame arrives — so a dropped scrape is re-covered by the
-    next one, and overlapping scrapes are de-duplicated on arrival.
+    flattened view (re-flattened per changed family) and an *acknowledged
+    event cursor*: the number of that service's events it has received.
+    Each scrape asks for events from the cursor on, and the cursor
+    advances only when a frame arrives — so a dropped scrape is
+    re-covered by the next one, and overlapping scrapes are de-duplicated
+    on arrival.
     """
 
     def __init__(self, name: str, container: ServiceContainer,
@@ -156,6 +158,12 @@ class MonitorService:
         self._latest: dict[str, dict] = {}
         #: ``flatten_metrics`` of each latest payload, taken at ingest
         self._flat: dict[str, dict[str, float]] = {}
+        #: per service, the flattening of each family of its latest payload
+        self._flat_parts: dict[str, dict[str, dict[str, float]]] = {}
+        #: ``grid_values()`` of the latest payloads; None once one changed
+        self._grid: dict[str, float] | None = None
+        #: unwatched services, whose scrapes in flight are dropped
+        self._unwatched: set[str] = set()
         #: per-service count of remote events received (the scrape cursor)
         self._forwarded: dict[str, int] = {}
         self.scrapes = 0
@@ -188,9 +196,18 @@ class MonitorService:
             raise ServiceError(
                 f"{service!r} exposes no telemetry to scrape")
         self._targets[telemetry.service] = telemetry
+        self._unwatched.discard(telemetry.service)
 
     def unwatch(self, service_name: str) -> None:
+        """Stop scraping a service and drop it from every view but the
+        SLO record; its cursor stays, so a re-watch re-forwards nothing."""
         self._targets.pop(service_name, None)
+        self._unwatched.add(service_name)
+        for view in (self._latest, self._flat, self._flat_parts,
+                     self._tail):
+            view.pop(service_name, None)
+        self.engine.forget(service_name)
+        self._grid = None
 
     def targets(self) -> list[str]:
         return sorted(self._targets)
@@ -300,15 +317,37 @@ class MonitorService:
 
     def _ingest(self, payload: dict, arrival: float) -> None:
         service = payload["service"]
+        if service in self._unwatched:
+            return
+        previous = self._latest.get(service)
         self._latest[service] = payload
-        flat = self._flat[service] = flatten_metrics(
-            payload.get("metrics", {}))
+        if self._reflatten(service, payload, previous):
+            self._grid = None
+        flat = self._flat[service]
         sample_time = payload.get("time", arrival)
         self.engine.observe(service, sample_time, flat)
         self.slo.observe(service, payload.get("kind", ""), sample_time, flat)
         self._record_tail(service, sample_time, flat)
         self._forward_events(service, payload)
         self.scrapes += 1
+
+    def _reflatten(self, service: str, payload: dict,
+                   previous: dict | None) -> bool:
+        """Re-flatten the families whose value differs from ``previous``'s;
+        whether anything :meth:`grid_values` reads changed."""
+        metrics = payload.get("metrics", {})
+        kept = {} if previous is None else previous.get("metrics", {})
+        if (previous is not None and kept == metrics
+                and previous.get("kind") == payload.get("kind")):
+            return False
+        old = self._flat_parts.get(service, {})
+        parts = self._flat_parts[service] = {
+            name: old[name] if name in old and kept.get(name) == family
+            else flatten_metrics({name: family})
+            for name, family in metrics.items()}
+        self._flat[service] = {key: value for part in parts.values()
+                               for key, value in part.items()}
+        return True
 
     def _record_tail(self, service: str, time: float,
                      values: dict[str, float]) -> None:
@@ -354,8 +393,13 @@ class MonitorService:
         The series the grid rules (and so the autoscaler) evaluate: one
         per :data:`GRID_AGGREGATES` row, reduced over whatever each
         service last shipped over the wire, plus the federated
-        histogram quantiles.
+        histogram quantiles.  Recomputed only after a change.
         """
+        if self._grid is None:
+            self._grid = self._aggregate()
+        return dict(self._grid)
+
+    def _aggregate(self) -> dict[str, float]:
         values: dict[str, float] = {}
         flats: dict[str, list[dict[str, float]]] = {}
         for name in sorted(self._latest):

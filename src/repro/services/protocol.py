@@ -22,6 +22,7 @@ import zlib
 from dataclasses import dataclass
 
 from repro.errors import MarshallingError
+from repro.obs.metrics import COMPACT_JSON
 from repro.obs.tracing import TraceContext
 
 _MAGIC = 0x52415645  # "RAVE"
@@ -91,16 +92,28 @@ def unframe_message(data: bytes) -> tuple[FrameHeader, bytes]:
                        length=length, trace=trace), body
 
 
-def frame_telemetry(payload: dict,
-                    trace: TraceContext | None = None) -> bytes:
+def frame_telemetry(payload: dict, trace: TraceContext | None = None,
+                    encoded: dict[str, str] | None = None) -> bytes:
     """Wrap a telemetry scrape payload for the wire (the scrape endpoint).
 
     Compact deterministic JSON inside a standard RAVE frame: the byte
     length is what the monitor charges as simulated transfer cost.
+    ``encoded`` maps further members to cached ``COMPACT_JSON`` text,
+    spliced in at their sorted places: the bytes of encoding them all.
     """
-    body = json.dumps(payload, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
-    return frame_message(body, flags=FLAG_TELEMETRY, trace=trace)
+    encoded = encoded or {}
+    members, run = [], {}
+    for key in sorted({*payload, *encoded}):
+        if key in encoded:
+            members += [COMPACT_JSON.encode(run)[1:-1],
+                        f"{COMPACT_JSON.encode(key)}:{encoded[key]}"]
+            run = {}
+        else:
+            run[key] = payload[key]
+    members.append(COMPACT_JSON.encode(run)[1:-1])
+    body = "{" + ",".join(filter(None, members)) + "}"
+    return frame_message(body.encode("utf-8"), flags=FLAG_TELEMETRY,
+                         trace=trace)
 
 
 def unframe_telemetry(data: bytes) -> dict:

@@ -13,7 +13,10 @@ scrapeable telemetry it federates (``obs/telemetry.py``):
 - the no-monitor testbed stays monitoring-free (no scrape traffic);
 - the event cursor: a scrape ships only the events the monitor has not
   acknowledged, whatever is dropped, overlapped or restarted in between;
-- one unparseable target does not end monitoring for the others.
+- one unparseable target does not end monitoring for the others;
+- the scrape caches: any interleaving of updates, events, scrapes and
+  ticks leaves every frame, snapshot and monitor view equal to a rebuild,
+  and an unwatched service leaves every view.
 """
 
 import json
@@ -21,7 +24,7 @@ from collections import deque
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import obs
 from repro.core.session import CollaborativeSession
@@ -30,6 +33,8 @@ from repro.errors import ServiceError
 from repro.network.faults import FaultInjector
 from repro.network.simnet import Network
 from repro.obs.dashboard import render_dashboard
+from repro.obs.quantiles import format_le
+from repro.obs.rules import RuleEngine
 from repro.obs.telemetry import (
     TELEMETRY_FORMAT,
     ServiceTelemetry,
@@ -40,8 +45,17 @@ from repro.render.camera import Camera
 from repro.scenegraph.nodes import MeshNode
 from repro.scenegraph.tree import SceneTree
 from repro.services.container import ServiceContainer
-from repro.services.monitor import MONITOR_SNAPSHOT_FORMAT, MonitorService
-from repro.services.protocol import frame_telemetry, unframe_telemetry
+from repro.services.monitor import (
+    GRID_SERVICE,
+    MONITOR_SNAPSHOT_FORMAT,
+    MonitorService,
+)
+from repro.services.protocol import (
+    FLAG_TELEMETRY,
+    frame_message,
+    frame_telemetry,
+    unframe_telemetry,
+)
 from repro.testbed import build_testbed
 
 MONITOR_HOST = "registry-host"
@@ -168,6 +182,56 @@ class TestMonitorService:
         tb = monitored_testbed()
         tb.monitor.unwatch("rs-onyx")
         assert "rs-onyx" not in tb.monitor.targets()
+
+    def test_unwatch_drops_the_service_from_every_view(self):
+        """An unwatched service used to stay in the grid's count, mean,
+        min and max, in the snapshot, and in the alerts, still firing."""
+        tb = monitored_testbed()
+        for i, rs in enumerate(tb.render_services.values()):
+            rs.reported_fps = 10.0 + i
+        tb.render_service("onyx").reported_fps = 1.0
+        monitor = tb.monitor
+        pump(tb, 5.0)
+        assert monitor.grid_values()["rave_grid_render_services"] == 5.0
+        assert "rs-onyx" in {a.service for a in monitor.firing_alerts()}
+        monitor.unwatch("rs-onyx")
+        pump(tb, 3.0)
+        snap = monitor.snapshot()
+        assert "rs-onyx" not in snap["services"]
+        assert "rs-onyx" not in snap["tail"]
+        assert "rs-onyx" not in {a.service for a in monitor.firing_alerts()}
+        fps = [entry["metrics"]["rave_rs_fps"]
+               for entry in snap["services"].values()
+               if entry["kind"] == "render"]
+        grid = monitor.grid_values()
+        assert grid["rave_grid_render_services"] == len(fps) == 4
+        assert grid["rave_grid_min_fps"] == min(fps) > 1.0
+        assert grid["rave_grid_mean_fps"] == pytest.approx(
+            sum(fps) / len(fps))
+
+    def test_an_unwatched_scrape_in_flight_is_ignored_on_arrival(self):
+        """It used to put the service back in every view.  The event
+        cursor outlives the unwatch: a re-watch forwards only what was
+        never acknowledged."""
+        monitor = two_host_monitor()
+        telemetry = numbered_events(3)
+        monitor.watch(SimpleNamespace(telemetry=telemetry))
+        sim = monitor.network.sim
+        monitor.scrape_one(telemetry)
+        sim.run_until(sim.now + 1.0)
+        telemetry.event("e", detail="3")
+        monitor.scrape_one(telemetry)
+        monitor.unwatch("rs-x")                  # while that scrape flies
+        sim.run_until(sim.now + 1.0)
+        assert monitor.snapshot()["services"] == {}
+        assert monitor.grid_values() == {}
+        with obs.observed() as bundle:
+            monitor.watch(SimpleNamespace(telemetry=telemetry))
+            monitor.scrape_one(telemetry)
+            sim.run_until(sim.now + 1.0)
+            assert [e.detail for e in bundle.recorder.events("telemetry:e")] \
+                == ["rs-x: 3"]
+        assert list(monitor.snapshot()["services"]) == ["rs-x"]
 
     def test_scrapes_pay_simulated_transfer_cost(self):
         tb = monitored_testbed()
@@ -444,6 +508,160 @@ class TestBadFrames:
 
 # -- flatten once -------------------------------------------------------------------
 
+INF = float("inf")
+
+#: family names the cache property draws from, by kind; each is created on
+#: first use, so new families and new label sets arrive mid-run
+CACHE_FAMILIES = {
+    "counter": ("c_total", "d_total"),
+    "gauge": ("rave_rs_fps", "rave_rs_utilisation", "rave_queue_depth"),
+    "histogram": ("rave_queue_wait_seconds", "h_seconds"),
+}
+CACHE_LABELS = ({}, {"op": "a"}, {"op": "b"})
+CACHE_SERVICES = (("rs-a", "render"), ("rs-b", "render"), ("gm", "grid"))
+
+
+def cache_op(kind, names, values):
+    return st.tuples(st.just(kind), st.integers(0, len(CACHE_SERVICES) - 1),
+                     st.integers(0, len(names) - 1),
+                     st.integers(0, len(CACHE_LABELS) - 1),
+                     st.sampled_from(values))
+
+
+CACHE_OPS = st.lists(st.one_of(
+    cache_op("counter", CACHE_FAMILIES["counter"], [0.0, 1.0, 2.5, INF]),
+    cache_op("gauge", CACHE_FAMILIES["gauge"],
+             ["same", 0.0, -0.0, 1.0, 3.0, 30.0, INF, -INF, float("nan")]),
+    cache_op("histogram", CACHE_FAMILIES["histogram"],
+             [0.0, 4e-4, 0.3, 0.7, 7.0, INF]),
+    cache_op("load", ("-",), [1.0, 30.0, 0.0, -0.0, INF, float("nan")]),
+    cache_op("event", ("-",), ["-"]),
+    cache_op("frame", ("-",), [-1, 0, 2, 5, 100]),
+    cache_op("scrape", ("-",), ["-"]),
+    cache_op("tick", ("-",), [1, 4]),
+), min_size=5, max_size=50)
+
+
+def canonical(value) -> str:
+    """Equality that also holds for NaN (compared as its JSON token)."""
+    return json.dumps(value, sort_keys=True, default=repr)
+
+
+def rebuilt_snapshot(registry) -> dict:
+    """``registry.snapshot()`` recomputed from the instruments, uncached."""
+    out = {}
+    for family in registry.families():
+        series = []
+        for labels, inst in sorted(family.children.items()):
+            entry = {"labels": dict(labels)}
+            if family.kind == "histogram":
+                entry.update(count=inst.count, sum=inst.sum, mean=inst.mean,
+                             buckets={format_le(le): n for le, n
+                                      in inst.cumulative_buckets()})
+            else:
+                entry["value"] = inst.value
+            series.append(entry)
+        out[family.name] = {"kind": family.kind, "help": family.help,
+                            "series": series}
+    return out
+
+
+def rebuilt_frame(telemetry, now: float, since: int) -> bytes:
+    """The frame of the scrape just taken, encoded from scratch."""
+    ring, seen = telemetry.events(), telemetry.events_seen
+    skip = max(since - (seen - len(ring)), 0) if since <= seen else 0
+    metrics = rebuilt_snapshot(telemetry.registry)
+    payload = {
+        "format": TELEMETRY_FORMAT, "service": telemetry.service,
+        "host": telemetry.host, "kind": telemetry.kind, "time": now,
+        "metrics": metrics,
+        "registry": {
+            "families": len(metrics),
+            "series": sum(len(f["series"]) for f in metrics.values()),
+            "samples": sum(e.get("count", 1) for f in metrics.values()
+                           for e in f["series"])},
+        "events": [{"time": e.time, "kind": e.kind, "detail": e.detail}
+                   for e in ring[skip:]],
+        "events_seen": seen, "scrapes": telemetry.scrapes,
+    }
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return frame_message(body.encode(), FLAG_TELEMETRY)
+
+
+def recomputed_grid(monitor) -> dict:
+    """``grid_values()`` of a fresh monitor holding the same payloads."""
+    fresh = two_host_monitor()
+    fresh._latest = dict(monitor._latest)
+    fresh._flat = {name: flatten_metrics(payload["metrics"])
+                   for name, payload in monitor._latest.items()}
+    return fresh.grid_values()
+
+
+def run_cache_ops(ops) -> None:
+    """Drive ``ops`` and check each cached view against a rebuild of it."""
+    monitor = two_host_monitor()
+    sim = monitor.network.sim
+    services = [ServiceTelemetry(name, "svc", kind, event_capacity=4)
+                for name, kind in CACHE_SERVICES]
+    # a collector re-sets each load gauge on every scrape, as a render
+    # service's does, so a steady load is a gauge set to its own value
+    load = [1.0, 30.0, 0.5]
+    for i, (telemetry, gauge) in enumerate(zip(
+            services, ("rave_rs_fps", "rave_rs_fps", "rave_queue_depth"))):
+        telemetry.add_collector(
+            lambda reg, i=i, gauge=gauge: reg.gauge(gauge).set(load[i]))
+    # the reference engine sees what the monitor ingests, flattened afresh
+    reference = RuleEngine()
+    ingest = monitor._ingest
+
+    def replayed_ingest(payload, arrival):
+        reference.observe(payload["service"], payload.get("time", arrival),
+                          flatten_metrics(payload["metrics"]))
+        ingest(payload, arrival)
+
+    monitor._ingest = replayed_ingest
+    for op, index, name, label, value in ops:
+        telemetry = services[index]
+        registry, labels = telemetry.registry, CACHE_LABELS[label]
+        if op == "counter":
+            registry.counter(CACHE_FAMILIES[op][name], **labels).inc(value)
+        elif op == "gauge":
+            gauge = registry.gauge(CACHE_FAMILIES[op][name], **labels)
+            gauge.set(gauge.value if value == "same" else value)
+        elif op == "histogram":
+            registry.histogram(CACHE_FAMILIES[op][name],
+                               **labels).observe(value)
+        elif op == "load":
+            load[index] = value
+        elif op == "event":
+            telemetry.event("e", time=sim.now, detail=str(sim.now))
+        elif op == "frame":                       # (a) an arbitrary cursor
+            frame = telemetry.scrape_frame(sim.now, value)
+            assert frame == rebuilt_frame(telemetry, sim.now, value)
+        elif op == "scrape":
+            monitor.scrape_one(telemetry)
+        else:                           # ``value`` ticks of the monitor
+            for _ in range(value):
+                for each in services:
+                    monitor.scrape_one(each)
+                sim.run_until(sim.now + 1.0)
+                grid = recomputed_grid(monitor)
+                if grid:
+                    reference.observe(GRID_SERVICE, sim.now, grid)
+                assert canonical(monitor.observe_grid(sim.now)) \
+                    == canonical(grid)
+        # (b) every registry's snapshot is its uncached rebuild
+        for each in services:
+            assert canonical(each.registry.snapshot()) \
+                == canonical(rebuilt_snapshot(each.registry))
+        # (c) the monitor's views are a recomputation from its payloads
+        assert canonical(monitor._flat) == canonical(
+            {name: flatten_metrics(payload["metrics"])
+             for name, payload in monitor._latest.items()})
+        assert canonical(monitor.grid_values()) \
+            == canonical(recomputed_grid(monitor))
+        assert repr(monitor.firing_alerts()) == repr(reference.firing())
+
 
 class TestFlattenOnce:
     """``grid_values`` and ``snapshot`` read the flattened view kept at
@@ -480,6 +698,20 @@ class TestFlattenOnce:
         assert snap["services"]["rs-onyx"]["metrics"]["rave_rs_fps"] == 1.0
         assert tb.monitor.grid_values() != before
         self.assert_views_match_latest_payloads(tb.monitor)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(ops=CACHE_OPS)
+    # -0.0 equals 0.0 but encodes unlike it
+    @example(ops=[("load", 0, 0, 0, 0.0), ("tick", 0, 0, 0, 1),
+                  ("load", 0, 0, 0, -0.0), ("frame", 0, 0, 0, 0)])
+    def test_any_interleaving_keeps_every_cached_view_fresh(self, ops):
+        """Updates (``inc(0)``, a gauge set to its own value, +-inf, NaN
+        gauges, new label sets and families), events, scrapes at any
+        cursor and deliveries, in any order: (a) each scrape frame is the
+        payload encoded from scratch, (b) each registry snapshot is an
+        uncached rebuild, and (c) the monitor's flattened views, grid
+        aggregates and alerts are a recomputation from its payloads."""
+        run_cache_ops(ops)
 
 
 # -- the closed loop ----------------------------------------------------------------

@@ -53,6 +53,34 @@ class TestInstruments:
         with pytest.raises(ValueError):
             MetricsRegistry().counter("c_total").inc(-1)
 
+    def test_counter_rejects_nan(self):
+        """NaN passed the ``amount < 0`` guard, poisoned the counter and
+        shipped a non-standard ``NaN`` token in every scrape."""
+        c = MetricsRegistry().counter("c_total")
+        with pytest.raises(ValueError):
+            c.inc(float("nan"))
+        assert c.value == 0.0
+
+    def test_histogram_rejects_nan(self):
+        """``bisect_left`` filed NaN in the lowest bucket: {NaN, 0.5} read
+        p50 = 0.001 and a NaN sum."""
+        h = MetricsRegistry().histogram("h")
+        h.observe(0.5)
+        with pytest.raises(ValueError):
+            h.observe(float("nan"))
+        assert (h.count, h.sum) == (1, 0.5)
+        assert h.quantile(0.5) > 0.25
+
+    def test_gauge_holds_nan_and_every_nan_write_is_a_change(self):
+        reg = MetricsRegistry()
+        g = reg.gauge("g")
+        g.set(float("nan"))
+        assert math.isnan(g.value)
+        before = reg.snapshot()
+        g.set(float("nan"))
+        assert reg.snapshot() is not before
+        assert '"value":NaN' in reg.snapshot_json()
+
     def test_gauge_moves_both_ways(self):
         g = MetricsRegistry().gauge("g")
         g.set(5)
@@ -116,6 +144,26 @@ class TestMetricsRegistry:
         reg = MetricsRegistry()
         reg.histogram("h").observe(0.2)
         assert reg.value("h") == 1
+
+    def test_snapshot_is_rebuilt_only_after_a_change(self):
+        reg = MetricsRegistry()
+        c, g = reg.counter("c_total"), reg.gauge("g")
+        g.set(2.0)
+        snap, text, stats = reg.snapshot(), reg.snapshot_json(), reg.stats()
+        c.inc(0)
+        g.set(2.0)
+        g.inc(0)
+        assert reg.snapshot() is snap and reg.snapshot_json() is text
+        assert reg.stats() is stats
+        g.set(0.0)
+        g.set(-0.0)                     # equal, but it encodes unlike 0.0
+        assert '"value":-0.0' in reg.snapshot_json()
+        reg.counter("c_total", mode="x")         # a new label set
+        reg.histogram("h_seconds").observe(0.1)  # a new family
+        assert json.loads(reg.snapshot_json()) == reg.snapshot()
+        assert json.dumps(reg.snapshot(), sort_keys=True,
+                          separators=(",", ":")) == reg.snapshot_json()
+        assert reg.stats() == {"families": 3, "series": 4, "samples": 4}
 
     def test_snapshot_shape(self):
         reg = MetricsRegistry()

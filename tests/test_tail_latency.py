@@ -11,6 +11,7 @@ monitor snapshot.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -18,7 +19,7 @@ from repro import obs
 from repro.core.grid import TenantQuota
 from repro.data.generators import uv_sphere
 from repro.obs.quantiles import estimate_quantile
-from repro.obs.rules import TAIL_QUEUE_WAIT_SECONDS
+from repro.obs.rules import TAIL_QUEUE_WAIT_SECONDS, AlertRule, SloTarget
 from repro.obs.telemetry import federate
 from repro.obs.vocab import (
     EVENT_ALERT_PREFIX,
@@ -105,6 +106,21 @@ def breach_scenario():
     # breached p95, so the 5 s sustain window fills as the monitor ticks
     run_for(tb, 7.0)
     return tb, grid_a, grid_b
+
+
+class TestQuantileKeys:
+    def test_metric_key_is_computed_once_per_rule(self):
+        """Both keys were rebuilt (an f-string and ``quantile_suffix``)
+        for every rule on every observed sample."""
+        rule = AlertRule(name="wait-p95", metric="rave_queue_wait_seconds",
+                         kind=TAIL_LATENCY_KIND, above=0.5, quantile=0.95)
+        target = SloTarget(name="wait-p95", metric="rave_queue_wait_seconds",
+                           objective=0.5, op="le", quantile=0.95)
+        for each in (rule, target):
+            assert each.metric_key == "rave_queue_wait_seconds_p95"
+            assert each.metric_key is each.metric_key
+        # the cached key is not a field: equality and hashing ignore it
+        assert rule == replace(rule) and hash(rule) == hash(replace(rule))
 
 
 class TestFederatedTailAlert:
