@@ -21,68 +21,36 @@ Quick start::
     client.attach(rs, rsession.render_session_id)
     frame, timing = client.request_frame(200, 200)
 
+Importing the package imports none of the modules behind its names; the
+first use of a name imports its module (:mod:`repro._lazy`).
+
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every table and figure.
 """
 
-from repro.testbed import Testbed, build_testbed
-from repro.core import (
-    CapacityReport,
-    CollaborativeSession,
-    DatasetDistributor,
-    FramebufferDistributor,
-    RenderCapacity,
-    RenderServiceScheduler,
-    SessionGridManager,
-    TenantQuota,
-    WorkloadMigrator,
-)
-from repro.errors import (
-    InsufficientResources,
-    RaveError,
-    RenderError,
-    SceneGraphError,
-    ServiceError,
-    TooManyRequestsError,
-)
-from repro.render import Camera, FrameBuffer, RenderEngine
-from repro.scenegraph import SceneTree, MeshNode, CameraNode
-from repro.services import (
-    DataService,
-    RenderService,
-    ServiceContainer,
-    ThinClient,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Testbed",
-    "build_testbed",
-    "CollaborativeSession",
-    "SessionGridManager",
-    "TenantQuota",
-    "RenderServiceScheduler",
-    "DatasetDistributor",
-    "FramebufferDistributor",
-    "WorkloadMigrator",
-    "RenderCapacity",
-    "CapacityReport",
-    "Camera",
-    "FrameBuffer",
-    "RenderEngine",
-    "SceneTree",
-    "MeshNode",
-    "CameraNode",
-    "DataService",
-    "RenderService",
-    "ServiceContainer",
-    "ThinClient",
-    "RaveError",
-    "SceneGraphError",
-    "RenderError",
-    "ServiceError",
-    "InsufficientResources",
-    "TooManyRequestsError",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.testbed": ("Testbed", "build_testbed"),
+    "repro.core.session": ("CollaborativeSession",),
+    "repro.core.grid": ("SessionGridManager", "TenantQuota"),
+    "repro.core.scheduler": ("RenderServiceScheduler",),
+    "repro.core.distribution": ("DatasetDistributor",
+                                "FramebufferDistributor"),
+    "repro.core.migration": ("WorkloadMigrator",),
+    "repro.core.capacity": ("RenderCapacity", "CapacityReport"),
+    "repro.render.camera": ("Camera",),
+    "repro.render.framebuffer": ("FrameBuffer",),
+    "repro.render.engine": ("RenderEngine",),
+    "repro.scenegraph.tree": ("SceneTree",),
+    "repro.scenegraph.nodes": ("MeshNode", "CameraNode"),
+    "repro.services.data_service": ("DataService",),
+    "repro.services.render_service": ("RenderService",),
+    "repro.services.container": ("ServiceContainer",),
+    "repro.services.clients": ("ThinClient",),
+    "repro.errors": ("RaveError", "SceneGraphError", "RenderError",
+                     "ServiceError", "InsufficientResources",
+                     "TooManyRequestsError"),
+})

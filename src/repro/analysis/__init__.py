@@ -22,37 +22,13 @@ Checkers are pluggable: subclass :class:`Checker`, decorate with
 
 from __future__ import annotations
 
-from repro.analysis.core import (
-    BASELINE_NAME,
-    Checker,
-    Finding,
-    LintResult,
-    SourceFile,
-    SourceTree,
-    default_root,
-    load_baseline,
-    load_tree,
-    register,
-    registered_rules,
-    run_lint,
-    write_baseline,
-)
-from repro.analysis.reporters import render_json, render_text
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BASELINE_NAME",
-    "Checker",
-    "Finding",
-    "LintResult",
-    "SourceFile",
-    "SourceTree",
-    "default_root",
-    "load_baseline",
-    "load_tree",
-    "register",
-    "registered_rules",
-    "run_lint",
-    "write_baseline",
-    "render_json",
-    "render_text",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.core": ("BASELINE_NAME", "Checker", "Finding",
+                            "LintResult", "SourceFile", "SourceTree",
+                            "default_root", "load_baseline", "load_tree",
+                            "register", "registered_rules", "run_lint",
+                            "write_baseline"),
+    "repro.analysis.reporters": ("render_json", "render_text"),
+})

@@ -16,6 +16,11 @@ Implemented codecs (all real encoders/decoders over the actual pixels):
 - :mod:`repro.compression.adaptive` — the adaptive controller: picks the
   cheapest codec that meets a latency budget at the currently-measured
   bandwidth.
+
+Importing the package imports every codec, unlike the other packages'
+lazy exports (:mod:`repro._lazy`), so ``Codec.__subclasses__()`` is the
+whole family from the first import; the benchmark's tracer wraps the
+subclasses it finds when it installs.
 """
 
 from repro.compression.base import Codec, EncodedFrame, RawCodec

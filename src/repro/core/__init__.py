@@ -27,55 +27,19 @@ The policy layer that makes the system "resource-aware":
   per-tenant quotas and graceful overload shedding.
 """
 
-from repro.core.capacity import CapacityReport, RenderCapacity, interrogate
-from repro.core.cost import NodeCost, node_cost, subtree_cost, tile_cost
-from repro.core.scheduler import RenderServiceScheduler, Placement
-from repro.core.distribution import (
-    DatasetDistributor,
-    DistributionPlan,
-    FramebufferDistributor,
-    TilePlan,
-)
-from repro.core.recruitment import Recruiter, RecruitmentResult
-from repro.core.autoscale import RecruitmentAutoscaler, ScaleEvent
-from repro.core.migration import MigrationAction, WorkloadMigrator
-from repro.core.health import HeartbeatMonitor, HeartbeatSource
-from repro.core.session import CollaborativeSession, RecoveryReport
-from repro.core.grid import (
-    AdmissionDecision,
-    GridSession,
-    SessionGridManager,
-    ShedAction,
-    TenantQuota,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "RenderCapacity",
-    "CapacityReport",
-    "interrogate",
-    "NodeCost",
-    "node_cost",
-    "subtree_cost",
-    "tile_cost",
-    "RenderServiceScheduler",
-    "Placement",
-    "DatasetDistributor",
-    "FramebufferDistributor",
-    "DistributionPlan",
-    "TilePlan",
-    "Recruiter",
-    "RecruitmentResult",
-    "RecruitmentAutoscaler",
-    "ScaleEvent",
-    "MigrationAction",
-    "WorkloadMigrator",
-    "CollaborativeSession",
-    "RecoveryReport",
-    "HeartbeatMonitor",
-    "HeartbeatSource",
-    "SessionGridManager",
-    "TenantQuota",
-    "GridSession",
-    "AdmissionDecision",
-    "ShedAction",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.capacity": ("CapacityReport", "RenderCapacity", "interrogate"),
+    "repro.core.cost": ("NodeCost", "node_cost", "subtree_cost", "tile_cost"),
+    "repro.core.scheduler": ("RenderServiceScheduler", "Placement"),
+    "repro.core.distribution": ("DatasetDistributor", "DistributionPlan",
+                                "FramebufferDistributor", "TilePlan"),
+    "repro.core.recruitment": ("Recruiter", "RecruitmentResult"),
+    "repro.core.autoscale": ("RecruitmentAutoscaler", "ScaleEvent"),
+    "repro.core.migration": ("MigrationAction", "WorkloadMigrator"),
+    "repro.core.health": ("HeartbeatMonitor", "HeartbeatSource"),
+    "repro.core.session": ("CollaborativeSession", "RecoveryReport"),
+    "repro.core.grid": ("AdmissionDecision", "GridSession",
+                        "SessionGridManager", "ShedAction", "TenantQuota"),
+})

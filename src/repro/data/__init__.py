@@ -16,51 +16,18 @@ skeleton, 2.8 M triangles / 75 MB) plus two small scenes ("Galleon",
   (CT volume → marching cubes → polygon decimation), implemented for real.
 """
 
-from repro.data.meshes import Mesh, MeshStats, merge_meshes
-from repro.data.generators import (
-    elle,
-    galleon,
-    make_model,
-    skeletal_hand,
-    skeleton,
-    MODEL_REGISTRY,
-)
-from repro.data.ply import read_ply, write_ply
-from repro.data.obj import read_obj, write_obj
-from repro.data.convert import ply_to_obj
-from repro.data.volumes import VoxelVolume, visible_human_phantom
-from repro.data.marching_cubes import marching_cubes
-from repro.data.decimation import decimate
-from repro.data.textures import (
-    Texture,
-    checkerboard,
-    gradient,
-    marble,
-    planar_uv,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Mesh",
-    "MeshStats",
-    "merge_meshes",
-    "skeletal_hand",
-    "skeleton",
-    "galleon",
-    "elle",
-    "make_model",
-    "MODEL_REGISTRY",
-    "read_ply",
-    "write_ply",
-    "read_obj",
-    "write_obj",
-    "ply_to_obj",
-    "VoxelVolume",
-    "visible_human_phantom",
-    "marching_cubes",
-    "decimate",
-    "Texture",
-    "checkerboard",
-    "marble",
-    "gradient",
-    "planar_uv",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.data.meshes": ("Mesh", "MeshStats", "merge_meshes"),
+    "repro.data.generators": ("elle", "galleon", "make_model",
+                              "skeletal_hand", "skeleton", "MODEL_REGISTRY"),
+    "repro.data.ply": ("read_ply", "write_ply"),
+    "repro.data.obj": ("read_obj", "write_obj"),
+    "repro.data.convert": ("ply_to_obj",),
+    "repro.data.volumes": ("VoxelVolume", "visible_human_phantom"),
+    "repro.data.marching_cubes": ("marching_cubes",),
+    "repro.data.decimation": ("decimate",),
+    "repro.data.textures": ("Texture", "checkerboard", "gradient", "marble",
+                            "planar_uv"),
+})

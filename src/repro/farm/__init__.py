@@ -9,22 +9,11 @@ at a time, failed nodes' frames are re-queued (never duplicated), and a
 ``checkframes``-style audit proves no frame went missing.
 """
 
-from repro.farm.controller import RenderFarmController
-from repro.farm.job import (
-    FRAME_DONE,
-    FRAME_LEASED,
-    FRAME_PENDING,
-    FrameRecord,
-    RenderJob,
-)
-from repro.farm.queue_service import FrameQueueService
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FRAME_PENDING",
-    "FRAME_LEASED",
-    "FRAME_DONE",
-    "FrameRecord",
-    "RenderJob",
-    "FrameQueueService",
-    "RenderFarmController",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.farm.controller": ("RenderFarmController",),
+    "repro.farm.job": ("FRAME_DONE", "FRAME_LEASED", "FRAME_PENDING",
+                       "FrameRecord", "RenderJob"),
+    "repro.farm.queue_service": ("FrameQueueService",),
+})

@@ -16,30 +16,14 @@ replacement for that infrastructure:
   path RAVE uses after "backing off from SOAP".
 """
 
-from repro.network.clock import SimClock, Simulator
-from repro.network.faults import FaultEvent, FaultInjector
-from repro.network.simnet import Host, Link, Network, TransferRecord, WirelessCell
-from repro.network.transport import BinaryChannel, Channel, SoapChannel
-from repro.network.marshalling import (
-    BinaryMarshaller,
-    IntrospectionMarshaller,
-    MarshalResult,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SimClock",
-    "FaultInjector",
-    "FaultEvent",
-    "Simulator",
-    "Host",
-    "Link",
-    "Network",
-    "TransferRecord",
-    "WirelessCell",
-    "Channel",
-    "BinaryChannel",
-    "SoapChannel",
-    "BinaryMarshaller",
-    "IntrospectionMarshaller",
-    "MarshalResult",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.network.clock": ("SimClock", "Simulator"),
+    "repro.network.faults": ("FaultEvent", "FaultInjector"),
+    "repro.network.simnet": ("Host", "Link", "Network", "TransferRecord",
+                             "WirelessCell"),
+    "repro.network.transport": ("BinaryChannel", "Channel", "SoapChannel"),
+    "repro.network.marshalling": ("BinaryMarshaller",
+                                  "IntrospectionMarshaller", "MarshalResult"),
+})

@@ -21,45 +21,27 @@ scene → camera transform → rasterize (or splat / ray-march) → framebuffer
 
 Importing the package pins glibc's heap thresholds (:func:`_keep_heap`),
 so a process keeps the rasterizer's scratch pages from one tile to the
-next.
+next.  Importing any module here imports the package first, so the pin
+runs before the first rasterize, though each re-exported name is
+imported only on first use.
 """
 
 import ctypes
 
-from repro.render.camera import Camera
-from repro.render.framebuffer import FrameBuffer, Tile, split_tiles
-from repro.render.rasterizer import rasterize_mesh, RasterStats
-from repro.render.shading import flat_intensity, gouraud_intensity
-from repro.render.points import rasterize_points
-from repro.render.volume import raymarch_volume
-from repro.render.compositor import (
-    FrameSynchronizer,
-    assemble_tiles,
-    blend_slabs,
-    depth_composite,
-    seam_discontinuity,
-)
-from repro.render.engine import RenderEngine, RenderTiming
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Camera",
-    "FrameBuffer",
-    "Tile",
-    "split_tiles",
-    "rasterize_mesh",
-    "RasterStats",
-    "flat_intensity",
-    "gouraud_intensity",
-    "rasterize_points",
-    "raymarch_volume",
-    "depth_composite",
-    "assemble_tiles",
-    "blend_slabs",
-    "seam_discontinuity",
-    "FrameSynchronizer",
-    "RenderEngine",
-    "RenderTiming",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.render.camera": ("Camera",),
+    "repro.render.framebuffer": ("FrameBuffer", "Tile", "split_tiles"),
+    "repro.render.rasterizer": ("rasterize_mesh", "RasterStats"),
+    "repro.render.shading": ("flat_intensity", "gouraud_intensity"),
+    "repro.render.points": ("rasterize_points",),
+    "repro.render.volume": ("raymarch_volume",),
+    "repro.render.compositor": ("FrameSynchronizer", "assemble_tiles",
+                                "blend_slabs", "depth_composite",
+                                "seam_discontinuity"),
+    "repro.render.engine": ("RenderEngine", "RenderTiming"),
+})
 
 
 def _keep_heap() -> None:

@@ -7,6 +7,8 @@ dynamic half, run in the chaos suites and ``examples/sanitized_chaos.py``.
 
 from __future__ import annotations
 
-from repro.sanitizer.core import RaveSanitizer, SanitizerViolation
+from repro._lazy import lazy_exports
 
-__all__ = ["RaveSanitizer", "SanitizerViolation"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sanitizer.core": ("RaveSanitizer", "SanitizerViolation"),
+})

@@ -19,66 +19,20 @@ polygons".  This subpackage is that tree:
   interaction.
 """
 
-from repro.scenegraph.nodes import (
-    AvatarNode,
-    CameraNode,
-    GroupNode,
-    LightNode,
-    MeshNode,
-    PointCloudNode,
-    SceneNode,
-    TransformNode,
-    VolumeNode,
-    node_from_wire,
-    node_to_wire,
-)
-from repro.scenegraph.interfaces import (
-    INTERFACES,
-    discover_interfaces,
-    interface_fields,
-)
-from repro.scenegraph.tree import SceneTree
-from repro.scenegraph.updates import (
-    AddNode,
-    ModifyGeometry,
-    MoveAvatar,
-    RemoveNode,
-    SceneUpdate,
-    SetCamera,
-    SetProperty,
-    SetTransform,
-    update_from_wire,
-)
-from repro.scenegraph.audit import AuditTrail
-from repro.scenegraph.picking import Ray, pick_mesh, pick_tree
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SceneNode",
-    "GroupNode",
-    "TransformNode",
-    "MeshNode",
-    "PointCloudNode",
-    "VolumeNode",
-    "CameraNode",
-    "AvatarNode",
-    "LightNode",
-    "node_to_wire",
-    "node_from_wire",
-    "INTERFACES",
-    "discover_interfaces",
-    "interface_fields",
-    "SceneTree",
-    "SceneUpdate",
-    "AddNode",
-    "RemoveNode",
-    "SetTransform",
-    "SetCamera",
-    "SetProperty",
-    "ModifyGeometry",
-    "MoveAvatar",
-    "update_from_wire",
-    "AuditTrail",
-    "Ray",
-    "pick_mesh",
-    "pick_tree",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.scenegraph.nodes": ("AvatarNode", "CameraNode", "GroupNode",
+                               "LightNode", "MeshNode", "PointCloudNode",
+                               "SceneNode", "TransformNode", "VolumeNode",
+                               "node_from_wire", "node_to_wire"),
+    "repro.scenegraph.interfaces": ("INTERFACES", "discover_interfaces",
+                                    "interface_fields"),
+    "repro.scenegraph.tree": ("SceneTree",),
+    "repro.scenegraph.updates": ("AddNode", "ModifyGeometry", "MoveAvatar",
+                                 "RemoveNode", "SceneUpdate", "SetCamera",
+                                 "SetProperty", "SetTransform",
+                                 "update_from_wire"),
+    "repro.scenegraph.audit": ("AuditTrail",),
+    "repro.scenegraph.picking": ("Ray", "pick_mesh", "pick_tree"),
+})

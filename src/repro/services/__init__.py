@@ -21,55 +21,21 @@ data plane "backs off from SOAP" onto raw sockets — modelled by
   frame requests.
 """
 
-from repro.services.soap import SoapEnvelope, soap_decode, soap_encode
-from repro.services.wsdl import WsdlDocument, Operation, build_wsdl
-from repro.services.uddi import (
-    AccessPoint,
-    BindingTemplate,
-    BusinessEntity,
-    TechnicalModel,
-    UddiRegistry,
-)
-from repro.services.container import ServiceContainer, ServiceInstance
-from repro.services.protocol import (
-    FrameHeader,
-    RejectInfo,
-    frame_message,
-    frame_reject,
-    unframe_message,
-    unframe_reject,
-)
-from repro.services.data_service import DataService, DataSession
-from repro.services.render_service import RenderService, RenderSession
-from repro.services.clients import ActiveRenderClient, ThinClient, FrameTiming
-from repro.services.retry import RetryPolicy
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SoapEnvelope",
-    "soap_encode",
-    "soap_decode",
-    "WsdlDocument",
-    "Operation",
-    "build_wsdl",
-    "UddiRegistry",
-    "BusinessEntity",
-    "TechnicalModel",
-    "BindingTemplate",
-    "AccessPoint",
-    "ServiceContainer",
-    "ServiceInstance",
-    "FrameHeader",
-    "frame_message",
-    "unframe_message",
-    "RejectInfo",
-    "frame_reject",
-    "unframe_reject",
-    "DataService",
-    "DataSession",
-    "RenderService",
-    "RenderSession",
-    "ThinClient",
-    "ActiveRenderClient",
-    "FrameTiming",
-    "RetryPolicy",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.services.soap": ("SoapEnvelope", "soap_decode", "soap_encode"),
+    "repro.services.wsdl": ("WsdlDocument", "Operation", "build_wsdl"),
+    "repro.services.uddi": ("AccessPoint", "BindingTemplate",
+                            "BusinessEntity", "TechnicalModel",
+                            "UddiRegistry"),
+    "repro.services.container": ("ServiceContainer", "ServiceInstance"),
+    "repro.services.protocol": ("FrameHeader", "RejectInfo", "frame_message",
+                                "frame_reject", "unframe_message",
+                                "unframe_reject"),
+    "repro.services.data_service": ("DataService", "DataSession"),
+    "repro.services.render_service": ("RenderService", "RenderSession"),
+    "repro.services.clients": ("ActiveRenderClient", "ThinClient",
+                               "FrameTiming"),
+    "repro.services.retry": ("RetryPolicy",),
+})

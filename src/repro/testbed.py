@@ -31,7 +31,6 @@ from repro.scenegraph.tree import SceneTree
 from repro.services.clients import ActiveRenderClient, ThinClient
 from repro.services.container import ServiceContainer
 from repro.services.data_service import DataService, DataSession
-from repro.services.monitor import MonitorService
 from repro.services.render_service import RenderService
 from repro.services.uddi import AccessPoint, UddiClient, UddiRegistry
 from repro.services.wsdl import (
@@ -60,8 +59,9 @@ class Testbed:
     render_services: dict[str, RenderService]
     wireless: WirelessCell
     business_key: str = ""
-    #: the monitoring plane (None unless built with ``monitor_host=``)
-    monitor: MonitorService | None = None
+    #: the monitoring plane, a :class:`~repro.services.monitor.MonitorService`
+    #: (None unless built with ``monitor_host=``)
+    monitor: object | None = None
     #: the batch frame queue (None unless built with ``farm=True``)
     farm_queue: object | None = None
     #: autoscaler construction parameters (None unless built with
@@ -283,6 +283,8 @@ def build_testbed(render_hosts: tuple[str, ...] = RENDER_HOSTS,
         if container is None:
             container = ServiceContainer(monitor_host, network)
             containers[monitor_host] = container
+        from repro.services.monitor import MonitorService
+
         monitor = MonitorService("rave-monitor", container,
                                  period=monitor_period)
         if register_uddi:

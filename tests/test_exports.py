@@ -16,6 +16,9 @@ PACKAGES = [
     "repro.obs",
     "repro.hardware",
     "repro.collab",
+    "repro.farm",
+    "repro.sanitizer",
+    "repro.analysis",
 ]
 
 
@@ -25,6 +28,28 @@ def test_all_names_resolve(package):
     assert hasattr(mod, "__all__"), f"{package} lacks __all__"
     for name in mod.__all__:
         assert hasattr(mod, name), f"{package}.{name} missing"
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_dir_lists_every_export(package):
+    mod = importlib.import_module(package)
+    assert set(mod.__all__) <= set(dir(mod))
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_unknown_attribute_raises_attribute_error(package):
+    mod, name = importlib.import_module(package), "no_such_export"
+    with pytest.raises(AttributeError, match=name):
+        getattr(mod, name)
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_star_import_binds_every_name(package):
+    namespace: dict = {}
+    exec(f"from {package} import *", namespace)
+    mod = importlib.import_module(package)
+    for name in mod.__all__:
+        assert namespace[name] is getattr(mod, name), f"{package}.{name}"
 
 
 @pytest.mark.parametrize("package", PACKAGES)

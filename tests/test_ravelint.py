@@ -368,6 +368,45 @@ class TestApiSurfaceRule:
             """})
         assert not lint(root, "api-surface").findings
 
+    LAZY_INIT = """
+        from repro._lazy import lazy_exports
+
+        __all__, __getattr__, __dir__ = lazy_exports(__name__, {
+            "repro.pkg.mod": ("Widget", "make"),
+            %s
+        })
+        """
+    LAZY_MOD = """
+        from repro.errors import RaveError as Widget
+
+        def make():
+            return Widget()
+        """
+
+    def lazy_tree(self, tmp_path, entry=""):
+        return make_tree(tmp_path, {
+            "src/repro/pkg/__init__.py": self.LAZY_INIT % entry,
+            "src/repro/pkg/mod.py": self.LAZY_MOD,
+            "src/repro/pkg/sub/__init__.py": "Gadget = 1\n"})
+
+    def test_lazy_table_naming_real_bindings_passes(self, tmp_path):
+        root = self.lazy_tree(tmp_path, '"repro.pkg.sub": ("Gadget",),')
+        assert not lint(root, "api-surface").findings
+
+    def test_lazy_entry_naming_a_missing_module_is_an_error(self, tmp_path):
+        root = self.lazy_tree(tmp_path, '"repro.pkg.gone": ("Ghost",),')
+        result = lint(root, "api-surface")
+        assert symbols(result) == {"Ghost"}
+        assert result.findings[0].severity == "error"
+        assert "not a module under src/repro" in result.findings[0].message
+
+    def test_lazy_entry_naming_an_unbound_name_is_an_error(self, tmp_path):
+        root = self.lazy_tree(tmp_path, '"repro.pkg.mod": ("Gizmo",),')
+        result = lint(root, "api-surface")
+        assert symbols(result) == {"Gizmo"}
+        assert result.findings[0].severity == "error"
+        assert "never binds it" in result.findings[0].message
+
 
 # -- lifecycle ------------------------------------------------------------------------
 
