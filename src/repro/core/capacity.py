@@ -20,6 +20,7 @@ does, whoever reads the service.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 #: the interactivity contract capacity is quoted against
 DEFAULT_TARGET_FPS = 10.0
@@ -72,12 +73,14 @@ class CapacityReport:
                    - self.committed_pps / target_fps)
 
 
+@cache
 def capacity_from_profile(profile) -> RenderCapacity:
     """Derive the advertised capacity from a machine profile.
 
     Point throughput tracks polygon throughput (a point is a cheap
     primitive, ~3x the vertex rate); voxel throughput is fill-rate-bound
-    for machines with hardware volume support, zero otherwise.
+    for machines with hardware volume support, zero otherwise.  A
+    profile is frozen, so its one record is built once and shared.
     """
     return RenderCapacity(
         polygons_per_second=profile.polygon_rate,

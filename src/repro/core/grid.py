@@ -242,6 +242,7 @@ class SessionGridManager:
         self.telemetry = ServiceTelemetry(name, host=data_service.host,
                                           kind=SERVICE_GRID)
         self.telemetry.add_collector(self._collect_telemetry)
+        self._touch()
         for service in members or []:
             self.add_member(service)
 
@@ -340,6 +341,7 @@ class SessionGridManager:
 
     def register_tenant(self, quota: TenantQuota) -> None:
         self._quotas[quota.tenant] = quota
+        self._touch(quota.tenant)
 
     def quota(self, tenant: str) -> TenantQuota:
         existing = self._quotas.get(tenant)
@@ -352,6 +354,7 @@ class SessionGridManager:
             guaranteed_share=self.default_quota.guaranteed_share,
             fps_floor_fraction=self.default_quota.fps_floor_fraction)
         self._quotas[tenant] = quota
+        self._touch(tenant)
         return quota
 
     def tenants(self) -> list[str]:
@@ -457,6 +460,7 @@ class SessionGridManager:
             demand_polygons=demand, requested_fps=fps, fps_budget=fps,
             fps_floor=fps * quota.fps_floor_fraction, admitted_at=now)
         self._sessions[session_id] = gs
+        self._touch(tenant)
         self.admissions += 1
         decision = AdmissionDecision(
             outcome=EVENT_ADMIT, tenant=tenant, session_id=session_id,
@@ -509,6 +513,7 @@ class SessionGridManager:
             deadline=now + self.queue_timeout, on_admit=on_admit,
             on_reject=on_reject, trace=trace)
         self._queue.append(entry)
+        self._touch()
         # the deadline is enforced by the simulated clock itself, not by
         # the next unrelated admission event: a daemon wake-up at the
         # deadline converts a still-queued entry into its 429
@@ -598,41 +603,32 @@ class SessionGridManager:
 
     def _pump_locked(self, now: float) -> list[AdmissionDecision]:
         resolved: list[AdmissionDecision] = []
-        for entry in [e for e in self._queue if e.deadline <= now]:
+
+        def refuse(entry: QueuedRequest, reason: str,
+                   retry_after: float) -> None:
             self._queue.remove(entry)
-            self.queue_timeouts += 1
+            self._touch()
             decision = self._reject(entry.tenant, entry.session_id, now,
-                                    REASON_QUEUE_TIMEOUT,
-                                    retry_after=self.queue_timeout,
+                                    reason, retry_after=retry_after,
                                     trace=entry.trace)
             if entry.on_reject is not None:
                 entry.on_reject(decision)
             resolved.append(decision)
+
+        for entry in [e for e in self._queue if e.deadline <= now]:
+            self.queue_timeouts += 1
+            refuse(entry, REASON_QUEUE_TIMEOUT, self.queue_timeout)
         while self._queue:
             head = self._queue[0]
-            if head.session_id in self._sessions:
-                # a duplicate of an already-admitted session must never
-                # admit again (it would overwrite the live GridSession
-                # and leak its shares) — resolve it as an explicit 429
-                self._queue.popleft()
-                decision = self._reject(head.tenant, head.session_id,
-                                        now, REASON_DUPLICATE,
-                                        retry_after=0.0, trace=head.trace)
-                if head.on_reject is not None:
-                    head.on_reject(decision)
-                resolved.append(decision)
-                continue
-            quota = self.quota(head.tenant)
             request_pps = head.demand_polygons * head.target_fps
-            blocked = self._quota_violation(quota, request_pps)
+            # a duplicate of an already-admitted session must never admit
+            # again (it would overwrite the live GridSession and leak its
+            # shares) — resolve it as an explicit 429
+            blocked = (REASON_DUPLICATE if head.session_id in self._sessions
+                       else self._quota_violation(self.quota(head.tenant),
+                                                  request_pps))
             if blocked:
-                self._queue.popleft()
-                decision = self._reject(head.tenant, head.session_id,
-                                        now, blocked, retry_after=0.0,
-                                        trace=head.trace)
-                if head.on_reject is not None:
-                    head.on_reject(decision)
-                resolved.append(decision)
+                refuse(head, blocked, 0.0)
                 continue
             if request_pps > self.spare_pps():
                 break
@@ -643,6 +639,7 @@ class SessionGridManager:
             if decision is None:
                 break
             self._queue.popleft()
+            self._touch()
             if head.on_admit is not None:
                 head.on_admit(decision)
             resolved.append(decision)
@@ -669,6 +666,7 @@ class SessionGridManager:
             except (ServiceError, NetworkError):
                 pass
         del self._sessions[session_id]
+        self._touch(gs.tenant)
         return self.pump()
 
     def lend(self, session: CollaborativeSession,
@@ -905,26 +903,28 @@ class SessionGridManager:
         recent = sum(1 for t in self._recent_rejects if t > cutoff)
         return recent / self.rejection_window
 
-    def _collect_telemetry(self, registry) -> None:
-        now = self.now
+    def _touch(self, tenant: str | None = None) -> None:
+        """Push the queue and session gauges (``tenant``'s too)."""
+        registry = self.telemetry.registry
         registry.gauge("rave_queue_depth",
                        "admission queue depth").set(len(self._queue))
-        registry.gauge("rave_admission_rejection_rate",
-                       "rejects per second over the trailing window"
-                       ).set(self.rejection_rate(now))
         registry.gauge("rave_admission_sessions",
                        "admitted sessions").set(len(self._sessions))
+        if tenant is not None:
+            registry.gauge("rave_tenant_sessions",
+                           "admitted sessions per tenant",
+                           tenant=tenant).set(sum(
+                               gs.tenant == tenant
+                               for gs in self._sessions.values()))
+
+    def _collect_telemetry(self, registry) -> None:
+        """Values that move with the clock and with host liveness."""
+        registry.gauge("rave_admission_rejection_rate",
+                       "rejects per second over the trailing window"
+                       ).set(self.rejection_rate(self.now))
         registry.gauge("rave_admission_pool_utilisation",
                        "committed fraction of the pool's polygon rate"
                        ).set(self.utilisation())
-        # every known tenant: one whose last session ended must read 0
-        counts = dict.fromkeys(self.tenants(), 0)
-        for gs in self._sessions.values():
-            counts[gs.tenant] += 1
-        for tenant, count in counts.items():
-            registry.gauge("rave_tenant_sessions",
-                           "admitted sessions per tenant",
-                           tenant=tenant).set(count)
 
     def describe(self) -> dict:
         """JSON-serialisable admission state (dashboard / tests)."""

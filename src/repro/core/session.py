@@ -363,8 +363,7 @@ class CollaborativeSession:
                                   attachment.share,
                                   from_host=self.data_service.host)
         else:
-            service.render_session(
-                attachment.render_session_id).assigned_ids = set()
+            service.assign_share(attachment.render_session_id, set())
         subscriber = self._find_subscription(service)
         if subscriber is not None:
             self.data_service.set_interests(
@@ -374,8 +373,7 @@ class CollaborativeSession:
     def _narrow(self, service, ids: set[int] | None) -> None:
         """Restrict a service's render session + interests to its share."""
         attachment = self.attachment(service)
-        rsession = service.render_session(attachment.render_session_id)
-        rsession.assigned_ids = set(ids) if ids is not None else None
+        service.assign_share(attachment.render_session_id, ids)
         subscriber = self._find_subscription(service)
         if subscriber is not None:
             self.data_service.set_interests(

@@ -39,25 +39,29 @@ long animation starve every job submitted after it):
 A frame changes state in three places — :meth:`lease`,
 :meth:`complete` and the batch re-queue — and the ledger's summaries are
 kept there: each job's per-state counts and one index of the frames out
-on lease.  So :meth:`progress`, ``job.finished``, :meth:`active_leases`
-and :meth:`backlog` are O(1), and the two ``requeue_*`` calls read the
-lease index (bounded by the pool, not by the jobs): a frame costs the
-same in a 100-frame job as in a 10 000-frame one.  :meth:`audit` and
-:meth:`describe` stay walks of one job's records — the recount
-``RaveSanitizer`` holds the counts and the index to.
+on lease.  So :meth:`progress`, ``job.finished`` and
+:meth:`active_leases` are O(1), :meth:`backlog` reads only the jobs with
+frames pending, and the two ``requeue_*`` calls read the lease index
+(bounded by the pool, not by the jobs): a frame costs the same in a
+100-frame job as in a 10 000-frame one, and after any number of jobs.
+:meth:`audit` and :meth:`describe` stay walks of one job's records —
+the recount ``RaveSanitizer`` holds the counts and the index to.
 
 Starvation is observable, not silent: every lease records the frame's
 queue wait into the ``rave_farm_job_wait_seconds`` histogram (job +
-tenant labels), and jobs with pending frames that have gone unserved
-past ``starvation_after`` raise the ``rave_farm_starved_jobs`` gauge
-the monitor's sustained ``farm-starvation`` alert fires on.  The queue
-exports its own telemetry (kind ``farm``): queue depth, active leases,
-trailing-window frames/sec, per-job progress and priority gauges, and
-``farm:`` flight-recorder events for every decision.
+tenant labels); a daemon check, armed for the first instant a job with
+pending frames would go unserved past ``starvation_after``, notes
+``farm:starved`` once per onset, scraped or not; and a scrape counts
+those jobs into the ``rave_farm_starved_jobs`` gauge the monitor's
+sustained ``farm-starvation`` alert fires on.  The queue exports its own
+telemetry (kind ``farm``): queue depth, active leases and per-job
+progress and priority gauges, set where a frame changes state, the
+trailing-window frames/sec, and ``farm:`` events for every decision.
 """
 
 from __future__ import annotations
 
+import math
 import zlib
 from collections import deque
 
@@ -139,8 +143,9 @@ class FrameQueueService:
         #: the controller via register_worker/unregister_worker, and
         #: grown lazily by lease() for hand-driven tests
         self._worker_slots: set[str] = set()
-        #: jobs currently counted starved (for transition events)
+        #: jobs whose starvation onset is noted; a lease ends the onset
         self._starved: set[str] = set()
+        self._starvation_check = None       # the one pending check
         self._completion_times: deque[float] = deque(maxlen=4096)
         self.leases_issued = 0
         self.frames_completed = 0
@@ -150,6 +155,7 @@ class FrameQueueService:
         self.telemetry = ServiceTelemetry(name, container.host,
                                           SERVICE_FARM)
         self.telemetry.add_collector(self._collect_telemetry)
+        self._touch()
 
     # -- plumbing --------------------------------------------------------------------
 
@@ -201,6 +207,7 @@ class FrameQueueService:
             pending.append(index)
         self._job_pending[job.job_id] = pending
         self._rings.setdefault(job.priority, deque()).append(job.job_id)
+        self._touch(job)
         self._note("submit",
                    f"{job.job_id}: frames {job.start_frame}.."
                    f"{job.end_frame} of {job.session_id} "
@@ -233,7 +240,10 @@ class FrameQueueService:
     # -- the frame scheduler ---------------------------------------------------------
 
     def queue_depth(self) -> int:
-        return sum(len(q) for q in self._job_pending.values())
+        """Pending frames: the rings hold exactly the jobs that have some,
+        so finished jobs cost nothing."""
+        return sum(len(self._job_pending[job_id])
+                   for ring in self._rings.values() for job_id in ring)
 
     def active_leases(self) -> int:
         return len(self._leased)
@@ -348,6 +358,8 @@ class FrameQueueService:
         record.worker = worker
         record.lease_deadline = now + self.lease_timeout
         job.last_leased_at = now
+        self._starved.discard(job_id)
+        self._touch()
         self.leases_issued += 1
         self._tenant_leases[job.tenant] = \
             self._tenant_leases.get(job.tenant, 0) + 1
@@ -428,6 +440,7 @@ class FrameQueueService:
         job.state_counts[FRAME_LEASED] -= 1
         job.state_counts[FRAME_DONE] += 1
         del self._leased[job.job_id, record.index]
+        self._touch(job)
         record.render_seconds = result.render_seconds
         record.nbytes = result.nbytes
         record.completed_at = now
@@ -515,6 +528,7 @@ class FrameQueueService:
             # front of the job's queue, batch order intact
             pending.extendleft(reversed(requeued))
             self._ring_add(job_id, job.priority)
+            self._touch()
 
     # -- telemetry -------------------------------------------------------------------
 
@@ -525,14 +539,52 @@ class FrameQueueService:
         recent = sum(1 for t in self._completion_times if t > cutoff)
         return recent / self.throughput_window
 
-    def _collect_telemetry(self, registry) -> None:
+    def _touch(self, job: RenderJob | None = None) -> None:
+        """Push the state gauges (``job``'s too) and arm the starvation
+        check; called wherever a frame changes state."""
+        registry = self.telemetry.registry
         registry.gauge("rave_farm_queue_depth",
                        "pending frames").set(self.queue_depth())
         registry.gauge("rave_farm_active_leases",
                        "frames out on lease").set(self.active_leases())
+        if job is not None:
+            registry.gauge("rave_farm_job_progress",
+                           "per-job completed fraction",
+                           job=job.job_id).set(job.progress)
+            registry.gauge("rave_farm_job_priority",
+                           "per-job scheduling priority",
+                           job=job.job_id,
+                           tenant=job.tenant or "-").set(job.priority)
+        self._arm_starvation_check(self.now)
+
+    def _collect_telemetry(self, registry) -> None:
+        """The values that move with the clock alone (a client may
+        advance it analytically, running no event)."""
         registry.gauge("rave_farm_frames_per_second",
                        "completions per second, trailing window"
                        ).set(self.frames_per_second())
+        registry.gauge("rave_farm_starved_jobs",
+                       "jobs with pending frames unserved past the "
+                       "starvation threshold").set(len(self.starved_jobs()))
+
+    def _arm_starvation_check(self, earliest: float) -> None:
+        """Keep one check pending, for the first instant (not before
+        ``earliest``) a job with pending frames and no noted onset starves."""
+        if self._starvation_check is not None:
+            return
+        due = [max(self._jobs[job_id].submitted_at,
+                   self._jobs[job_id].last_leased_at)
+               for ring in self._rings.values() for job_id in ring
+               if job_id not in self._starved]
+        if due:
+            self._starvation_check = self.network.sim.schedule_at(
+                max(min(due) + self.starvation_after, earliest),
+                self._check_starvation, daemon=True)
+
+    def _check_starvation(self) -> None:
+        """Note ``farm:starved`` once per onset, when it happens, scraped
+        or not (a daemon wake-up); then re-arm past now."""
+        self._starvation_check = None
         starved = self.starved_jobs()
         for job_id in starved:
             if job_id not in self._starved:
@@ -541,17 +593,7 @@ class FrameQueueService:
                            f"{self.starvation_after:g}s+ with "
                            f"{len(self._job_pending[job_id])} pending")
         self._starved = set(starved)
-        registry.gauge("rave_farm_starved_jobs",
-                       "jobs with pending frames unserved past the "
-                       "starvation threshold").set(len(starved))
-        for job in self.jobs():
-            registry.gauge("rave_farm_job_progress",
-                           "per-job completed fraction",
-                           job=job.job_id).set(job.progress)
-            registry.gauge("rave_farm_job_priority",
-                           "per-job scheduling priority",
-                           job=job.job_id,
-                           tenant=job.tenant or "-").set(job.priority)
+        self._arm_starvation_check(math.nextafter(self.now, math.inf))
 
     def _note(self, kind: str, detail: str, trace: str = "") -> None:
         self.telemetry.event(EVENT_FARM_PREFIX + kind, self.now, detail)

@@ -8,9 +8,9 @@ exactly how NetLogger/Ganglia-era grid monitoring fed real schedulers.
 
 :class:`ServiceTelemetry` gives one service its own
 :class:`~repro.obs.metrics.MetricsRegistry` plus a bounded event stream.
-Gauges that mirror live state (fps, utilisation, session counts) are
-refreshed by registered *collectors* at scrape time, so the hot paths
-only touch counters/histograms they already compute.  :meth:`scrape`
+Every instrument is set where its state changes, state gauges (fps,
+utilisation, session counts) included; only a value that moves with no
+write is recomputed by a scrape-time *collector*.  :meth:`scrape`
 produces a plain-dict payload; :meth:`scrape_frame` frames the same
 payload in the binary data-plane framing (``services/protocol.py``) so a
 scrape has a real wire size and pays simulated transfer cost, splicing
@@ -73,7 +73,9 @@ class ServiceTelemetry:
     # -- producing ----------------------------------------------------------------
 
     def add_collector(self, fn) -> None:
-        """Register ``fn(registry)`` to refresh gauges at scrape time."""
+        """Register ``fn(registry)`` to set gauges at scrape time: only
+        values that move with the clock or another owner's state, and
+        nothing but gauge writes (a scrape changes no story)."""
         self._collectors.append(fn)
 
     def event(self, kind: str, time: float = 0.0, detail: str = "") -> None:

@@ -133,10 +133,11 @@ class DataService:
         #: per-service registry + event stream, scraped by the monitor
         self.telemetry = ServiceTelemetry(name, container.host,
                                           SERVICE_DATA)
-        self.telemetry.add_collector(self._collect_telemetry)
+        self._touch()
 
-    def _collect_telemetry(self, registry) -> None:
-        """Refresh scrape-time gauges from live service state."""
+    def _touch(self) -> None:
+        """Push the gauges wherever a session, subscriber or mirror changes."""
+        registry = self.telemetry.registry
         registry.gauge("rave_ds_sessions").set(len(self._sessions))
         registry.gauge("rave_ds_subscribers").set(
             sum(len(s.subscribers) for s in self._sessions.values()))
@@ -162,6 +163,7 @@ class DataService:
         session = DataSession(session_id=session_id, tree=tree,
                               initial_snapshot=tree.to_wire())
         self._sessions[session_id] = session
+        self._touch()
         return session
 
     def session(self, session_id: str) -> DataSession:
@@ -241,6 +243,7 @@ class DataService:
             name=subscriber_name, host=host, kind=kind,
             interests=set(interests) if interests is not None else None,
             on_update=on_update)
+        self._touch()
         self.telemetry.registry.counter("rave_ds_subscriptions_total").inc()
         self.telemetry.event(TELEMETRY_SUBSCRIBE, self.network.sim.clock.now,
                              f"{subscriber_name} -> {session_id}")
@@ -260,6 +263,7 @@ class DataService:
             raise SessionError(
                 f"{subscriber_name!r} is not subscribed to {session_id!r}")
         del session.subscribers[subscriber_name]
+        self._touch()
 
     def set_interests(self, session_id: str, subscriber_name: str,
                       interests: set[int] | None) -> None:
@@ -396,6 +400,7 @@ class DataService:
                 msession.sequence = session.sequence
                 msession.mirror_baseline = len(session.trail)
         self.mirrors.append(mirror)
+        self._touch()
 
     def _replicate(self, session_id: str, update: SceneUpdate) -> None:
         if session_id not in self._sessions:
@@ -450,6 +455,7 @@ class DataService:
                                if sub.interests is not None else None),
                     on_update=sub.on_update,
                     updates_delivered=sub.updates_delivered)
+        mirror._touch()
 
     def __repr__(self) -> str:
         return (f"DataService(name={self.name!r}, host={self.host!r}, "

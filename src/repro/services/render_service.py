@@ -104,21 +104,31 @@ class RenderService:
         self._subscriptions: dict[tuple[str, str],
                                   tuple[DataService, str]] = {}
         self._seq = itertools.count(1)
-        #: exponentially-smoothed frames/second estimate (migration input)
-        self.reported_fps: float = float("inf")
         #: per-service registry + event stream, scraped by the monitor
         self.telemetry = ServiceTelemetry(name, container.host,
                                           SERVICE_RENDER)
-        self.telemetry.add_collector(self._collect_telemetry)
+        self._reported_fps = float("inf")
+        self._touch()
 
-    def _collect_telemetry(self, registry) -> None:
-        """Refresh scrape-time gauges from live service state."""
-        if self.reported_fps != float("inf"):
-            registry.gauge("rave_rs_fps").set(self.reported_fps)
+    def _touch(self) -> None:
+        """Push the load gauges wherever a session, share or scene changes."""
+        registry = self.telemetry.registry
         registry.gauge("rave_rs_utilisation").set(self.utilisation())
         registry.gauge("rave_rs_committed_polygons").set(
             self.committed_polygons())
         registry.gauge("rave_rs_sessions").set(len(self._sessions))
+
+    @property
+    def reported_fps(self) -> float:
+        """Smoothed frames/second (migration input), ``inf`` before the
+        first frame; setting a finite value pushes ``rave_rs_fps``."""
+        return self._reported_fps
+
+    @reported_fps.setter
+    def reported_fps(self, fps: float) -> None:
+        self._reported_fps = fps
+        if fps != float("inf"):
+            self.telemetry.registry.gauge("rave_rs_fps").set(fps)
 
     @property
     def host(self) -> str:
@@ -215,6 +225,7 @@ class RenderService:
             session_id=session_id, tree=tree, assigned_ids=subset_ids,
             fps=fps)
         self._sessions[rsid] = session
+        self._touch()
         self.telemetry.event(TELEMETRY_SESSION_CREATED, clock.now,
                              f"{rsid} for {session_id}@{data_service.name}")
         return session, timing
@@ -224,6 +235,7 @@ class RenderService:
             tree = self._scene_cache.get(cache_key)
             if tree is not None:
                 update.apply(tree)
+                self._touch()
         return handler
 
     def assign_subset(self, rsid: str, subtree: SceneTree,
@@ -250,10 +262,15 @@ class RenderService:
             self.network.sim.clock.advance(
                 result.cpu_seconds + transfer + demarshal)
         session.tree = subtree
-        session.assigned_ids = (set(share_ids)
-                                if share_ids is not None else None)
         key = (session.data_service.name, session.session_id)
         self._scene_cache[key] = subtree
+        self.assign_share(rsid, share_ids)
+
+    def assign_share(self, rsid: str, share_ids: set[int] | None) -> None:
+        """Set the node ids a session draws (None: the whole scene)."""
+        self.render_session(rsid).assigned_ids = (
+            set(share_ids) if share_ids is not None else None)
+        self._touch()
 
     def repoint_data_service(self, old_name: str, new_ds: DataService,
                              session_id: str) -> None:
@@ -292,6 +309,7 @@ class RenderService:
     def close_render_session(self, rsid: str) -> None:
         session = self.render_session(rsid)
         del self._sessions[rsid]
+        self._touch()
         self.telemetry.event(TELEMETRY_SESSION_CLOSED,
                              self.network.sim.clock.now, rsid)
         # Drop the shared copy (and the data-service subscription) when

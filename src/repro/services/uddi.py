@@ -94,9 +94,11 @@ class UddiRegistry:
         self._keys = itertools.count(1)
         #: registry-side telemetry (query/publication counters), scrapeable
         self.telemetry = ServiceTelemetry(name, host, SERVICE_REGISTRY)
-        self.telemetry.add_collector(self._collect_telemetry)
+        self._touch()
 
-    def _collect_telemetry(self, registry) -> None:
+    def _touch(self) -> None:
+        """Push the size gauges wherever an entry is published or removed."""
+        registry = self.telemetry.registry
         registry.gauge("rave_uddi_businesses").set(len(self._businesses))
         registry.gauge("rave_uddi_tmodels").set(len(self._tmodels))
         registry.gauge("rave_uddi_services").set(
@@ -116,6 +118,7 @@ class UddiRegistry:
         entity = BusinessEntity(business_key=self._new_key("biz"), name=name,
                                 description=description)
         self._businesses[entity.business_key] = entity
+        self._touch()
         return entity
 
     def register_tmodel(self, name: str, wsdl: WsdlDocument) -> TechnicalModel:
@@ -127,6 +130,7 @@ class UddiRegistry:
         tm = TechnicalModel(key=self._new_key("tm"), name=name,
                             wsdl_signature=signature)
         self._tmodels[tm.key] = tm
+        self._touch()
         return tm
 
     def register_service(self, business_key: str, name: str,
@@ -140,6 +144,7 @@ class UddiRegistry:
             tmodel_keys=tuple(tm.key for tm in tmodels),
         ))
         business.services.append(service)
+        self._touch()
         self._count_query("register_service")
         return service
 
@@ -151,6 +156,7 @@ class UddiRegistry:
         if len(business.services) == before:
             raise DiscoveryError(f"no service {service_key!r} under "
                                  f"{business.name!r}")
+        self._touch()
 
     # -- queries -----------------------------------------------------------------
 

@@ -1,13 +1,19 @@
 """Capacity metrics and node/tile cost accounting."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from repro.core.capacity import DEFAULT_TARGET_FPS, capacity_from_profile
+from repro.core.capacity import (
+    DEFAULT_TARGET_FPS,
+    RenderCapacity,
+    capacity_from_profile,
+)
 from repro.core.cost import NodeCost, node_cost, subtree_cost, tile_cost, \
     tree_cost
 from repro.data.volumes import visible_human_phantom
-from repro.hardware.profiles import get_profile
+from repro.hardware.profiles import TESTBED, get_profile
 from repro.render.framebuffer import Tile
 from repro.scenegraph.nodes import (
     GroupNode,
@@ -45,6 +51,17 @@ class TestRenderCapacity:
         assert onyx.volume_support and onyx.voxels_per_second > 0
         assert not centrino.volume_support
         assert centrino.voxels_per_second == 0
+
+
+    def test_one_record_per_profile(self):
+        for name in TESTBED:
+            profile = get_profile(name)
+            cap = capacity_from_profile(profile)
+            assert capacity_from_profile(profile) is cap
+            fresh = capacity_from_profile.__wrapped__(profile)
+            assert fresh is not cap
+            for f in fields(RenderCapacity):
+                assert getattr(cap, f.name) == getattr(fresh, f.name)
 
 
 class TestNodeCost:

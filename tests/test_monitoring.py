@@ -118,6 +118,32 @@ class TestServiceTelemetry:
         assert flatten_metrics(
             telemetry.scrape()["metrics"])["rave_rs_fps"] == 9.0
 
+    def test_a_scrape_changes_no_story(self):
+        """Two back-to-back scrapes of each of the five owners leave its
+        event count and the flight recorder as they were, a farm past
+        its starvation threshold included (its scrape used to note the
+        onset)."""
+        from repro.farm import RenderJob
+
+        tb = build_testbed(farm={"starvation_after": 5.0})
+        grid = tb.session_grid(recruit=False)
+        tb.farm_queue.submit(RenderJob(job_id="waiting", session_id="s",
+                                       start_frame=1, end_frame=3))
+        tb.clock.advance(6.0)           # past the threshold; no event runs
+        owners = [*tb.render_services.values(), tb.data_service,
+                  tb.registry, grid, tb.farm_queue]
+        with obs.observed(clock=tb.clock) as bundle:
+            for owner in owners:
+                telemetry = owner.telemetry
+                before = (telemetry.events_seen, bundle.recorder.seen)
+                first, second = (
+                    unframe_telemetry(telemetry.scrape_frame(tb.clock.now))
+                    for _ in range(2))
+                assert (telemetry.events_seen,
+                        bundle.recorder.seen) == before
+                assert first["metrics"] == second["metrics"]
+        assert tb.farm_queue.starved_jobs() == ["waiting"]
+
     def test_event_ring_bounded_but_counts_everything(self):
         telemetry = ServiceTelemetry("rs-x", "onyx", "render",
                                      event_capacity=4)

@@ -565,6 +565,30 @@ class TestFairScheduler:
         unframe_farm_lease(queue.lease("w0"))
         assert queue.starved_jobs() == []
 
+    def test_an_unscraped_farm_notes_each_starvation_onset_once(self):
+        tb, queue = self.queue(starvation_after=5.0)
+        sim = tb.network.sim
+
+        def starved():
+            return [e for e in queue.telemetry.events()
+                    if e.kind == "farm:starved"]
+
+        queue.submit(job(start=1, end=4))
+        submitted = sim.now
+        sim.run_until(sim.now + 20.0)
+        assert [e.detail for e in starved()] \
+            == [f"{JOB}: no lease for 5s+ with 4 pending"]
+        assert starved()[0].time == pytest.approx(submitted + 5.0)
+        unframe_farm_lease(queue.lease("w0"))   # served: the onset ends
+        leased = sim.now
+        sim.run_until(sim.now + 4.0)
+        assert len(starved()) == 1
+        sim.run_until(sim.now + 20.0)
+        assert [e.detail for e in starved()][1:] \
+            == [f"{JOB}: no lease for 5s+ with 3 pending"]
+        assert starved()[1].time == pytest.approx(leased + 5.0)
+        assert queue.telemetry.scrapes == 0
+
     def test_lease_wait_lands_in_the_histogram(self):
         tb, queue = self.queue()
         queue.submit(job(start=1, end=2, tenant="batch"))
@@ -706,6 +730,52 @@ class TestFarmController:
         released = farm.release_idle(min_workers=1)
         assert len(released) == 2
         assert farm.pool_size() == 1
+
+
+class TestThroughputGauge:
+    @pytest.mark.xfail(strict=True, reason=(
+        "rave_farm_frames_per_second counts completions in a "
+        "deque(maxlen=4096) over a 20 s window, so it never reads above "
+        "204.8 frames/s; a completion counter that the reader turns "
+        "into a rate fixes it"))
+    def test_a_scrape_reads_four_workers_true_rate(self):
+        """Four workers on galleon(2000), each taking its modelled frame
+        time, over 60 simulated seconds: once the window is full, every
+        scraped rate is within 5 % of the completions the last scrape
+        interval saw (about 1 030 frames/s; the controller's transfers
+        bring a real farm to about 925)."""
+        from repro.obs.telemetry import flatten_metrics
+        from repro.services.protocol import unframe_telemetry
+
+        tb = farm_testbed()
+        queue, sim = tb.farm_queue, tb.network.sim
+        polygons = galleon(2000).n_triangles
+        queue.submit(job(start=1, end=100_000))
+
+        def work(worker, seconds):
+            lease = unframe_farm_lease(queue.lease(worker))
+
+            def done():
+                queue.complete(result_for(lease, worker))
+                work(worker, seconds)
+            sim.schedule(seconds, done)
+
+        for host in ("onyx", "v880z", "centrino", "xeon"):
+            engine = tb.render_service(host).engine
+            work(host, engine.timing(polygons, 160 * 120,
+                                     offscreen=True).total_seconds)
+        start, interval = sim.now, 5.0
+        done = queue.frames_completed
+        for k in range(1, 13):
+            sim.run_until(start + k * interval)
+            true_rate = (queue.frames_completed - done) / interval
+            done = queue.frames_completed
+            assert true_rate > 800
+            flat = flatten_metrics(unframe_telemetry(
+                queue.telemetry.scrape_frame(sim.now))["metrics"])
+            if k * interval >= queue.throughput_window:
+                assert flat["rave_farm_frames_per_second"] \
+                    == pytest.approx(true_rate, rel=0.05)
 
 
 class TestAutoscalerFarmMode:
