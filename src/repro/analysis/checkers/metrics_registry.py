@@ -11,10 +11,11 @@ just reads zeros forever.
 This cross-file rule reconstructs both sides statically:
 
 - **registrations** — every ``.counter(...)``/``.gauge(...)``/
-  ``.histogram(...)`` call whose first argument is a ``rave_*`` string
-  literal, anywhere in the tree (tests register fixture metrics too),
-  plus every vocabulary name a row of the monitor's aggregation tables
-  publishes (grid aggregates it computes without a registry);
+  ``.histogram(...)``/``.add_collector(...)`` call whose first argument
+  is a ``rave_*`` string literal, anywhere in the tree (tests register
+  fixture metrics too), plus every vocabulary name a row of the
+  monitor's rate and aggregation tables publishes (series it computes
+  without a registry);
 - **consumptions** — every bare ``rave_*`` string literal in
   ``obs/rules.py``, ``obs/dashboard.py``, ``services/monitor.py`` (the
   source gauges its tables read) and the tests/benchmarks trees.
@@ -44,11 +45,11 @@ NAME_RE = re.compile(r"rave_[a-z0-9]+(?:_[a-z0-9]+)*")
 #: a prefix probe, as used with ``str.startswith``
 PREFIX_RE = re.compile(r"rave_[a-z0-9_]*_")
 
-REGISTRY_METHODS = ("counter", "gauge", "histogram")
+REGISTRY_METHODS = ("counter", "gauge", "histogram", "add_collector")
 CONSUMER_SUFFIXES = ("obs/rules.py", "obs/dashboard.py", "services/monitor.py")
-#: the monitor's aggregation tables: rows of source literals and
-#: vocabulary names for the grid-wide series they publish
-MONITOR_TABLES = ("FEDERATED_HISTOGRAMS", "GRID_AGGREGATES")
+#: the monitor's rate and aggregation tables: rows of source literals
+#: and vocabulary names for the series they publish
+MONITOR_TABLES = ("FEDERATED_HISTOGRAMS", "GRID_AGGREGATES", "RATES")
 #: flattened-histogram lookups resolve to their parent family: the
 #: scrape layer derives ``_count``/``_sum``/``_bucket`` and the
 #: interpolated ``_p50``/``_p95``/``_p99`` quantile keys from one

@@ -38,10 +38,11 @@ and **never** takes a tenant below its guaranteed quota floor.
 :meth:`restore` walks the same ladder back up once pressure clears.
 
 The grid exports its own :class:`~repro.obs.telemetry.ServiceTelemetry`
-(kind ``grid``) so the monitor scrapes queue depth and rejection rate
-like any other service, the ``grid-saturated`` rules fire on them, and
-the :class:`~repro.core.autoscale.RecruitmentAutoscaler` grows the pool
-for the whole grid instead of one session.
+(kind ``grid``) so the monitor scrapes queue depth and a reject counter
+(it derives the rejection rate) like any other service, the
+``grid-saturated`` rules fire on them, and the
+:class:`~repro.core.autoscale.RecruitmentAutoscaler` grows the pool for
+the whole grid instead of one session.
 """
 
 from __future__ import annotations
@@ -210,7 +211,6 @@ class SessionGridManager:
                  name: str = "rave-grid",
                  target_fps: float = DEFAULT_TARGET_FPS,
                  queue_capacity: int = 4, queue_timeout: float = 30.0,
-                 rejection_window: float = 10.0,
                  default_quota: TenantQuota | None = None) -> None:
         if queue_capacity < 0:
             raise ServiceError("queue_capacity must be >= 0")
@@ -222,12 +222,13 @@ class SessionGridManager:
         self.target_fps = target_fps
         self.queue_capacity = queue_capacity
         self.queue_timeout = queue_timeout
-        self.rejection_window = rejection_window
         self.default_quota = default_quota or TenantQuota(tenant="*")
         self._members: dict[str, object] = {}
         self.failed_members: set[str] = set()
         self._quotas: dict[str, TenantQuota] = {}
         self._sessions: dict[str, GridSession] = {}
+        #: data sessions _try_admit created, closed on release
+        self._data_sessions: set[str] = set()
         self._queue: deque[QueuedRequest] = deque()
         self._pumping = False
         self.decisions: deque[AdmissionDecision] = deque(maxlen=1024)
@@ -238,10 +239,14 @@ class SessionGridManager:
         self.queue_timeouts = 0
         #: admissions rolled back after connecting, by cause
         self.rollbacks: Counter[str] = Counter()
-        self._recent_rejects: deque[float] = deque(maxlen=1024)
         self.telemetry = ServiceTelemetry(name, host=data_service.host,
                                           kind=SERVICE_GRID)
-        self.telemetry.add_collector(self._collect_telemetry)
+        self._rejects = self.telemetry.registry.counter(
+            "rave_admission_rejects_total", "admission rejects")
+        # the one value that moves with no write: host liveness
+        self.telemetry.add_collector(
+            "rave_admission_pool_utilisation", self.utilisation,
+            "committed fraction of the pool's polygon rate")
         self._touch()
         for service in members or []:
             self.add_member(service)
@@ -440,6 +445,7 @@ class SessionGridManager:
             self.data_service.session(session_id)
         except (ServiceError, KeyError):
             self.data_service.create_session(session_id, tree)
+            self._data_sessions.add(session_id)
         session = CollaborativeSession(
             self.data_service, session_id, target_fps=fps, pool=self)
         try:
@@ -542,7 +548,7 @@ class SessionGridManager:
                              session_id=session_id,
                              queue_depth=len(self._queue), trace=trace)
         self.rejections += 1
-        self._recent_rejects.append(now)
+        self._rejects.inc()
         decision = AdmissionDecision(
             outcome=EVENT_REJECT, tenant=tenant, session_id=session_id,
             time=now, reason=reason, retry_after=retry_after,
@@ -666,6 +672,9 @@ class SessionGridManager:
             except (ServiceError, NetworkError):
                 pass
         del self._sessions[session_id]
+        if session_id in self._data_sessions:
+            self._data_sessions.remove(session_id)
+            self.data_service.close_session(session_id)
         self._touch(gs.tenant)
         return self.pump()
 
@@ -896,13 +905,6 @@ class SessionGridManager:
 
     # -- telemetry -------------------------------------------------------------------
 
-    def rejection_rate(self, now: float | None = None) -> float:
-        """Rejects per second over the trailing window (recovery-visible)."""
-        now = self.now if now is None else now
-        cutoff = now - self.rejection_window
-        recent = sum(1 for t in self._recent_rejects if t > cutoff)
-        return recent / self.rejection_window
-
     def _touch(self, tenant: str | None = None) -> None:
         """Push the queue and session gauges (``tenant``'s too)."""
         registry = self.telemetry.registry
@@ -916,15 +918,6 @@ class SessionGridManager:
                            tenant=tenant).set(sum(
                                gs.tenant == tenant
                                for gs in self._sessions.values()))
-
-    def _collect_telemetry(self, registry) -> None:
-        """Values that move with the clock and with host liveness."""
-        registry.gauge("rave_admission_rejection_rate",
-                       "rejects per second over the trailing window"
-                       ).set(self.rejection_rate(self.now))
-        registry.gauge("rave_admission_pool_utilisation",
-                       "committed fraction of the pool's polygon rate"
-                       ).set(self.utilisation())
 
     def describe(self) -> dict:
         """JSON-serialisable admission state (dashboard / tests)."""

@@ -56,7 +56,8 @@ those jobs into the ``rave_farm_starved_jobs`` gauge the monitor's
 sustained ``farm-starvation`` alert fires on.  The queue exports its own
 telemetry (kind ``farm``): queue depth, active leases and per-job
 progress and priority gauges, set where a frame changes state, the
-trailing-window frames/sec, and ``farm:`` events for every decision.
+``rave_farm_frames_total`` completion counter (the monitor derives the
+frames/sec from it), and ``farm:`` events for every decision.
 """
 
 from __future__ import annotations
@@ -106,21 +107,17 @@ class FrameQueueService:
     """Batch frame queue deployed in a service container."""
 
     def __init__(self, name: str, container, lease_timeout: float = 30.0,
-                 throughput_window: float = 20.0,
                  starvation_after: float = DEFAULT_STARVATION_AFTER) -> None:
         from repro.services.wsdl import FRAME_QUEUE_WSDL
 
         if lease_timeout <= 0:
             raise ServiceError("lease_timeout must be positive")
-        if throughput_window <= 0:
-            raise ServiceError("throughput_window must be positive")
         if starvation_after <= 0:
             raise ServiceError("starvation_after must be positive")
         self.name = name
         self.container = container
         self.endpoint = container.deploy(FRAME_QUEUE_WSDL)
         self.lease_timeout = lease_timeout
-        self.throughput_window = throughput_window
         self.starvation_after = starvation_after
         self._jobs: dict[str, RenderJob] = {}
         #: per-job pending frame indexes; re-queues go to the front of
@@ -146,7 +143,6 @@ class FrameQueueService:
         #: jobs whose starvation onset is noted; a lease ends the onset
         self._starved: set[str] = set()
         self._starvation_check = None       # the one pending check
-        self._completion_times: deque[float] = deque(maxlen=4096)
         self.leases_issued = 0
         self.frames_completed = 0
         self.duplicates_dropped = 0
@@ -154,7 +150,13 @@ class FrameQueueService:
         self.requeues = 0
         self.telemetry = ServiceTelemetry(name, container.host,
                                           SERVICE_FARM)
-        self.telemetry.add_collector(self._collect_telemetry)
+        self._frames_total = self.telemetry.registry.counter(
+            "rave_farm_frames_total", "frames completed")
+        # the one value that moves with the clock alone (a client may
+        # advance it analytically, running no event)
+        self.telemetry.add_collector(
+            "rave_farm_starved_jobs", lambda: len(self.starved_jobs()),
+            "jobs with pending frames unserved past the starvation threshold")
         self._touch()
 
     # -- plumbing --------------------------------------------------------------------
@@ -447,9 +449,7 @@ class FrameQueueService:
         self.frames_completed += 1
         self._tenant_leases[job.tenant] = max(
             0, self._tenant_leases.get(job.tenant, 0) - 1)
-        self._completion_times.append(now)
-        self.telemetry.registry.counter(
-            "rave_farm_frames_total", "frames completed").inc()
+        self._frames_total.inc()
         self.telemetry.registry.histogram(
             "rave_farm_render_seconds",
             "per-frame render latency reported by workers").observe(
@@ -532,13 +532,6 @@ class FrameQueueService:
 
     # -- telemetry -------------------------------------------------------------------
 
-    def frames_per_second(self, now: float | None = None) -> float:
-        """Completions per second over the trailing window."""
-        now = self.now if now is None else now
-        cutoff = now - self.throughput_window
-        recent = sum(1 for t in self._completion_times if t > cutoff)
-        return recent / self.throughput_window
-
     def _touch(self, job: RenderJob | None = None) -> None:
         """Push the state gauges (``job``'s too) and arm the starvation
         check; called wherever a frame changes state."""
@@ -556,16 +549,6 @@ class FrameQueueService:
                            job=job.job_id,
                            tenant=job.tenant or "-").set(job.priority)
         self._arm_starvation_check(self.now)
-
-    def _collect_telemetry(self, registry) -> None:
-        """The values that move with the clock alone (a client may
-        advance it analytically, running no event)."""
-        registry.gauge("rave_farm_frames_per_second",
-                       "completions per second, trailing window"
-                       ).set(self.frames_per_second())
-        registry.gauge("rave_farm_starved_jobs",
-                       "jobs with pending frames unserved past the "
-                       "starvation threshold").set(len(self.starved_jobs()))
 
     def _arm_starvation_check(self, earliest: float) -> None:
         """Keep one check pending, for the first instant (not before

@@ -14,9 +14,10 @@ write is recomputed by a scrape-time *collector*.  :meth:`scrape`
 produces a plain-dict payload; :meth:`scrape_frame` frames the same
 payload in the binary data-plane framing (``services/protocol.py``) so a
 scrape has a real wire size and pays simulated transfer cost, splicing
-in the registry's cached JSON so its cost follows what changed.  The
-event stream is a *cursor read* (see :meth:`ServiceTelemetry.scrape`),
-so a steady-state scrape does not grow with the service's history.
+in the registry's cached JSON so its cost follows what changed.  It
+exports counts, never rates: the monitor derives those.  The event
+stream is a *cursor read* (see :meth:`ServiceTelemetry.scrape`), so a
+steady-state scrape does not grow with the service's history.
 
 :func:`federate` merges scraped payloads into one labelled metrics dict
 — every series gains ``service``/``host`` labels — which is what the
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.quantiles import (
@@ -39,6 +40,9 @@ from repro.obs.quantiles import (
 
 #: payload format tag carried by every scrape
 TELEMETRY_FORMAT = "rave-telemetry/1"
+
+#: numbers the process's telemetry instances (a restart is a new one)
+_INSTANCES = count()
 
 
 @dataclass(frozen=True)
@@ -55,7 +59,8 @@ class ServiceTelemetry:
 
     Events are numbered from 0 in emission order; the ring keeps the
     newest ``event_capacity`` and ``events_seen`` counts them all.  No
-    per-scraper state: a scraper names the event number to resume from.
+    per-scraper state: a scraper names the event number to resume from,
+    and the ``instance`` it counts (eight hex digits, one per object).
     """
 
     def __init__(self, service: str, host: str, kind: str,
@@ -64,6 +69,7 @@ class ServiceTelemetry:
         self.host = host
         self.kind = kind                     # "render" | "data" | "registry"
         self.registry = MetricsRegistry()
+        self.instance = f"{next(_INSTANCES):08x}"
         self._events: deque[TelemetryEvent] = deque(maxlen=event_capacity)
         #: total events ever emitted (ring overflow never hides the count)
         self.events_seen = 0
@@ -72,11 +78,11 @@ class ServiceTelemetry:
 
     # -- producing ----------------------------------------------------------------
 
-    def add_collector(self, fn) -> None:
-        """Register ``fn(registry)`` to set gauges at scrape time: only
-        values that move with the clock or another owner's state, and
-        nothing but gauge writes (a scrape changes no story)."""
-        self._collectors.append(fn)
+    def add_collector(self, name: str, fn, help: str = "") -> None:
+        """Set gauge ``name`` to ``fn()`` at every scrape: only for a value
+        that moves with the clock or another owner's state.  A scrape
+        writes nothing else, so it changes no story."""
+        self._collectors.append((name, help, fn))
 
     def event(self, kind: str, time: float = 0.0, detail: str = "") -> None:
         self._events.append(TelemetryEvent(time=time, kind=kind,
@@ -87,48 +93,50 @@ class ServiceTelemetry:
         return list(self._events)
 
     def collect(self) -> None:
-        """Run every registered collector against the registry."""
-        for fn in self._collectors:
-            fn(self.registry)
+        """Set every collected gauge to its value now."""
+        for name, help, fn in self._collectors:
+            self.registry.gauge(name, help).set(fn())
 
     # -- scraping -----------------------------------------------------------------
 
-    def scrape(self, now: float = 0.0, since: int = 0) -> dict:
+    def scrape(self, now: float = 0.0, since: int = 0,
+               instance: str | None = None) -> dict:
         """Collect, then return the payload a scraper would receive.
 
-        ``since`` is the scraper's cursor: the number of this service's
-        events it has already received.  Only ring entries numbered
-        ``>= since`` are shipped, so ``since == events_seen`` ships
-        ``[]``; ``events_seen`` is the running total either way, and the
-        receiver numbers what it got as ``events_seen - len(events)``
-        onwards.  A cursor the ring cannot honour ships the whole ring:
-        ``since <= 0`` (the default — a first contact or a direct
-        caller), ``since`` older than the oldest entry kept (the ring
-        overflowed in between), and ``since > events_seen`` (the cursor
-        belongs to an earlier instance of a restarted service).
-        ``metrics`` and ``registry`` are cached: never mutate them.
+        ``since`` is the scraper's cursor: the number of events of
+        ``instance`` (``None``: this one) it has received.  Ring entries
+        numbered ``>= since`` are shipped, none once ``since`` reaches
+        ``events_seen``, and the receiver numbers them from
+        ``events_seen - len(events)``.  The whole ring ships for a cursor
+        the ring cannot honour: ``since <= 0`` (the default), one older
+        than the oldest entry kept (the ring overflowed), or one of
+        another ``instance`` (the service restarted).  ``metrics`` and
+        ``registry`` are cached: never mutate them.
         """
-        return {**self._header(now, since),
+        return {**self._header(now, since, instance),
                 "metrics": self.registry.snapshot()}
 
-    def scrape_frame(self, now: float = 0.0, since: int = 0) -> bytes:
+    def scrape_frame(self, now: float = 0.0, since: int = 0,
+                     instance: str | None = None) -> bytes:
         """The scrape as wire bytes (binary framing + JSON payload): the
         bytes of framing :meth:`scrape`, the metrics spliced in cached."""
         from repro.services.protocol import frame_telemetry
 
-        return frame_telemetry(self._header(now, since), encoded={
+        return frame_telemetry(self._header(now, since, instance), encoded={
             "metrics": self.registry.snapshot_json()})
 
-    def _header(self, now: float, since: int) -> dict:
+    def _header(self, now: float, since: int, instance: str | None) -> dict:
         """Collect, count the scrape; every payload member but metrics."""
         self.collect()
         self.scrapes += 1
         oldest = self.events_seen - len(self._events)
-        skip = max(since - oldest, 0) if since <= self.events_seen else 0
+        skip = (max(since - oldest, 0)
+                if instance in (None, self.instance) else 0)
         return {
             "format": TELEMETRY_FORMAT,
             "service": self.service,
             "host": self.host,
+            "instance": self.instance,
             "kind": self.kind,
             "time": now,
             "registry": self.registry.stats(),

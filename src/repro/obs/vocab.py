@@ -150,10 +150,13 @@ BOUNDED_LABEL_KEYS = frozenset({
 })
 
 # -- derived metric names -------------------------------------------------------------
-# Grid-wide aggregates the monitor computes from scraped payloads.  They
-# never pass through a MetricsRegistry call site: the metric-registry
-# checker reads the monitor's aggregation tables (``GRID_AGGREGATES``,
-# ``FEDERATED_HISTOGRAMS`` in services/monitor.py) as their registration.
+# Rates and grid aggregates the monitor computes from scraped payloads,
+# never at a MetricsRegistry call site: the metric-registry checker reads
+# its tables (``RATES``, ``GRID_AGGREGATES``, ``FEDERATED_HISTOGRAMS`` in
+# services/monitor.py) as their registration.
+
+ADMISSION_REJECTION_RATE = "rave_admission_rejection_rate"
+FARM_FRAMES_PER_SECOND = "rave_farm_frames_per_second"
 
 GRID_RENDER_SERVICES = "rave_grid_render_services"
 GRID_MEAN_FPS = "rave_grid_mean_fps"
@@ -224,6 +227,8 @@ __all__ = [
     "METRIC_HISTOGRAM",
     "METRIC_KINDS",
     "BOUNDED_LABEL_KEYS",
+    "ADMISSION_REJECTION_RATE",
+    "FARM_FRAMES_PER_SECOND",
     "GRID_RENDER_SERVICES",
     "GRID_MEAN_FPS",
     "GRID_MIN_FPS",

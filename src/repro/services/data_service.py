@@ -101,6 +101,8 @@ class DataSession:
     #: for mirror clones: how many of the primary's trail entries were
     #: already baked into this session's snapshot at registration time
     mirror_baseline: int = 0
+    #: the container's factory instance holding the session
+    instance_id: str = ""
 
     def subscriber(self, name: str) -> Subscription:
         try:
@@ -158,13 +160,20 @@ class DataService:
         """Import a dataset as a new session (a factory instance)."""
         if session_id in self._sessions:
             raise SessionError(f"session {session_id!r} already exists")
-        self.container.create_instance("data", label=session_id,
-                                       charge_time=charge_time)
+        instance = self.container.create_instance(
+            "data", label=session_id, charge_time=charge_time)
         session = DataSession(session_id=session_id, tree=tree,
-                              initial_snapshot=tree.to_wire())
+                              initial_snapshot=tree.to_wire(),
+                              instance_id=instance.instance_id)
         self._sessions[session_id] = session
         self._touch()
         return session
+
+    def close_session(self, session_id: str) -> None:
+        """End a session and its factory instance (no simulated time)."""
+        self.container.destroy_instance(self.session(session_id).instance_id)
+        del self._sessions[session_id]
+        self._touch()
 
     def session(self, session_id: str) -> DataSession:
         try:

@@ -11,7 +11,8 @@ simulated transfer cost and shows up in the network's transfer log.
 
 On every scrape that arrives the monitor:
 
-- keeps the payload, re-flattening only the families that changed;
+- keeps the payload, re-flattening only the families that changed, and
+  turns the counters of :data:`RATES` into rates;
 - feeds the flattened values to the :class:`~repro.obs.rules.RuleEngine`
   (the one sustained-threshold detector: the migration policy acts on
   its alerts and keeps no load history of its own) and the
@@ -49,8 +50,10 @@ from repro.obs.rules import (
 )
 from repro.obs.telemetry import federate, flatten_metrics
 from repro.obs.vocab import (
+    ADMISSION_REJECTION_RATE,
     EVENT_ALERT_PREFIX,
     EVENT_TELEMETRY_PREFIX,
+    FARM_FRAMES_PER_SECOND,
     GRID_FARM_BACKLOG,
     GRID_FARM_RENDER,
     GRID_FARM_STARVED,
@@ -93,6 +96,16 @@ FEDERATED_HISTOGRAMS = (
 #: quantiles published for each federated histogram
 FEDERATED_QUANTILES = (0.95, 0.99)
 
+#: counters turned into rates in each service's flattened view: (source
+#: counter, derived name, window ``W`` in seconds).  At a sample taken at
+#: ``t`` the rate is ``(C(t) - C(s)) / W``, ``s`` the newest sample of the
+#: same instance at or before ``t - W`` (none: count from 0) -- on a scrape
+#: grid whose period divides ``W``, the count in ``(t - W, t]`` over ``W``.
+RATES = (
+    ("rave_admission_rejects_total", ADMISSION_REJECTION_RATE, 10.0),
+    ("rave_farm_frames_total", FARM_FRAMES_PER_SECOND, 20.0),
+)
+
 #: scraped gauges the monitor reduces grid-wide, one row per derived
 #: series: (payload kind, source gauge, target, reduction).  A ``None``
 #: source counts that kind's payloads.  A service that does not export
@@ -131,8 +144,8 @@ class MonitorService:
     """Scrapes per-service telemetry; evaluates alerts and SLOs.
 
     Per watched service the monitor keeps the latest payload, its
-    flattened view (re-flattened per changed family) and an *acknowledged
-    event cursor*: the number of that service's events it has received.
+    flattened view (re-flattened per changed family) and, per instance,
+    an *acknowledged event cursor*: the number of its events received.
     Each scrape asks for events from the cursor on, and the cursor
     advances only when a frame arrives — so a dropped scrape is
     re-covered by the next one, and overlapping scrapes are de-duplicated
@@ -164,8 +177,12 @@ class MonitorService:
         self._grid: dict[str, float] | None = None
         #: unwatched services, whose scrapes in flight are dropped
         self._unwatched: set[str] = set()
-        #: per-service count of remote events received (the scrape cursor)
-        self._forwarded: dict[str, int] = {}
+        #: per service, the instance ingested; earlier ones are dropped
+        self._instance: dict[str, str | None] = {}
+        #: per (service, instance), remote events received (the cursor)
+        self._forwarded: dict[tuple, int] = {}
+        #: per (service, instance, counter), (time, count) rates start from
+        self._counts: dict[tuple, deque] = {}
         self.scrapes = 0
         self.scrape_failures = 0
         self.scrape_bytes = 0
@@ -290,9 +307,9 @@ class MonitorService:
         if not network.host_is_up(telemetry.host):
             self.scrape_failures += 1
             return
-        now = network.sim.clock.now
+        key = (telemetry.service, self._instance.get(telemetry.service))
         frame = telemetry.scrape_frame(
-            now, self._forwarded.get(telemetry.service, 0))
+            network.sim.clock.now, self._forwarded.get(key, 0), key[1])
         try:
             payload = unframe_telemetry(frame)
         except MarshallingError:
@@ -317,18 +334,23 @@ class MonitorService:
 
     def _ingest(self, payload: dict, arrival: float) -> None:
         service = payload["service"]
-        if service in self._unwatched:
+        key = (service, payload.get("instance"))
+        superseded = (key in self._forwarded
+                      and self._instance[service] != key[1])
+        if service in self._unwatched or superseded:
             return
+        self._instance[service] = key[1]
         previous = self._latest.get(service)
         self._latest[service] = payload
         if self._reflatten(service, payload, previous):
             self._grid = None
-        flat = self._flat[service]
         sample_time = payload.get("time", arrival)
+        self._derive_rates(key, sample_time)
+        flat = self._flat[service]
         self.engine.observe(service, sample_time, flat)
         self.slo.observe(service, payload.get("kind", ""), sample_time, flat)
         self._record_tail(service, sample_time, flat)
-        self._forward_events(service, payload)
+        self._forward_events(key, payload)
         self.scrapes += 1
 
     def _reflatten(self, service: str, payload: dict,
@@ -349,6 +371,22 @@ class MonitorService:
                                for key, value in part.items()}
         return True
 
+    def _derive_rates(self, key: tuple, time: float) -> None:
+        """Write the :data:`RATES` into the service's flattened view."""
+        flat = self._flat[key[0]]
+        rates = {}
+        for source, derived, window in RATES:
+            if source in flat:
+                samples = self._counts.setdefault(
+                    (*key, source), deque([(float("-inf"), 0.0)]))
+                samples.append((time, flat[source]))
+                while samples[1][0] <= time - window:
+                    samples.popleft()
+                rates[derived] = (flat[source] - samples[0][1]) / window
+        if not rates.items() <= flat.items():
+            self._flat[key[0]] = {**flat, **rates}
+            self._grid = None
+
     def _record_tail(self, service: str, time: float,
                      values: dict[str, float]) -> None:
         """Keep a short p95 history per service for the tail panel."""
@@ -359,7 +397,7 @@ class MonitorService:
                 key, deque(maxlen=TAIL_HISTORY))
             history.append((time, value))
 
-    def _forward_events(self, service: str, payload: dict) -> None:
+    def _forward_events(self, key: tuple, payload: dict) -> None:
         """Acknowledge a payload's events; relay the new ones.
 
         The cursor advances whether or not a flight recorder is active,
@@ -369,13 +407,8 @@ class MonitorService:
         obs = _obs()
         events = payload.get("events", [])
         seen = payload.get("events_seen", len(events))
-        watermark = self._forwarded.get(service, 0)
-        if seen < watermark:
-            # The service restarted and its event counter reset; keeping
-            # the old high-water mark would silently drop everything the
-            # replacement emits, starting with its first payload.
-            watermark = 0
-        self._forwarded[service] = seen
+        watermark = self._forwarded.get(key, 0)
+        self._forwarded[key] = max(seen, watermark)
         if not obs.enabled:
             return
         # the payload's events are numbered seen - len(events) onwards;
@@ -383,7 +416,7 @@ class MonitorService:
         for event in events[max(watermark - (seen - len(events)), 0):]:
             obs.recorder.note(EVENT_TELEMETRY_PREFIX + event["kind"],
                               time=event.get("time", 0.0),
-                              detail=f"{service}: {event.get('detail', '')}")
+                              detail=f"{key[0]}: {event.get('detail', '')}")
 
     # -- grid-wide aggregates -------------------------------------------------------
 

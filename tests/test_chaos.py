@@ -336,9 +336,9 @@ class TestMonitorUnderServiceRestart:
     def test_counter_reset_does_not_swallow_post_restart_events(self):
         """A watched service replaced by a restarted instance resets its
         ``events_seen`` counter.  The monitor's forwarding watermark must
-        rewind with it — otherwise everything the replacement emits,
-        starting with its *first* payload, is silently dropped from the
-        flight recorder."""
+        start over with the new instance — otherwise everything the
+        replacement emits, starting with its *first* payload, is silently
+        dropped from the flight recorder."""
         from repro.obs.telemetry import ServiceTelemetry
 
         tb = build_testbed(monitor_host="registry-host")
@@ -349,7 +349,7 @@ class TestMonitorUnderServiceRestart:
                                detail=f"pre-restart-{i}")
             sim = tb.network.sim
             sim.run_until(sim.now + 3.0)
-            assert tb.monitor._forwarded["rs-onyx"] == 5
+            assert tb.monitor._forwarded["rs-onyx", original.instance] == 5
 
             # the host "restarts": a fresh instance under the same
             # service name, telemetry counter back at zero
@@ -364,8 +364,8 @@ class TestMonitorUnderServiceRestart:
                                               "render-session-created")]
             assert any("post-restart" in d for d in details), \
                 "the replacement's first events never reached the recorder"
-            # and the watermark tracks the new counter, not the old one
-            assert tb.monitor._forwarded["rs-onyx"] == 1
+            # and the watermark tracks the new instance, not the old one
+            assert tb.monitor._forwarded["rs-onyx", restarted.instance] == 1
 
 
 class TestMonitorCursorUnderFaults:
@@ -385,9 +385,10 @@ class TestMonitorCursorUnderFaults:
         inj = FaultInjector(tb.network, seed=5)
         with obs.observed(clock=tb.clock) as bundle:
             telemetry = tb.render_service("onyx").telemetry
+            key = ("rs-onyx", telemetry.instance)
             sim = tb.network.sim
             sim.run_until(sim.now + 1.5)           # first contact made
-            cursor = tb.monitor._forwarded["rs-onyx"]
+            cursor = tb.monitor._forwarded[key]
             telemetry.event(self.KIND, time=sim.now, detail="n0")
             # one tick with the link down (no route), one with every
             # frame lost in flight, then the network heals
@@ -399,12 +400,12 @@ class TestMonitorCursorUnderFaults:
             failures = tb.monitor.scrape_failures
             sim.run_until(sim.now + 1.0)
             assert tb.monitor.scrape_failures > failures
-            assert tb.monitor._forwarded["rs-onyx"] == cursor
+            assert tb.monitor._forwarded[key] == cursor
             assert self.forwarded(bundle) == []
             inj.set_loss("onyx", "registry-host", 0.0)
             sim.run_until(sim.now + 1.5)
             assert self.forwarded(bundle) == ["rs-onyx: n0", "rs-onyx: n1"]
-            assert tb.monitor._forwarded["rs-onyx"] == cursor + 2
+            assert tb.monitor._forwarded[key] == cursor + 2
             # and the scrape after that has nothing left to ship
             sim.run_until(sim.now + 1.0)
             assert tb.monitor._latest["rs-onyx"]["events"] == []
@@ -413,17 +414,18 @@ class TestMonitorCursorUnderFaults:
         tb = build_testbed(monitor_host="registry-host")
         with obs.observed(clock=tb.clock) as bundle:
             telemetry = tb.render_service("onyx").telemetry
+            key = ("rs-onyx", telemetry.instance)
             sim = tb.network.sim
             sim.run_until(sim.now + 1.5)
             tb.monitor.stop()
-            cursor = tb.monitor._forwarded["rs-onyx"]
+            cursor = tb.monitor._forwarded[key]
             telemetry.event(self.KIND, time=sim.now, detail="n0")
             tb.monitor.scrape_one(telemetry)
             telemetry.event(self.KIND, time=sim.now, detail="n1")
             # the first frame has not arrived: same cursor, so the second
             # frame carries n0 again
             tb.monitor.scrape_one(telemetry)
-            assert tb.monitor._forwarded["rs-onyx"] == cursor
+            assert tb.monitor._forwarded[key] == cursor
             sim.run_until(sim.now + 1.0)
             assert self.forwarded(bundle) == ["rs-onyx: n0", "rs-onyx: n1"]
-            assert tb.monitor._forwarded["rs-onyx"] == cursor + 2
+            assert tb.monitor._forwarded[key] == cursor + 2

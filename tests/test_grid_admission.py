@@ -236,6 +236,47 @@ class TestQueueLifecycle:
         assert outcomes["s3"] == EVENT_REJECT
 
 
+class TestReleaseClosesItsDataSession:
+    """A released session used to leave behind the data session its
+    admission created, with its scene tree and audit trail: a grid held
+    one per admission it ever made."""
+
+    def test_release_closes_the_data_session_admission_made(self):
+        tb = build_testbed()
+        grid = small_grid(tb)
+        open_tenants(grid, "acme")
+        ds = tb.data_service
+
+        def held():
+            return (len(ds.sessions()), len(ds.container.instances("data")),
+                    ds.telemetry.registry.value("rave_ds_sessions"))
+
+        before = held()
+        assert grid.request_session("acme", "s0", scene(0)).outcome \
+            == EVENT_ADMIT
+        assert held() == (before[0] + 1, before[1] + 1, before[2] + 1)
+        grid.release_session("s0")
+        assert held() == before
+
+    def test_a_data_session_from_before_admission_survives_release(self):
+        tb = build_testbed()
+        grid = small_grid(tb)
+        open_tenants(grid, "acme")
+        tb.data_service.create_session("shared", scene(0))
+        assert grid.request_session("acme", "shared", scene(0)).outcome \
+            == EVENT_ADMIT
+        grid.release_session("shared")
+        assert tb.data_service.session("shared").session_id == "shared"
+
+    def test_closing_a_data_session_charges_no_time(self):
+        tb = build_testbed()
+        tb.data_service.create_session("s", scene(0))
+        now = tb.clock.now
+        tb.data_service.close_session("s")
+        assert tb.clock.now == now
+        assert "s" not in {s.session_id for s in tb.data_service.sessions()}
+
+
 class TestRejectWireContract:
     def test_reject_frame_round_trips_the_429(self):
         frame = frame_reject("grid full", 12.5, tenant="acme",
@@ -441,15 +482,18 @@ class TestPoolScaling:
                        for gs in grid.sessions())
 
     def test_rejection_rate_decays_with_the_window(self):
-        tb = build_testbed()
-        grid = small_grid(tb, queue_capacity=0, rejection_window=10.0)
+        """The monitor derives the rate from the grid's reject counter;
+        with no new reject it decays to 0 within its 10 s window."""
+        tb = build_testbed(monitor_host="registry-host")
+        grid = small_grid(tb, queue_capacity=0)
         open_tenants(grid, "acme", "beta")
         grid.request_session("acme", "s0", scene(0))
         grid.request_session("beta", "s1", scene(1))
         grid.request_session("acme", "s2", scene(2))
-        assert grid.rejection_rate() > 0
+        tb.network.sim.run_until(tb.clock.now + 1.5)
+        assert tb.monitor.grid_values()["rave_grid_rejection_rate"] > 0
         tb.network.sim.run_until(tb.clock.now + 30.0)
-        assert grid.rejection_rate() == 0.0
+        assert tb.monitor.grid_values()["rave_grid_rejection_rate"] == 0.0
 
 
 class TestGridObservability:
@@ -482,7 +526,7 @@ class TestGridObservability:
         assert payload["kind"] == "grid"
         flat = flatten_metrics(payload["metrics"])
         assert flat["rave_queue_depth"] == 1
-        assert flat["rave_admission_rejection_rate"] > 0
+        assert flat["rave_admission_rejects_total"] > 0
         assert flat["rave_admission_sessions"] == 2
         assert 0 < flat["rave_admission_pool_utilisation"] <= 1.0
         assert flat["rave_queue_wait_seconds_count"] >= 2

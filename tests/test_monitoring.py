@@ -13,6 +13,7 @@ scrapeable telemetry it federates (``obs/telemetry.py``):
 - the no-monitor testbed stays monitoring-free (no scrape traffic);
 - the event cursor: a scrape ships only the events the monitor has not
   acknowledged, whatever is dropped, overlapped or restarted in between;
+- the rates the monitor derives from scraped counters;
 - one unparseable target does not end monitoring for the others;
 - the scrape caches: any interleaving of updates, events, scrapes and
   ticks leaves every frame, snapshot and monitor view equal to a rebuild,
@@ -27,6 +28,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro import obs
+from repro.core.grid import SessionGridManager
 from repro.core.session import CollaborativeSession
 from repro.data.generators import skeleton
 from repro.errors import ServiceError
@@ -45,6 +47,7 @@ from repro.render.camera import Camera
 from repro.scenegraph.nodes import MeshNode
 from repro.scenegraph.tree import SceneTree
 from repro.services.container import ServiceContainer
+from repro.services.data_service import DataService
 from repro.services.monitor import (
     GRID_SERVICE,
     MONITOR_SNAPSHOT_FORMAT,
@@ -110,8 +113,7 @@ class TestServiceTelemetry:
     def test_collectors_refresh_at_scrape_time(self):
         telemetry = ServiceTelemetry("rs-x", "onyx", "render")
         state = {"fps": 5.0}
-        telemetry.add_collector(
-            lambda reg: reg.gauge("rave_rs_fps").set(state["fps"]))
+        telemetry.add_collector("rave_rs_fps", lambda: state["fps"])
         assert flatten_metrics(
             telemetry.scrape()["metrics"])["rave_rs_fps"] == 5.0
         state["fps"] = 9.0
@@ -349,17 +351,33 @@ class TestEventCursor:
         (7, [7, 8, 9]),
         (9, [9]),
         (10, []),                 # nothing new
-        (11, [6, 7, 8, 9]),       # cursor of an earlier instance (restart)
+        (11, []),                 # past the end: still nothing new
     ])
     def test_since_ships_exactly_the_documented_slice(self, since, shipped):
         telemetry = numbered_events(10, capacity=4)
         payload = telemetry.scrape(now=0.0, since=since)
         assert [int(e["detail"]) for e in payload["events"]] == shipped
         assert payload["events_seen"] == 10
+        assert payload["instance"] == telemetry.instance
         # what the receiver derives as the first shipped event's number
         if shipped:
             assert payload["events_seen"] - len(payload["events"]) \
                 == shipped[0]
+
+    @pytest.mark.parametrize("since", [0, 7, 10, 11])
+    def test_a_cursor_of_another_instance_ships_the_whole_ring(self, since):
+        """A restarted service is a new instance: the cursor the scraper
+        kept for the old one says nothing about the new one's events,
+        whatever its number."""
+        earlier, telemetry = numbered_events(3), numbered_events(10, 4)
+        assert len({earlier.instance, telemetry.instance}) == 2
+        assert len(earlier.instance) == len(telemetry.instance) == 8
+        payload = telemetry.scrape(now=0.0, since=since,
+                                   instance=earlier.instance)
+        assert [int(e["detail"]) for e in payload["events"]] == [6, 7, 8, 9]
+        assert telemetry.scrape(now=0.0, since=since,
+                                instance=telemetry.instance)["events"] \
+            == telemetry.scrape(now=0.0, since=since)["events"]
 
     def test_scrape_without_a_cursor_is_the_full_ring(self):
         telemetry = numbered_events(5)
@@ -372,15 +390,16 @@ class TestEventCursor:
         monitor = two_host_monitor()
         telemetry = numbered_events(3)
         sim = monitor.network.sim
+        cursor = ("rs-x", telemetry.instance)
         monitor.scrape_one(telemetry)
         sim.run_until(sim.now + 1.0)
-        assert monitor._forwarded["rs-x"] == 3
+        assert monitor._forwarded[cursor] == 3
         telemetry.event("e", detail="3")
         monitor.scrape_one(telemetry)
         sim.run_until(sim.now + 1.0)
         latest = monitor._latest["rs-x"]
         assert [e["detail"] for e in latest["events"]] == ["3"]
-        assert latest["events_seen"] == monitor._forwarded["rs-x"] == 4
+        assert latest["events_seen"] == monitor._forwarded[cursor] == 4
 
     def test_cursor_advances_with_no_recorder_installed(self):
         """Without a flight recorder the monitor still acknowledges what
@@ -393,7 +412,7 @@ class TestEventCursor:
         sim = monitor.network.sim
         monitor.scrape_one(telemetry)
         sim.run_until(sim.now + 1.0)
-        assert monitor._forwarded["rs-x"] == 3
+        assert monitor._forwarded["rs-x", telemetry.instance] == 3
         with obs.observed() as bundle:
             telemetry.event("e", detail="3")
             monitor.scrape_one(telemetry)
@@ -431,7 +450,7 @@ class FullRing:
         self.telemetry = telemetry
         self.service, self.host = telemetry.service, telemetry.host
 
-    def scrape_frame(self, now=0.0, since=0):
+    def scrape_frame(self, now=0.0, since=0, instance=None):
         return self.telemetry.scrape_frame(now)
 
 
@@ -448,7 +467,7 @@ def forwarded_by(ops, wrap) -> tuple[list[int], bool]:
     monitor = two_host_monitor()
     wire = HeldWire(monitor.network)
     rings: deque = deque()          # ring contents at each held scrape
-    complete, restarted, emitted = True, False, 0
+    complete, emitted = True, 0
     telemetry = ServiceTelemetry("rs-x", "svc", "render", event_capacity=4)
     with obs.observed() as bundle:
         def received() -> list[int]:
@@ -466,16 +485,15 @@ def forwarded_by(ops, wrap) -> tuple[list[int], bool]:
             elif op == "restart":
                 telemetry = ServiceTelemetry("rs-x", "svc", "render",
                                              event_capacity=4)
-                restarted = True
             elif wire.held:
                 ring = rings.popleft()
                 if op == "drop":
                     wire.drop()
                 else:
                     wire.deliver()
-                    # a restart is only detectable as a counter that went
-                    # backwards, so completeness is claimed without one
-                    complete &= restarted or set(ring) <= set(received())
+                    # a restart is a new instance, so completeness holds
+                    # across restarts too
+                    complete &= set(ring) <= set(received())
         return received(), complete
 
 
@@ -490,17 +508,100 @@ class TestCursorProperty:
         assert complete, "a delivered scrape left ring events unforwarded"
         assert got == forwarded_by(ops, wrap=FullRing)[0]
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "a restarted service whose event counter has caught up to the "
-        "monitor's cursor ships [] on its first scrape; a stale payload "
-        "of the old instance then lands in between, and a counter cannot "
-        "tell the two instances apart (needs an instance id in the cursor)"))
     def test_a_restart_that_catches_up_to_the_cursor(self):
+        """A restarted service whose event counter has caught up to the
+        monitor's cursor, with a stale payload of the old instance landing
+        in between: the instance id tells the two apart."""
         ops = [("emit", 4), ("scrape", 0), ("emit", 1), ("scrape", 0),
                ("deliver", 0), ("restart", 0), ("emit", 1), ("emit", 3),
                ("scrape", 0), ("deliver", 0), ("deliver", 0)]
         assert forwarded_by(ops, wrap=FullRing)[0] == list(range(9))
         assert forwarded_by(ops, wrap=lambda t: t)[0] == list(range(9))
+
+
+# -- derived rates ------------------------------------------------------------------
+
+#: the window of the rejection rate the monitor derives from the grid's
+#: reject counter (its row of ``monitor.RATES``)
+WINDOW = 10.0
+
+#: a reject at one of 63 instants (in 64ths of the scrape period) after
+#: the last scrape, a scrape that arrives, one that is lost, or a restart
+#: of the grid.  Rejects fall strictly between scrapes: one at the instant
+#: of a scrape (or of the grid's start) is counted by whichever happens
+#: first, and a count over ``(t - W, t]`` cannot tell which did.
+RATE_OPS = st.lists(st.one_of(
+    st.tuples(st.just("count"), st.integers(1, 63)),
+    st.tuples(st.sampled_from(["scrape"] * 4 + ["drop", "restart"]),
+              st.just(0)),
+), min_size=10, max_size=80)
+
+
+def derived_rates(ops, period):
+    """Run ``ops`` against a grid scraped every ``period`` seconds; per
+    scrape that arrives, ``(rate in the monitor's view, rate in
+    grid_values(), count(t - W, t] / W, the documented rule's rate)``
+    for the grid instance then running."""
+    monitor = two_host_monitor()
+    wire = HeldWire(monitor.network)
+    sim = monitor.network.sim
+    data = DataService("data", ServiceContainer("svc", monitor.network))
+    events: list[float] = []         # reject times of the running instance
+    samples: list[tuple] = []        # (time, count) of its arrived scrapes
+    grid, seen, k = None, [], 0
+    for op, at in [("restart", 0)] + ops:
+        if op == "count":
+            sim.run_until(max(sim.now, (64 * k + at) * period / 64))
+            grid._reject("t", "s", sim.now, "full", 1.0)
+            events.append(sim.now)
+        elif op == "restart":
+            grid = SessionGridManager(data, name="grid")
+            monitor.watch(grid)
+            events, samples = [], []
+        else:
+            k += 1
+            sim.run_until(k * period)
+            monitor.scrape_one(grid.telemetry)
+            if op == "drop":
+                wire.drop()
+                continue
+            wire.deliver()
+            t = sim.now
+            start = [c for time, c in samples if time <= t - WINDOW]
+            rule = (len(events) - (start[-1] if start else 0)) / WINDOW
+            samples.append((t, len(events)))
+            seen.append((
+                monitor._flat["grid"]["rave_admission_rejection_rate"],
+                monitor.grid_values()["rave_grid_rejection_rate"],
+                sum(t - WINDOW < e <= t for e in events) / WINDOW, rule))
+    return seen
+
+
+class TestDerivedRate:
+    """The grid exports a reject counter and the monitor derives the
+    rate: ``(C(t) - C(s)) / W``, ``s`` the newest sample at or before
+    ``t - W`` of the same instance, and 0 for an instance with none."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(ops=RATE_OPS.map(lambda ops: [o for o in ops if o[0] != "drop"]),
+           period=st.sampled_from([0.5, 1.0, 2.0, 2.5, 5.0, 10.0]))
+    def test_on_a_regular_grid_it_is_the_windowed_count(self, ops, period):
+        """Every scrape arrives and the period divides the window: the
+        rate is bit-equal to the count in ``(t - W, t]`` over ``W``, a
+        restart counts the new instance from 0, and a rate that decays
+        with no new reject reaches ``grid_values()``."""
+        for view, grid, windowed, _ in derived_rates(ops, period):
+            assert view == grid == windowed
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(ops=RATE_OPS, period=st.sampled_from([0.5, 1.0, 2.5, 3.0, 7.0]))
+    def test_with_gaps_it_follows_the_documented_rule(self, ops, period):
+        from repro.services.monitor import RATES
+
+        assert ("rave_admission_rejects_total",
+                "rave_admission_rejection_rate", WINDOW) in RATES
+        for view, grid, _, rule in derived_rates(ops, period):
+            assert view == grid == rule
 
 
 # -- hostile scrape targets ---------------------------------------------------------
@@ -515,11 +616,12 @@ class TestBadFrames:
         healthy = numbered_events(2)
         truncated = SimpleNamespace(
             service="rs-truncated", host="svc",
-            scrape_frame=lambda now=0.0, since=0:
+            scrape_frame=lambda now=0.0, since=0, instance=None:
                 healthy.scrape_frame(now)[:-5])
         empty = SimpleNamespace(
             service="rs-empty", host="svc",
-            scrape_frame=lambda now=0.0, since=0: frame_telemetry({}))
+            scrape_frame=lambda now=0.0, since=0, instance=None:
+                frame_telemetry({}))
         for target in (healthy, truncated, empty):
             monitor.watch(SimpleNamespace(telemetry=target))
         sim = monitor.network.sim
@@ -595,11 +697,12 @@ def rebuilt_snapshot(registry) -> dict:
 def rebuilt_frame(telemetry, now: float, since: int) -> bytes:
     """The frame of the scrape just taken, encoded from scratch."""
     ring, seen = telemetry.events(), telemetry.events_seen
-    skip = max(since - (seen - len(ring)), 0) if since <= seen else 0
+    skip = max(since - (seen - len(ring)), 0)
     metrics = rebuilt_snapshot(telemetry.registry)
     payload = {
         "format": TELEMETRY_FORMAT, "service": telemetry.service,
-        "host": telemetry.host, "kind": telemetry.kind, "time": now,
+        "host": telemetry.host, "instance": telemetry.instance,
+        "kind": telemetry.kind, "time": now,
         "metrics": metrics,
         "registry": {
             "families": len(metrics),
@@ -634,8 +737,7 @@ def run_cache_ops(ops) -> None:
     load = [1.0, 30.0, 0.5]
     for i, (telemetry, gauge) in enumerate(zip(
             services, ("rave_rs_fps", "rave_rs_fps", "rave_queue_depth"))):
-        telemetry.add_collector(
-            lambda reg, i=i, gauge=gauge: reg.gauge(gauge).set(load[i]))
+        telemetry.add_collector(gauge, lambda i=i: load[i])
     # the reference engine sees what the monitor ingests, flattened afresh
     reference = RuleEngine()
     ingest = monitor._ingest

@@ -3,13 +3,14 @@
 The render service, the data service, the UDDI registry, the session
 grid and the farm queue set each gauge that mirrors their own state at
 the mutation, and a scrape recomputes only the values that move without
-a write (the two windowed rates, the starved-job count and the pool's
-utilisation).  The reference for what a scrape must read is the
-scrape-time collector each owner used to register, kept below as it
-was.  The property drives public operations on all five owners,
-interleaved with scrapes at arbitrary simulated times, and rebuilds
-every scrape frame from those collectors: the two must be the same
-bytes.
+a write (the starved-job count and the pool's utilisation).  The
+reference for what a scrape must read is the scrape-time collector each
+owner used to register, kept below as it was, except that the grid's and
+the farm's windowed rates are now the monitor's: the reference holds the
+counters they are derived from to the owners' own counts instead.  The
+property drives public operations on all five owners, interleaved with
+scrapes at arbitrary simulated times, and rebuilds every scrape frame
+from those collectors: the two must be the same bytes.
 """
 
 import itertools
@@ -74,12 +75,11 @@ def uddi_collector(self, registry) -> None:
 
 
 def grid_collector(self, registry) -> None:
-    now = self.now
     registry.gauge("rave_queue_depth",
                    "admission queue depth").set(len(self._queue))
-    registry.gauge("rave_admission_rejection_rate",
-                   "rejects per second over the trailing window"
-                   ).set(self.rejection_rate(now))
+    # the rejection rate is derived by the monitor from this counter
+    assert self.telemetry.registry.value(
+        "rave_admission_rejects_total") == self.rejections
     registry.gauge("rave_admission_sessions",
                    "admitted sessions").set(len(self._sessions))
     registry.gauge("rave_admission_pool_utilisation",
@@ -100,9 +100,9 @@ def farm_collector(self, registry) -> None:
                    "pending frames").set(self.queue_depth())
     registry.gauge("rave_farm_active_leases",
                    "frames out on lease").set(self.active_leases())
-    registry.gauge("rave_farm_frames_per_second",
-                   "completions per second, trailing window"
-                   ).set(self.frames_per_second())
+    # the frame rate is derived by the monitor from this counter
+    assert self.telemetry.registry.value(
+        "rave_farm_frames_total") == self.frames_completed
     starved = self.starved_jobs()
     # (the farm:starved note that stood here is the one side effect a
     # scrape had; it is not a gauge, and it now happens at the onset)

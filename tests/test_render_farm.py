@@ -357,7 +357,7 @@ class TestFrameQueue:
         flat = flatten_metrics(payload["metrics"])
         assert flat["rave_farm_queue_depth"] == 4
         assert flat["rave_farm_active_leases"] == 1
-        assert flat["rave_farm_frames_per_second"] == 0.0
+        assert flat["rave_farm_frames_total"] == 0.0
         progress = payload["metrics"]["rave_farm_job_progress"]["series"]
         assert progress and progress[0]["labels"]["job"] == JOB
 
@@ -733,22 +733,21 @@ class TestFarmController:
 
 
 class TestThroughputGauge:
-    @pytest.mark.xfail(strict=True, reason=(
-        "rave_farm_frames_per_second counts completions in a "
-        "deque(maxlen=4096) over a 20 s window, so it never reads above "
-        "204.8 frames/s; a completion counter that the reader turns "
-        "into a rate fixes it"))
     def test_a_scrape_reads_four_workers_true_rate(self):
         """Four workers on galleon(2000), each taking its modelled frame
         time, over 60 simulated seconds: once the window is full, every
-        scraped rate is within 5 % of the completions the last scrape
-        interval saw (about 1 030 frames/s; the controller's transfers
-        bring a real farm to about 925)."""
-        from repro.obs.telemetry import flatten_metrics
-        from repro.services.protocol import unframe_telemetry
+        rate the monitor derives from the scraped completion counter is
+        within 5 % of the completions the last interval saw (about 1 030
+        frames/s; the controller's transfers bring a real farm to about
+        925).  A service-side window capped at 4 096 completions read
+        204.8 at most."""
+        from repro.services.monitor import RATES
 
-        tb = farm_testbed()
-        queue, sim = tb.farm_queue, tb.network.sim
+        window = {name: w for _, name, w in RATES}[
+            "rave_farm_frames_per_second"]
+        tb = farm_testbed(monitor_host="registry-host")
+        queue, sim, monitor = tb.farm_queue, tb.network.sim, tb.monitor
+        monitor.stop()          # it scrapes the farm on the test's grid
         polygons = galleon(2000).n_triangles
         queue.submit(job(start=1, end=100_000))
 
@@ -766,14 +765,16 @@ class TestThroughputGauge:
                                      offscreen=True).total_seconds)
         start, interval = sim.now, 5.0
         done = queue.frames_completed
+        monitor.scrape_one(queue.telemetry)
         for k in range(1, 13):
             sim.run_until(start + k * interval)
             true_rate = (queue.frames_completed - done) / interval
             done = queue.frames_completed
             assert true_rate > 800
-            flat = flatten_metrics(unframe_telemetry(
-                queue.telemetry.scrape_frame(sim.now))["metrics"])
-            if k * interval >= queue.throughput_window:
+            monitor.scrape_one(queue.telemetry)
+            sim.run_until(sim.now + 0.01)           # the scrape arrives
+            flat = monitor.snapshot()["services"][queue.name]["metrics"]
+            if k * interval >= window:
                 assert flat["rave_farm_frames_per_second"] \
                     == pytest.approx(true_rate, rel=0.05)
 
