@@ -150,8 +150,14 @@ class FrameQueueService:
         self.requeues = 0
         self.telemetry = ServiceTelemetry(name, container.host,
                                           SERVICE_FARM)
-        self._frames_total = self.telemetry.registry.counter(
+        registry = self.telemetry.registry
+        self._frames_total = registry.counter(
             "rave_farm_frames_total", "frames completed")
+        #: the state gauges ``_touch`` sets, and each job's two
+        self._queue_gauges = (
+            registry.gauge("rave_farm_queue_depth", "pending frames"),
+            registry.gauge("rave_farm_active_leases", "frames out on lease"))
+        self._job_gauges: dict[str, tuple] = {}
         # the one value that moves with the clock alone (a client may
         # advance it analytically, running no event)
         self.telemetry.add_collector(
@@ -255,17 +261,14 @@ class FrameQueueService:
         return self.queue_depth() + self.active_leases()
 
     def starved_jobs(self) -> list[str]:
-        """Jobs with pending frames unserved past ``starvation_after``."""
-        now = self.now
-        out = []
-        for job_id in sorted(self._jobs):
-            if not self._job_pending.get(job_id):
-                continue
-            job = self._jobs[job_id]
-            served = max(job.submitted_at, job.last_leased_at)
-            if now - served > self.starvation_after:
-                out.append(job_id)
-        return out
+        """Jobs with pending frames unserved past ``starvation_after``,
+        sorted; the rings hold exactly the jobs with pending frames."""
+        now, jobs = self.now, self._jobs
+        return sorted(
+            job_id for ring in self._rings.values() for job_id in ring
+            if now - max(jobs[job_id].submitted_at,
+                         jobs[job_id].last_leased_at)
+            > self.starvation_after)
 
     def _ring_drop(self, job_id: str, priority: int) -> None:
         """A job's backlog emptied: it leaves the ring and (per DRR)
@@ -535,19 +538,23 @@ class FrameQueueService:
     def _touch(self, job: RenderJob | None = None) -> None:
         """Push the state gauges (``job``'s too) and arm the starvation
         check; called wherever a frame changes state."""
-        registry = self.telemetry.registry
-        registry.gauge("rave_farm_queue_depth",
-                       "pending frames").set(self.queue_depth())
-        registry.gauge("rave_farm_active_leases",
-                       "frames out on lease").set(self.active_leases())
+        depth, leases = self._queue_gauges
+        depth.set(self.queue_depth())
+        leases.set(self.active_leases())
         if job is not None:
-            registry.gauge("rave_farm_job_progress",
-                           "per-job completed fraction",
-                           job=job.job_id).set(job.progress)
-            registry.gauge("rave_farm_job_priority",
-                           "per-job scheduling priority",
-                           job=job.job_id,
-                           tenant=job.tenant or "-").set(job.priority)
+            gauges = self._job_gauges.get(job.job_id)
+            if gauges is None:
+                registry = self.telemetry.registry
+                gauges = self._job_gauges[job.job_id] = (
+                    registry.gauge("rave_farm_job_progress",
+                                   "per-job completed fraction",
+                                   job=job.job_id),
+                    registry.gauge("rave_farm_job_priority",
+                                   "per-job scheduling priority",
+                                   job=job.job_id,
+                                   tenant=job.tenant or "-"))
+            gauges[0].set(job.progress)
+            gauges[1].set(job.priority)
         self._arm_starvation_check(self.now)
 
     def _arm_starvation_check(self, earliest: float) -> None:

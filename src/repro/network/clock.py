@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Callable, Iterable
 from typing import Any
 
@@ -63,17 +63,19 @@ class SimClock:
         return f"SimClock(now={self._now:.6f})"
 
 
-@dataclass(order=True)
+@dataclass(slots=True)
 class _Event:
+    """One scheduled callback; queued as ``(time, seq, event)``, so the
+    heap orders by the tuple's first two items, compared in C."""
+
     time: float
-    seq: int
-    callback: Callable[[], Any] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    callback: Callable[[], Any]
     #: daemon events (recurring heartbeat/monitor ticks) never keep
     #: :meth:`Simulator.run` alive on their own
-    daemon: bool = field(default=False, compare=False)
+    daemon: bool = False
+    cancelled: bool = False
     #: set when :meth:`Simulator.step` pops the event to run it
-    fired: bool = field(default=False, compare=False)
+    fired: bool = False
 
 
 class EventHandle:
@@ -149,7 +151,9 @@ class Simulator:
 
     def __init__(self, clock: SimClock | None = None) -> None:
         self.clock = clock if clock is not None else SimClock()
-        self._queue: list[_Event] = []
+        #: heap of ``(time, seq, event)``; ``seq`` is unique, so ties in
+        #: time run in scheduling order and events are never compared
+        self._queue: list[tuple[float, int, _Event]] = []
         self._seq = itertools.count()
         self._processed = 0
         self._nondaemon_pending = 0
@@ -161,7 +165,7 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of not-yet-cancelled events still queued."""
-        return sum(1 for e in self._queue if not e.cancelled)
+        return sum(1 for _, _, e in self._queue if not e.cancelled)
 
     @property
     def processed(self) -> int:
@@ -188,9 +192,8 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule at t={time!r}, clock already at {self.clock.now!r}"
             )
-        event = _Event(time=float(time), seq=next(self._seq), callback=callback,
-                       daemon=daemon)
-        heapq.heappush(self._queue, event)
+        event = _Event(float(time), callback, daemon)
+        heapq.heappush(self._queue, (event.time, next(self._seq), event))
         if not daemon:
             self._nondaemon_pending += 1
         return EventHandle(event, self)
@@ -198,7 +201,7 @@ class Simulator:
     def step(self) -> bool:
         """Execute the next event.  Returns ``False`` when the queue is empty."""
         while self._queue:
-            event = heapq.heappop(self._queue)
+            _, _, event = heapq.heappop(self._queue)
             if event.cancelled:
                 continue
             event.fired = True
@@ -231,15 +234,15 @@ class Simulator:
         """Run every event scheduled at or before ``t``; advance clock to ``t``."""
         executed = 0
         while self._queue and executed < max_events:
-            head = self._queue[0]
+            time, _, head = self._queue[0]
             if head.cancelled:
                 heapq.heappop(self._queue)
                 continue
-            if head.time > t:
+            if time > t:
                 break
             self.step()
             executed += 1
-        if executed >= max_events and self._queue and self._queue[0].time <= t:
+        if executed >= max_events and self._queue and self._queue[0][0] <= t:
             raise RuntimeError(f"simulation did not drain within {max_events} events")
         self.clock.advance_to(t)
         return executed

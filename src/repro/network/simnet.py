@@ -319,10 +319,14 @@ class Network:
         """Store-and-forward time using *current* contention and signal."""
         if src == dst:
             return 0.0
-        if nbytes < 0:
+        return self._price(self.path_links(src, dst), nbytes)
+
+    def _price(self, links: list[Link], nbytes: int) -> float:
+        """Store-and-forward time of ``nbytes`` over ``links``, now."""
+        if links and nbytes < 0:
             raise NetworkError("nbytes must be non-negative")
         total = 0.0
-        for link in self.path_links(src, dst):
+        for link in links:
             bw = link.effective_bandwidth()
             if bw <= 0:
                 raise NetworkError(
@@ -348,18 +352,18 @@ class Network:
         attached, the transfer may be lost in flight: the links stay busy
         for its full span but ``on_drop`` (not ``on_complete``) fires.
         """
-        links = self.path_links(src, dst) if src != dst else []
+        route = self.path(src, dst)
+        links = [self.link_between(a, b) for a, b in zip(route, route[1:])]
         # Rate is sampled before this transfer joins the links (the
         # transfer itself counts via effective_bandwidth's extra flow).
-        duration = self.transfer_time(src, dst, nbytes) if links else 0.0
+        duration = self._price(links, nbytes)
         for link in links:
             link.active += 1
         dropped = (self.fault_injector is not None and links
                    and self.fault_injector.roll_loss(src, dst))
         record = TransferRecord(src=src, dst=dst, nbytes=nbytes,
                                 start=self.sim.now, duration=duration,
-                                path=tuple(self.path(src, dst)),
-                                dropped=bool(dropped))
+                                path=tuple(route), dropped=bool(dropped))
         self.transfers.append(record)
         obs = _obs()
         if obs.enabled:

@@ -220,8 +220,9 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
+        #: kept in name order, so a rebuild need not sort
         self._families: dict[str, MetricFamily] = {}
-        #: snapshot, its encoding and stats; emptied by every change
+        #: snapshot, stats and their encodings; emptied by every change
         self._cache: dict[str, object] = {}
 
     def _cached(self, key: str, build):
@@ -249,7 +250,8 @@ class MetricsRegistry:
                 raise ValueError(f"invalid metric name {name!r}")
             family = MetricFamily(name, kind, help, buckets,
                                   self._cache.clear)
-            self._families[name] = family
+            self._families = dict(sorted(
+                {**self._families, name: family}.items()))
         elif family.kind != kind:
             raise ValueError(
                 f"metric {name!r} already registered as a {family.kind}")
@@ -258,7 +260,7 @@ class MetricsRegistry:
     # -- introspection -----------------------------------------------------------
 
     def families(self) -> list[MetricFamily]:
-        return [self._families[n] for n in sorted(self._families)]
+        return list(self._families.values())
 
     def value(self, name: str, **labels) -> float:
         """Test/debug helper: a child's value (histograms: their count)."""
@@ -279,7 +281,7 @@ class MetricsRegistry:
         return self._cached("stats", self._stats)
 
     def _stats(self) -> dict:
-        families = self.families()
+        families = self._families.values()
         series = sum(len(f.children) for f in families)
         samples = 0
         for family in families:
@@ -288,18 +290,24 @@ class MetricsRegistry:
         return {"families": len(families), "series": series,
                 "samples": samples}
 
+    def stats_json(self) -> str:
+        """:meth:`stats` as :data:`COMPACT_JSON` (cached alike)."""
+        return self._cached("stats_json",
+                            lambda: COMPACT_JSON.encode(self.stats()))
+
     def snapshot(self) -> dict:
         """Plain-data view of every family (the JSON exporter's payload);
         cached and shared, so never mutate it."""
         return self._cached("snapshot", lambda: {
-            family.name: family.snapshot() for family in self.families()})
+            name: family.snapshot()
+            for name, family in self._families.items()})
 
     def snapshot_json(self) -> str:
         """:meth:`snapshot` as :data:`COMPACT_JSON` (cached alike): the
         families' fragments joined (names need no escaping)."""
         return self._cached("snapshot_json", lambda: "{" + ",".join(
-            f'"{family.name}":{family.encoded()}'
-            for family in self.families()) + "}")
+            f'"{name}":{family.encoded()}'
+            for name, family in self._families.items()) + "}")
 
 
 __all__ = [

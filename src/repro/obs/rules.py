@@ -239,7 +239,11 @@ def tail_latency_rules() -> list[AlertRule]:
 
 
 class RuleEngine:
-    """Evaluates alert rules over per-service sample histories."""
+    """Evaluates alert rules over per-service sample histories.
+
+    Each (rule, service) history keeps the time of its newest
+    non-violating sample and the alert it fires, both updated by
+    :meth:`observe`, so :meth:`firing` costs what is firing."""
 
     def __init__(self, rules=None, window_seconds: float | None = None
                  ) -> None:
@@ -250,6 +254,10 @@ class RuleEngine:
         self.window_seconds = window_seconds
         #: (rule name, service) -> deque[(time, value)]
         self._history: dict[tuple[str, str], deque] = {}
+        #: (rule name, service) -> time of its newest non-violating sample
+        self._calm: dict[tuple[str, str], float] = {}
+        #: (rule name, service) -> the alert it fires now
+        self._firing: dict[tuple[str, str], Alert] = {}
 
     def observe(self, service: str, time: float,
                 values: dict[str, float]) -> None:
@@ -258,52 +266,56 @@ class RuleEngine:
             if rule.metric_key not in values:
                 continue
             key = (rule.name, service)
+            value = values[rule.metric_key]
             history = self._history.setdefault(key, deque())
             if history and time < history[-1][0]:
                 raise ValueError("telemetry samples must be time-ordered")
-            history.append((time, values[rule.metric_key]))
+            history.append((time, value))
             cutoff = time - self.window_seconds
             while history and history[0][0] < cutoff:
                 history.popleft()
+            if not rule.violates(value):
+                self._calm[key] = time
+            hit = self._sustained(rule, history, self._calm.get(key))
+            if hit is None:
+                self._firing.pop(key, None)
+            else:
+                self._firing[key] = Alert(
+                    rule=rule.name, kind=rule.kind, service=service,
+                    since=hit[0], last_time=hit[1], value=hit[2],
+                    severity=rule.severity)
 
     def forget(self, service: str) -> None:
         """Drop every rule's history for ``service`` (no longer watched)."""
         for key in [key for key in self._history if key[1] == service]:
             del self._history[key]
+            self._calm.pop(key, None)
+            self._firing.pop(key, None)
 
-    def _sustained(self, rule: AlertRule, history: deque
+    @staticmethod
+    def _sustained(rule: AlertRule, history: deque, calm: float | None
                    ) -> tuple[float, float, float] | None:
         """(since, last_time, value) when the rule fires, else None.
 
         The window must span ``for_seconds`` and every sample in the
         trailing duration — including one landing exactly on the
-        cutoff — must violate.
+        cutoff — must violate: the newest sample that does not (at
+        ``calm``) must be older than the cutoff.
         """
         if not history:
             return None
-        span = history[-1][0] - history[0][0]
-        if span < rule.for_seconds:
+        last_time, value = history[-1]
+        if last_time - history[0][0] < rule.for_seconds:
             return None
-        cutoff = history[-1][0] - rule.for_seconds
-        tail = [(t, v) for t, v in history if t >= cutoff]
-        if not all(rule.violates(v) for _, v in tail):
+        cutoff = last_time - rule.for_seconds
+        if calm is not None and calm >= cutoff:
             return None
-        return tail[0][0], history[-1][0], history[-1][1]
+        since = next(t for t, _ in history if t >= cutoff)
+        return since, last_time, value
 
     def firing(self) -> list[Alert]:
         """Every (rule, service) currently sustained, deterministic order."""
-        alerts: list[Alert] = []
-        for (rule_name, service), history in sorted(self._history.items()):
-            rule = next(r for r in self.rules if r.name == rule_name)
-            hit = self._sustained(rule, history)
-            if hit is None:
-                continue
-            since, last_time, value = hit
-            alerts.append(Alert(rule=rule.name, kind=rule.kind,
-                                service=service, since=since,
-                                last_time=last_time, value=value,
-                                severity=rule.severity))
-        return alerts
+        return [self._firing[key] for key in sorted(self._firing)]
 
 
 # -- SLOs ---------------------------------------------------------------------------

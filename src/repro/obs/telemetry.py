@@ -11,13 +11,14 @@ exactly how NetLogger/Ganglia-era grid monitoring fed real schedulers.
 Every instrument is set where its state changes, state gauges (fps,
 utilisation, session counts) included; only a value that moves with no
 write is recomputed by a scrape-time *collector*.  :meth:`scrape`
-produces a plain-dict payload; :meth:`scrape_frame` frames the same
-payload in the binary data-plane framing (``services/protocol.py``) so a
-scrape has a real wire size and pays simulated transfer cost, splicing
-in the registry's cached JSON so its cost follows what changed.  It
-exports counts, never rates: the monitor derives those.  The event
-stream is a *cursor read* (see :meth:`ServiceTelemetry.scrape`), so a
-steady-state scrape does not grow with the service's history.
+produces a plain-dict payload; :meth:`scrape_frame` writes the same
+payload's bytes in the binary data-plane framing (``services/protocol.py``)
+so a scrape has a real wire size and pays simulated transfer cost; it
+fills a per-instance template with the registry's cached JSON, so its
+cost follows what changed.  It exports counts, never rates: the monitor
+derives those.  The event stream is a *cursor read* (see
+:meth:`ServiceTelemetry.scrape`), so a steady-state scrape does not grow
+with the service's history.
 
 :func:`federate` merges scraped payloads into one labelled metrics dict
 — every series gains ``service``/``host`` labels — which is what the
@@ -30,7 +31,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import count, islice
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import COMPACT_JSON, MetricsRegistry
 from repro.obs.quantiles import (
     DEFAULT_QUANTILES,
     buckets_from_snapshot,
@@ -75,6 +76,11 @@ class ServiceTelemetry:
         self.events_seen = 0
         self.scrapes = 0
         self._collectors: list = []
+        # the members no scrape changes, encoded once for scrape_frame
+        self._constants = COMPACT_JSON.encode({
+            "format": TELEMETRY_FORMAT, "host": host,
+            "instance": self.instance, "kind": kind})[1:-1]
+        self._service_json = COMPACT_JSON.encode(service)
 
     # -- producing ----------------------------------------------------------------
 
@@ -113,25 +119,7 @@ class ServiceTelemetry:
         another ``instance`` (the service restarted).  ``metrics`` and
         ``registry`` are cached: never mutate them.
         """
-        return {**self._header(now, since, instance),
-                "metrics": self.registry.snapshot()}
-
-    def scrape_frame(self, now: float = 0.0, since: int = 0,
-                     instance: str | None = None) -> bytes:
-        """The scrape as wire bytes (binary framing + JSON payload): the
-        bytes of framing :meth:`scrape`, the metrics spliced in cached."""
-        from repro.services.protocol import frame_telemetry
-
-        return frame_telemetry(self._header(now, since, instance), encoded={
-            "metrics": self.registry.snapshot_json()})
-
-    def _header(self, now: float, since: int, instance: str | None) -> dict:
-        """Collect, count the scrape; every payload member but metrics."""
-        self.collect()
-        self.scrapes += 1
-        oldest = self.events_seen - len(self._events)
-        skip = (max(since - oldest, 0)
-                if instance in (None, self.instance) else 0)
+        events = self._take_scrape(since, instance)
         return {
             "format": TELEMETRY_FORMAT,
             "service": self.service,
@@ -140,13 +128,44 @@ class ServiceTelemetry:
             "kind": self.kind,
             "time": now,
             "registry": self.registry.stats(),
-            "events": [
-                {"time": e.time, "kind": e.kind, "detail": e.detail}
-                for e in islice(self._events, skip, None)
-            ],
+            "events": events,
             "events_seen": self.events_seen,
             "scrapes": self.scrapes,
+            "metrics": self.registry.snapshot(),
         }
+
+    def scrape_frame(self, now: float = 0.0, since: int = 0,
+                     instance: str | None = None) -> bytes:
+        """The scrape as wire bytes (binary framing + JSON payload): the
+        bytes of ``frame_telemetry(scrape(...))``, written from a template.
+
+        The constant members were encoded at construction, ``metrics``
+        and ``registry`` are the registry's cached JSON, and only the
+        counters, the time and any shipped events are encoded here.
+        """
+        from repro.services.protocol import FLAG_TELEMETRY, frame_message
+
+        events = self._take_scrape(since, instance)
+        registry = self.registry
+        shipped = COMPACT_JSON.encode(events) if events else "[]"
+        now = (repr(now) if type(now) is float and now - now == 0
+               else COMPACT_JSON.encode(now))
+        body = (f'{{"events":{shipped},"events_seen":{self.events_seen},'
+                f'{self._constants},"metrics":{registry.snapshot_json()},'
+                f'"registry":{registry.stats_json()},'
+                f'"scrapes":{self.scrapes},"service":{self._service_json},'
+                f'"time":{now}}}')
+        return frame_message(body.encode(), flags=FLAG_TELEMETRY)
+
+    def _take_scrape(self, since: int, instance: str | None) -> list:
+        """Collect, count the scrape; the payload's ``events``."""
+        self.collect()
+        self.scrapes += 1
+        oldest = self.events_seen - len(self._events)
+        skip = (max(since - oldest, 0)
+                if instance in (None, self.instance) else 0)
+        return [{"time": e.time, "kind": e.kind, "detail": e.detail}
+                for e in islice(self._events, skip, None)]
 
 
 def flatten_metrics(metrics: dict) -> dict[str, float]:

@@ -175,6 +175,9 @@ class MonitorService:
         self._flat_parts: dict[str, dict[str, dict[str, float]]] = {}
         #: ``grid_values()`` of the latest payloads; None once one changed
         self._grid: dict[str, float] | None = None
+        #: per :data:`FEDERATED_HISTOGRAMS` family, its derived tail
+        #: values; dropped when a scraped family of that name changes
+        self._federated: dict[str, dict[str, float]] = {}
         #: unwatched services, whose scrapes in flight are dropped
         self._unwatched: set[str] = set()
         #: per service, the instance ingested; earlier ones are dropped
@@ -190,6 +193,8 @@ class MonitorService:
         self.federate_collisions = 0
         #: service -> tail metric -> deque[(time, value)] (sparkline feed)
         self._tail: dict[str, dict[str, deque]] = {}
+        #: service -> (the values last fed to the tail, their p95 keys)
+        self._tail_keys: dict[str, tuple[dict, list[str]]] = {}
         #: (rule, service) pairs already noted to the flight recorder
         self._alerted: set[tuple[str, str]] = set()
         self._running = False
@@ -221,10 +226,11 @@ class MonitorService:
         self._targets.pop(service_name, None)
         self._unwatched.add(service_name)
         for view in (self._latest, self._flat, self._flat_parts,
-                     self._tail):
+                     self._tail, self._tail_keys):
             view.pop(service_name, None)
         self.engine.forget(service_name)
         self._grid = None
+        self._federated.clear()
 
     def targets(self) -> list[str]:
         return sorted(self._targets)
@@ -363,10 +369,15 @@ class MonitorService:
                 and previous.get("kind") == payload.get("kind")):
             return False
         old = self._flat_parts.get(service, {})
-        parts = self._flat_parts[service] = {
-            name: old[name] if name in old and kept.get(name) == family
-            else flatten_metrics({name: family})
-            for name, family in metrics.items()}
+        parts = self._flat_parts[service] = {}
+        for name, family in metrics.items():
+            if name in old and kept.get(name) == family:
+                parts[name] = old[name]
+            else:
+                parts[name] = flatten_metrics({name: family})
+                self._federated.pop(name, None)
+        for name in kept.keys() - metrics.keys():
+            self._federated.pop(name, None)
         self._flat[service] = {key: value for part in parts.values()
                                for key, value in part.items()}
         return True
@@ -389,13 +400,16 @@ class MonitorService:
 
     def _record_tail(self, service: str, time: float,
                      values: dict[str, float]) -> None:
-        """Keep a short p95 history per service for the tail panel."""
-        for key, value in values.items():
-            if not key.endswith("_p95"):
-                continue
+        """Keep a short p95 history per service for the tail panel; the
+        p95 keys are listed again only when ``values`` is a new view."""
+        kept = self._tail_keys.get(service)
+        if kept is None or kept[0] is not values:
+            kept = self._tail_keys[service] = (values, [
+                key for key in values if key.endswith("_p95")])
+        for key in kept[1]:
             history = self._tail.setdefault(service, {}).setdefault(
                 key, deque(maxlen=TAIL_HISTORY))
-            history.append((time, value))
+            history.append((time, values[key]))
 
     def _forward_events(self, key: tuple, payload: dict) -> None:
         """Acknowledge a payload's events; relay the new ones.
@@ -445,14 +459,16 @@ class MonitorService:
             if found:
                 values[target] = REDUCTIONS[reduction](found)
         # the tail plane: federated histogram quantiles from the merged
-        # (not averaged) per-service bucket counts
+        # (not averaged) per-service bucket counts, kept per family
         for family, derived in FEDERATED_HISTOGRAMS:
-            merged = self.federated_buckets(family)
-            if not merged or merged[-1][1] <= 0:
-                continue
-            for q in FEDERATED_QUANTILES:
-                values[f"{derived}_{quantile_suffix(q)}"] = (
-                    estimate_quantile(merged, q))
+            if family not in self._federated:
+                merged = self.federated_buckets(family)
+                self._federated[family] = {
+                    f"{derived}_{quantile_suffix(q)}":
+                        estimate_quantile(merged, q)
+                    for q in FEDERATED_QUANTILES
+                } if merged and merged[-1][1] > 0 else {}
+            values.update(self._federated[family])
         return values
 
     def federated_buckets(self, name: str) -> list[tuple[float, int]]:
@@ -479,7 +495,7 @@ class MonitorService:
         values = self.grid_values()
         if values:
             self.engine.observe(GRID_SERVICE, now, values)
-            self._record_tail(GRID_SERVICE, now, values)
+            self._record_tail(GRID_SERVICE, now, self._grid)
         self._note_new_alerts(now)
         return values
 

@@ -92,28 +92,16 @@ def unframe_message(data: bytes) -> tuple[FrameHeader, bytes]:
                        length=length, trace=trace), body
 
 
-def frame_telemetry(payload: dict, trace: TraceContext | None = None,
-                    encoded: dict[str, str] | None = None) -> bytes:
+def frame_telemetry(payload: dict, trace: TraceContext | None = None) -> bytes:
     """Wrap a telemetry scrape payload for the wire (the scrape endpoint).
 
-    Compact deterministic JSON inside a standard RAVE frame: the byte
-    length is what the monitor charges as simulated transfer cost.
-    ``encoded`` maps further members to cached ``COMPACT_JSON`` text,
-    spliced in at their sorted places: the bytes of encoding them all.
+    Compact deterministic JSON (:data:`~repro.obs.metrics.COMPACT_JSON`)
+    inside a standard RAVE frame: the byte length is what the monitor
+    charges as simulated transfer cost.  ``ServiceTelemetry.scrape_frame``
+    writes the same bytes for its own payload from a template.
     """
-    encoded = encoded or {}
-    members, run = [], {}
-    for key in sorted({*payload, *encoded}):
-        if key in encoded:
-            members += [COMPACT_JSON.encode(run)[1:-1],
-                        f"{COMPACT_JSON.encode(key)}:{encoded[key]}"]
-            run = {}
-        else:
-            run[key] = payload[key]
-    members.append(COMPACT_JSON.encode(run)[1:-1])
-    body = "{" + ",".join(filter(None, members)) + "}"
-    return frame_message(body.encode("utf-8"), flags=FLAG_TELEMETRY,
-                         trace=trace)
+    return frame_message(COMPACT_JSON.encode(payload).encode("utf-8"),
+                         flags=FLAG_TELEMETRY, trace=trace)
 
 
 def unframe_telemetry(data: bytes) -> dict:
@@ -159,11 +147,10 @@ def frame_reject(reason: str, retry_after: float = 0.0, *,
     Compact deterministic JSON inside a standard RAVE frame, so the
     refusal costs real simulated transfer time like any other message.
     """
-    body = json.dumps(
+    body = COMPACT_JSON.encode(
         {"status": status, "reason": reason, "retry_after": retry_after,
          "tenant": tenant, "session_id": session_id,
-         "queue_depth": queue_depth},
-        sort_keys=True, separators=(",", ":")).encode("utf-8")
+         "queue_depth": queue_depth}).encode("utf-8")
     return frame_message(body, flags=FLAG_REJECT, trace=trace)
 
 
@@ -229,11 +216,11 @@ class FarmResult:
 
 def frame_farm_lease(lease: FarmLease) -> bytes:
     """Wrap a frame lease for the wire (queue → render worker)."""
-    body = json.dumps(
+    body = COMPACT_JSON.encode(
         {"type": "lease", "job_id": lease.job_id, "frame": lease.frame,
          "session_id": lease.session_id, "attempt": lease.attempt,
-         "deadline": lease.deadline, "priority": lease.priority},
-        sort_keys=True, separators=(",", ":")).encode("utf-8")
+         "deadline": lease.deadline,
+         "priority": lease.priority}).encode("utf-8")
     return frame_message(body, flags=FLAG_FARM, trace=lease.trace)
 
 
@@ -262,11 +249,11 @@ def unframe_farm_lease(data: bytes) -> FarmLease:
 
 def frame_farm_result(result: FarmResult) -> bytes:
     """Wrap a completed-frame report for the wire (worker → queue)."""
-    body = json.dumps(
+    body = COMPACT_JSON.encode(
         {"type": "result", "job_id": result.job_id, "frame": result.frame,
          "worker": result.worker, "render_seconds": result.render_seconds,
-         "nbytes": result.nbytes, "attempt": result.attempt},
-        sort_keys=True, separators=(",", ":")).encode("utf-8")
+         "nbytes": result.nbytes,
+         "attempt": result.attempt}).encode("utf-8")
     return frame_message(body, flags=FLAG_FARM, trace=result.trace)
 
 

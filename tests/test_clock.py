@@ -1,5 +1,11 @@
 """SimClock and the discrete-event Simulator."""
 
+import heapq
+import itertools
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from typing import Any
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -157,6 +163,106 @@ class TestSimulator:
         assert not first.cancelled
         sim.run()
         assert ran == ["first", "second"]
+
+
+@dataclass(order=True)
+class _Event:
+    """The simulator's queued event when it was ordered by its own
+    generated ``__lt__``, kept as the reference for the tuple heap."""
+
+    time: float
+    seq: int
+    callback: Callable[[], Any] = field(compare=False)
+    cancelled: bool = field(default=False, compare=False)
+
+
+class ReferenceHeap:
+    """A heap of :class:`_Event`s driven like the simulator."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.queue = []
+        self.seq = itertools.count()
+
+    def schedule(self, delay, callback):
+        event = _Event(self.now + delay, next(self.seq), callback)
+        heapq.heappush(self.queue, event)
+        return event
+
+    def step(self):
+        while self.queue:
+            event = heapq.heappop(self.queue)
+            if not event.cancelled:
+                self.now = max(self.now, event.time)
+                event.callback()
+                return
+
+    def run_until(self, t):
+        while self.queue:
+            if self.queue[0].cancelled:
+                heapq.heappop(self.queue)
+            elif self.queue[0].time <= t:
+                self.step()
+            else:
+                break
+        self.now = max(self.now, t)
+
+
+#: (op, delay index or event number, follow-up delay index or None)
+HEAP_OPS = st.lists(st.tuples(
+    st.sampled_from(["schedule", "schedule", "cancel", "run", "step"]),
+    st.integers(0, 40), st.one_of(st.none(), st.integers(0, 4))),
+    max_size=60)
+DELAYS = (0.0, 0.5, 1.0, 1.0, 2.5)
+
+
+class TestHeapOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(ops=HEAP_OPS)
+    def test_callbacks_fire_in_the_reference_heap_order(self, ops):
+        """Schedules (tied times, zero delays, callbacks that schedule a
+        follow-up), cancels and ``run_until`` / ``step`` in any order fire
+        callbacks in the order of a heap of ordered events."""
+        sim, ref = Simulator(), ReferenceHeap()
+        fired = {"sim": [], "ref": []}
+        handles, events = [], []
+
+        def callback(world, label, follow):
+            def run():
+                fired[world].append(label)
+                if follow is not None:
+                    again = callback(world, label + "'", None)
+                    if world == "sim":
+                        sim.schedule(DELAYS[follow], again)
+                    else:
+                        ref.schedule(DELAYS[follow], again)
+            return run
+
+        for n, (op, arg, follow) in enumerate(ops):
+            if op == "schedule":
+                delay = DELAYS[arg % len(DELAYS)]
+                handles.append(sim.schedule(
+                    delay, callback("sim", str(n), follow)))
+                events.append(ref.schedule(
+                    delay, callback("ref", str(n), follow)))
+            elif op == "cancel" and handles:
+                handles[arg % len(handles)].cancel()
+                event = events[arg % len(events)]
+                # a fired event stays uncancelled, as a handle's does
+                event.cancelled = event.cancelled or event in ref.queue
+            elif op == "run":
+                sim.run_until(sim.now + DELAYS[arg % len(DELAYS)])
+                ref.run_until(ref.now + DELAYS[arg % len(DELAYS)])
+            elif op == "step":
+                sim.step()
+                ref.step()
+            assert fired["sim"] == fired["ref"]
+            assert sim.now == ref.now
+            assert len(sim._queue) == len(ref.queue)
+            assert sim.pending == sum(not e.cancelled for e in ref.queue)
+        sim.run_until(sim.now + 100.0)
+        ref.run_until(ref.now + 100.0)
+        assert fired["sim"] == fired["ref"]
 
 
 def _work(sim, seconds, result=None):

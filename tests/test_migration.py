@@ -163,6 +163,64 @@ class TestLoadTracker:
                     expected.add((rule.name, service))
         assert {(a.rule, a.service) for a in engine.firing()} == expected
 
+    @staticmethod
+    def walked_firing(engine):
+        """``RuleEngine.firing()`` as it was when every call walked every
+        sample of every history, kept as the reference."""
+        def sustained(rule, history):
+            if not history:
+                return None
+            span = history[-1][0] - history[0][0]
+            if span < rule.for_seconds:
+                return None
+            cutoff = history[-1][0] - rule.for_seconds
+            tail = [(t, v) for t, v in history if t >= cutoff]
+            if not all(rule.violates(v) for _, v in tail):
+                return None
+            return tail[0][0], history[-1][0], history[-1][1]
+
+        alerts = []
+        for (rule_name, service), history in sorted(engine._history.items()):
+            rule = next(r for r in engine.rules if r.name == rule_name)
+            hit = sustained(rule, history)
+            if hit is not None:
+                alerts.append((rule.name, rule.kind, service, *hit,
+                               rule.severity))
+        return alerts
+
+    @settings(max_examples=300, deadline=None)
+    @given(steps=st.lists(st.tuples(
+               st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 11.0]),
+               st.sampled_from(["a", "b", "forget a"]),
+               st.sampled_from([1.0, 8.0, 30.0, math.nan, math.inf]),
+               st.sampled_from([0.1, 0.3, math.nan])), max_size=30),
+           duration=st.sampled_from([0.0, 0.5, 2.0, 3.0, 5.0]),
+           window=st.sampled_from([None, 1.0, 5.0, 10.0]))
+    @example(steps=[(0.0, "a", 1.0, 0.1), (2.0, "a", 30.0, 0.1),
+                    (1.0, "a", 1.0, 0.1), (0.0, "a", 1.0, 0.1),
+                    (2.0, "a", 1.0, 0.1)], duration=3.0, window=None)
+    def test_firing_equals_the_full_walk(self, steps, duration, window):
+        """Tied times, a sample exactly on the cutoff, NaN values and
+        ``forget``: at every step ``firing()`` is the alert list the
+        full walk of every history gives."""
+        rules = [_rule(duration=duration),
+                 _rule(metric="rave_rs_utilisation", below=0.3,
+                       duration=duration + 1.0, kind=ALERT_UNDERLOAD),
+                 AlertRule(name="fps-above", metric="rave_rs_fps",
+                           kind="custom", above=10.0, for_seconds=duration)]
+        engine = RuleEngine(rules, window_seconds=window)
+        now = 0.0
+        for dt, service, fps, utilisation in steps:
+            now += dt
+            if service == "forget a":
+                engine.forget("a")
+            else:
+                engine.observe(service, now, {
+                    "rave_rs_fps": fps, "rave_rs_utilisation": utilisation})
+            assert [(a.rule, a.kind, a.service, a.since, a.last_time,
+                     a.value, a.severity) for a in engine.firing()] \
+                == self.walked_firing(engine)
+
 
 class TestNodeSelection:
     """The fine-grain knapsack: 'we do not want to add 100k polygons by

@@ -791,6 +791,65 @@ def run_cache_ops(ops) -> None:
         assert repr(monitor.firing_alerts()) == repr(reference.firing())
 
 
+#: values the frame property writes: NaN, +-inf and -0.0 encode apart
+FRAME_VALUES = [0.0, -0.0, 1.5, 7, float("nan"), INF, -INF, 1e-300]
+#: label values, help texts and event details: quotes, escapes, non-ASCII
+FRAME_TEXT = ["", "plain", 'a "quoted" \\ path', "ünïcødé ✓", "tab\tnew\nline"]
+FRAME_OPS = st.lists(st.one_of(
+    st.tuples(st.just("counter"), st.sampled_from(["c_total", "d_total"]),
+              st.sampled_from(FRAME_TEXT), st.sampled_from([0.0, 1.0, INF])),
+    st.tuples(st.just("gauge"), st.sampled_from(["g", "h"]),
+              st.sampled_from(FRAME_TEXT), st.sampled_from(FRAME_VALUES)),
+    st.tuples(st.just("histogram"), st.sampled_from(["w_seconds"]),
+              st.sampled_from(FRAME_TEXT),
+              st.sampled_from([0.0, -0.0, 4e-4, 0.3, 7.0, INF, -INF])),
+    st.tuples(st.just("event"), st.sampled_from(["e", "kind ✓"]),
+              st.sampled_from(FRAME_TEXT), st.sampled_from(FRAME_VALUES)),
+    # cursor: 0, 2 (over a ring that overflowed), 99 (past the end), or
+    # 1 or 3 before events_seen (mid-ring); naming this instance, none
+    # or another one
+    st.tuples(st.just("scrape"), st.sampled_from([0, 1, 2, 3, 99]),
+              st.sampled_from([None, "self", "other"]),
+              st.sampled_from(FRAME_VALUES)),
+), max_size=40)
+
+
+class TestScrapeFrameTemplate:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(ops=FRAME_OPS, names=st.sampled_from([
+        ("rs-x", "svc", "render"),
+        ('rs "q" ü', "hôst\\x", "kïnd ✓")]))
+    def test_frame_is_the_scrape_encoded(self, ops, names):
+        """``scrape_frame(now, since, instance)`` is, byte for byte,
+        ``frame_telemetry(scrape(now, since, instance))``: NaN, +-inf and
+        -0.0 values, labelled series and histograms, quoted and non-ASCII
+        names, help texts and details, cursors at 0, mid-ring, past the
+        end, over an overflowed ring and of another instance, with
+        mutations between scrapes."""
+        telemetry = ServiceTelemetry(*names, event_capacity=4)
+        telemetry.add_collector("collected", lambda: 2.5, help="ü")
+        registry = telemetry.registry
+        for op, name, text, value in ops:
+            if op == "counter":
+                registry.counter(name, text, op=text).inc(value)
+            elif op == "gauge":
+                registry.gauge(name, text, **({"l": text} if text else {})
+                               ).set(value)
+            elif op == "histogram":
+                registry.histogram(name, text).observe(value)
+            elif op == "event":
+                telemetry.event(name, time=value, detail=text)
+            else:
+                since = (name if name in (0, 2, 99)
+                         else telemetry.events_seen - name)
+                instance = {"self": telemetry.instance,
+                            "other": "ffffffff"}.get(text)
+                frame = telemetry.scrape_frame(value, since, instance)
+                telemetry.scrapes -= 1          # the same scrape, again
+                assert frame == frame_telemetry(
+                    telemetry.scrape(value, since, instance))
+
+
 class TestFlattenOnce:
     """``grid_values`` and ``snapshot`` read the flattened view kept at
     ingest; it must always be the flattening of the *latest* payload."""
@@ -840,6 +899,82 @@ class TestFlattenOnce:
         uncached rebuild, and (c) the monitor's flattened views, grid
         aggregates and alerts are a recomputation from its payloads."""
         run_cache_ops(ops)
+
+
+#: federated histogram families (and a gauge) on two grids and a farm
+TAIL_SERVICES = (("gm-a", "grid"), ("gm-b", "grid"), ("farm", "farm"))
+TAIL_OPS = st.lists(st.one_of(
+    st.tuples(st.just("observe"), st.integers(0, 2),
+              st.sampled_from(["rave_queue_wait_seconds",
+                               "rave_farm_render_seconds"]),
+              st.sampled_from([{}, {}, {"job": "j"}]),
+              st.sampled_from([0.0, 4e-4, 0.3, 0.7, 3.0, INF])),
+    st.tuples(st.just("gauge"), st.integers(0, 2), st.just("-"),
+              st.just({}), st.sampled_from([0.0, 1.0, 3.0])),
+    st.tuples(st.sampled_from(["scrape", "scrape", "tick", "unwatch",
+                               "watch", "restart"]),
+              st.integers(0, 2), st.just("-"), st.just({}), st.just(0.0)),
+), min_size=5, max_size=50)
+
+
+class TestFederatedTailCache:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(ops=TAIL_OPS)
+    # an unwatched service, and a restart that no longer exports the
+    # family, each take its buckets out of the merged distribution
+    @example(ops=[("observe", 0, "rave_queue_wait_seconds", {}, 0.3),
+                  ("observe", 1, "rave_queue_wait_seconds", {}, 3.0),
+                  ("scrape", 0, "-", {}, 0.0), ("scrape", 1, "-", {}, 0.0),
+                  ("tick", 0, "-", {}, 0.0), ("unwatch", 1, "-", {}, 0.0)])
+    @example(ops=[("observe", 0, "rave_queue_wait_seconds", {}, 0.3),
+                  ("observe", 1, "rave_queue_wait_seconds", {}, 3.0),
+                  ("scrape", 0, "-", {}, 0.0), ("scrape", 1, "-", {}, 0.0),
+                  ("tick", 0, "-", {}, 0.0), ("restart", 1, "-", {}, 0.0),
+                  ("scrape", 1, "-", {}, 0.0), ("tick", 0, "-", {}, 0.0)])
+    def test_grid_values_equal_a_recomputation_after_each_ingest(self, ops):
+        """Histogram observations (labelled too), gauge moves, scrapes,
+        deliveries, unwatch / re-watch and restarts in any order: after
+        every ingest and unwatch, ``grid_values()`` equals the
+        aggregation of a monitor holding the same views and no cache."""
+        monitor = two_host_monitor()
+        sim = monitor.network.sim
+        services = [ServiceTelemetry(name, "svc", kind)
+                    for name, kind in TAIL_SERVICES]
+
+        def check():
+            fresh = two_host_monitor()
+            fresh._latest, fresh._flat = (dict(monitor._latest),
+                                          dict(monitor._flat))
+            assert canonical(monitor.grid_values()) \
+                == canonical(fresh.grid_values())
+
+        ingest = monitor._ingest
+
+        def checked_ingest(payload, arrival):
+            ingest(payload, arrival)
+            check()
+
+        monitor._ingest = checked_ingest
+        for telemetry in services:
+            monitor.watch(SimpleNamespace(telemetry=telemetry))
+        for op, index, family, labels, value in ops:
+            telemetry = services[index]
+            if op == "observe":
+                telemetry.registry.histogram(family, **labels).observe(value)
+            elif op == "gauge":
+                telemetry.registry.gauge("rave_queue_depth").set(value)
+            elif op == "scrape":
+                monitor.scrape_one(telemetry)
+            elif op == "tick":
+                sim.run_until(sim.now + 1.0)
+            elif op == "unwatch":
+                monitor.unwatch(telemetry.service)
+                check()
+            else:                   # a re-watch, or a restarted instance
+                if op == "restart":
+                    telemetry = services[index] = ServiceTelemetry(
+                        telemetry.service, "svc", telemetry.kind)
+                monitor.watch(SimpleNamespace(telemetry=telemetry))
 
 
 # -- the closed loop ----------------------------------------------------------------

@@ -9,6 +9,8 @@ pin down the defensive half of the contract: every way a frame can be
 corrupt — short, misbranded, stale-versioned, truncated, bit-flipped,
 misflagged or carrying garbage JSON — raises :class:`MarshallingError`
 with a diagnosable message instead of propagating a struct/JSON error.
+``TestJsonFrameBodies`` holds the farm and reject writers to the bytes
+of the ``json.dumps`` calls they replaced.
 """
 
 from __future__ import annotations
@@ -21,10 +23,12 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import MarshallingError, RaveError
 from repro.farm import RenderJob
 from repro.network.marshalling import decode_value, encode_value
+from repro.obs.tracing import TraceContext
 from repro.services.protocol import (
     FLAG_FARM,
     FLAG_REJECT,
@@ -35,6 +39,7 @@ from repro.services.protocol import (
     frame_farm_lease,
     frame_farm_result,
     frame_message,
+    frame_reject,
     frame_telemetry,
     unframe_farm_lease,
     unframe_farm_result,
@@ -191,6 +196,69 @@ class TestFarmResultAttemptOnTheWire:
         unframe_farm_lease(queue.lease("w0"))
         assert queue.complete(data) is False
         assert (queue.duplicates_dropped, queue.frames_completed) == (1, 0)
+
+
+def dumped(body: dict) -> bytes:
+    """A JSON body as the frame writers used to produce it."""
+    return json.dumps(body, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
+
+
+WIRE_TEXT = st.text(st.characters(codec="utf-8"), max_size=12)
+WIRE_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+WIRE_TRACE = st.one_of(st.none(), st.builds(
+    TraceContext, trace_id=st.just("00000000000000ab"),
+    span_id=st.just("00000000000000cd")))
+
+
+class TestJsonFrameBodies:
+    """The farm and reject frame writers encode with ``COMPACT_JSON``: the
+    bytes are those of the ``json.dumps`` call each made before."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(job_id=WIRE_TEXT, frame=st.integers(-2**40, 2**40),
+           session_id=WIRE_TEXT, attempt=st.integers(0, 99),
+           deadline=WIRE_FLOAT, priority=st.integers(-5, 5),
+           trace=WIRE_TRACE)
+    def test_lease(self, job_id, frame, session_id, attempt, deadline,
+                   priority, trace):
+        lease = FarmLease(job_id, frame, session_id, attempt, deadline,
+                          priority, trace)
+        assert frame_farm_lease(lease) == frame_message(dumped({
+            "type": "lease", "job_id": job_id, "frame": frame,
+            "session_id": session_id, "attempt": attempt,
+            "deadline": deadline, "priority": priority}),
+            flags=FLAG_FARM, trace=trace)
+
+    @settings(max_examples=150, deadline=None)
+    @given(job_id=WIRE_TEXT, frame=st.integers(-2**40, 2**40),
+           worker=WIRE_TEXT, render_seconds=WIRE_FLOAT,
+           nbytes=st.integers(0, 2**40), attempt=st.integers(0, 99),
+           trace=WIRE_TRACE)
+    def test_result(self, job_id, frame, worker, render_seconds, nbytes,
+                    attempt, trace):
+        result = FarmResult(job_id, frame, worker, render_seconds, nbytes,
+                            attempt, trace)
+        assert frame_farm_result(result) == frame_message(dumped({
+            "type": "result", "job_id": job_id, "frame": frame,
+            "worker": worker, "render_seconds": render_seconds,
+            "nbytes": nbytes, "attempt": attempt}),
+            flags=FLAG_FARM, trace=trace)
+
+    @settings(max_examples=150, deadline=None)
+    @given(reason=WIRE_TEXT, retry_after=WIRE_FLOAT,
+           status=st.integers(100, 599), tenant=WIRE_TEXT,
+           session_id=WIRE_TEXT, queue_depth=st.integers(0, 10**6),
+           trace=WIRE_TRACE)
+    def test_reject(self, reason, retry_after, status, tenant, session_id,
+                    queue_depth, trace):
+        assert frame_reject(
+            reason, retry_after, status=status, tenant=tenant,
+            session_id=session_id, queue_depth=queue_depth, trace=trace,
+        ) == frame_message(dumped({
+            "status": status, "reason": reason, "retry_after": retry_after,
+            "tenant": tenant, "session_id": session_id,
+            "queue_depth": queue_depth}), flags=FLAG_REJECT, trace=trace)
 
 
 LEASE_BODY = {"type": "lease", "job_id": "anim", "frame": 3,

@@ -18,7 +18,7 @@ The farm contract under test, layer by layer:
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.grid import TenantQuota
 from repro.errors import MarshallingError, ServiceError
@@ -458,6 +458,56 @@ class TestLedgerProperty:
                 assert queue.progress(j.job_id) == (done, len(j.frames))
             assert queue.backlog() == sum(
                 len(j.missing_frames()) for j in queue.jobs())
+
+
+def walked_starved_jobs(queue):
+    """``starved_jobs()`` as it was when it walked every job ever
+    submitted, kept as the reference."""
+    now = queue.now
+    out = []
+    for job_id in sorted(queue._jobs):
+        if not queue._job_pending.get(job_id):
+            continue
+        job = queue._jobs[job_id]
+        served = max(job.submitted_at, job.last_leased_at)
+        if now - served > queue.starvation_after:
+            out.append(job_id)
+    return out
+
+
+class TestStarvedJobs:
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 9)),
+                    max_size=80))
+    @settings(max_examples=100, deadline=None)
+    # two jobs of one ring starve together, one after a lost lease
+    @example([(0, 0), (0, 2), (0, 1), (1, 0), (3, 3), (5, 0), (3, 3)])
+    def test_the_rings_give_the_full_walk(self, ops):
+        """Submits (two priorities, one-frame jobs too), leases,
+        completions, expiries, lost workers and clock advances in any
+        order: the walk of the DRR rings lists the jobs the walk of
+        every job ever submitted does."""
+        tb = build_testbed(farm={"starvation_after": 5.0})
+        queue, clock = tb.farm_queue, tb.network.sim.clock
+        issued = []
+        for kind, arg in ops:
+            if kind == 0 and f"j{arg}" not in queue._jobs:
+                queue.submit(RenderJob(
+                    job_id=f"j{arg}", session_id=SCENE, start_frame=1,
+                    end_frame=1 + arg % 4, priority=arg % 2))
+            elif kind == 1:
+                data = queue.lease(f"w{arg % 3}")
+                if data is not None:
+                    issued.append((f"w{arg % 3}", unframe_farm_lease(data)))
+            elif kind == 2 and issued:
+                worker, lease = issued.pop(arg % len(issued))
+                queue.complete(result_for(lease, worker))
+            elif kind == 3:
+                clock.advance((0.0, 2.5, 5.0, 6.0, 31.0)[arg % 5])
+            elif kind == 4:
+                queue.requeue_expired()
+            elif kind == 5:
+                queue.requeue_worker(f"w{arg % 3}")
+            assert queue.starved_jobs() == walked_starved_jobs(queue)
 
 
 class TestFairScheduler:
