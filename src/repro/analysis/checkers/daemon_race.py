@@ -1,8 +1,8 @@
 """Daemon-race rule: shared ledgers move only through transition methods.
 
 The simulated network is single-threaded, but it is still *concurrent*:
-every ``Simulator.schedule`` / ``schedule_at`` callback is a separate
-logical task, and two callback chains interleaving writes to the same
+every ``Simulator.schedule`` / ``schedule_at`` callback (and every
+``Ticker(sim, period, callback)`` callback) is a separate logical task, and two callback chains interleaving writes to the same
 ledger (the grid's admission queue, the farm's pending/lease maps, a
 health monitor's lease table) produce exactly the lost-update and
 double-spend bugs a thread race would — just deterministically.
@@ -85,15 +85,30 @@ def _mutations(node: ast.AST) -> Iterator[tuple[str, int]]:
                 yield attr, child.lineno
 
 
-def _schedule_callbacks(fn: ast.AST) -> Iterator[tuple[ast.Call, ast.expr]]:
-    """Yield ``(call, callback_expr)`` for schedule()/schedule_at() calls."""
+def _schedule_callbacks(fn: ast.AST) -> Iterator[ast.expr]:
+    """Every callback ``fn`` hands to schedule() / schedule_at() or to a
+    ``Ticker(sim, period, callback)``."""
     for node in ast.walk(fn):
         if not isinstance(node, ast.Call):
             continue
         name = terminal_name(node.func)
-        if name not in _SCHEDULE_NAMES or len(node.args) < 2:
-            continue
-        yield node, node.args[1]
+        if name in _SCHEDULE_NAMES and len(node.args) >= 2:
+            yield node.args[1]
+        elif name == "Ticker":
+            yield from node.args[2:3]
+            yield from (kw.value for kw in node.keywords
+                        if kw.arg == "callback")
+
+
+def _inline_callbacks(fn: ast.AST) -> Iterator[ast.AST]:
+    """The body of every lambda or local closure ``fn`` schedules."""
+    local_defs = {n.name: n for n in ast.walk(fn)
+                  if isinstance(n, ast.FunctionDef) and n is not fn}
+    for callback in _schedule_callbacks(fn):
+        if isinstance(callback, ast.Lambda):
+            yield callback.body
+        elif isinstance(callback, ast.Name) and callback.id in local_defs:
+            yield local_defs[callback.id]
 
 
 @register
@@ -108,8 +123,8 @@ class DaemonRaceChecker(Checker):
         "ledger attributes and the only methods allowed to mutate them. "
         "Any mutation site outside those methods is an error, as is an "
         "inline mutation inside a lambda/closure handed to "
-        "Simulator.schedule or schedule_at (call a transition method "
-        "instead).  In undeclared classes, the same self attribute "
+        "Simulator.schedule, schedule_at or a Ticker (call a transition "
+        "method instead).  In undeclared classes, the same self attribute "
         "mutated inline from two or more schedule callbacks is flagged "
         "as de-facto shared state.")
     example = (
@@ -180,21 +195,8 @@ class DaemonRaceChecker(Checker):
     def _inline_callback_mutations(fn: ast.AST, guarded: set[str]
                                    ) -> list[tuple[str, int]]:
         """Guarded-attr mutations inside schedule callbacks under ``fn``."""
-        out: list[tuple[str, int]] = []
-        local_defs = {n.name: n for n in ast.walk(fn)
-                      if isinstance(n, ast.FunctionDef) and n is not fn}
-        for _, callback in _schedule_callbacks(fn):
-            target: ast.AST | None = None
-            if isinstance(callback, ast.Lambda):
-                target = callback.body
-            elif isinstance(callback, ast.Name) \
-                    and callback.id in local_defs:
-                target = local_defs[callback.id]
-            if target is None:
-                continue
-            out.extend((attr, lineno) for attr, lineno in
-                       _mutations(target) if attr in guarded)
-        return out
+        return [(attr, lineno) for body in _inline_callbacks(fn)
+                for attr, lineno in _mutations(body) if attr in guarded]
 
     # -- call-graph closure -----------------------------------------------------------
 
@@ -223,20 +225,14 @@ class DaemonRaceChecker(Checker):
                     reach.add(caller)
                     frontier.append(caller)
         count = 0
-        for name, fn in methods.items():
-            for _, callback in _schedule_callbacks(fn):
-                callee = None
+        for fn in methods.values():
+            for callback in _schedule_callbacks(fn):
                 if isinstance(callback, ast.Lambda):
-                    for node in ast.walk(callback.body):
-                        if isinstance(node, ast.Call):
-                            callee = terminal_name(node.func)
-                            if callee in reach:
-                                count += 1
-                                break
+                    count += any(isinstance(node, ast.Call)
+                                 and terminal_name(node.func) in reach
+                                 for node in ast.walk(callback.body))
                 elif isinstance(callback, ast.Attribute | ast.Name):
-                    callee = terminal_name(callback)
-                    if callee in reach:
-                        count += 1
+                    count += terminal_name(callback) in reach
         return count
 
     # -- undeclared classes -----------------------------------------------------------
@@ -252,18 +248,8 @@ class DaemonRaceChecker(Checker):
         for stmt in cls.body:
             if not isinstance(stmt, ast.FunctionDef | ast.AsyncFunctionDef):
                 continue
-            local_defs = {n.name: n for n in ast.walk(stmt)
-                          if isinstance(n, ast.FunctionDef) and n is not stmt}
-            for _, callback in _schedule_callbacks(stmt):
-                target: ast.AST | None = None
-                if isinstance(callback, ast.Lambda):
-                    target = callback.body
-                elif isinstance(callback, ast.Name) \
-                        and callback.id in local_defs:
-                    target = local_defs[callback.id]
-                if target is None:
-                    continue
-                for attr, lineno in _mutations(target):
+            for body in _inline_callbacks(stmt):
+                for attr, lineno in _mutations(body):
                     sites.setdefault(attr, set()).add(lineno)
         for attr, line_set in sorted(sites.items()):
             lines = sorted(line_set)

@@ -36,6 +36,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.errors import ServiceError
+from repro.network.clock import Ticker
 from repro.obs import active as _obs
 from repro.obs.vocab import ALERT_OVERLOAD, EVENT_SCALE_PREFIX
 
@@ -88,8 +89,10 @@ class RecruitmentAutoscaler:
         self.pool_history: deque = deque(maxlen=1024)
         self.migrations = 0
         self._last_scale_time: float | None = None
-        self._running = False
-        monitor.attach_autoscaler(self)
+        self._ticker = Ticker(
+            self.sim, self.period,
+            lambda: self.evaluate(self.monitor.firing_alerts()))
+        monitor.autoscaler = self
         self._note_pool(self.sim.now)
 
     # -- plumbing -------------------------------------------------------------------
@@ -104,22 +107,10 @@ class RecruitmentAutoscaler:
 
     def start(self) -> None:
         """Begin the recurring autoscale tick (a daemon, like scrapes)."""
-        if self._running:
-            return
-        self._running = True
-        self._schedule_tick()
+        self._ticker.start()
 
     def stop(self) -> None:
-        self._running = False
-
-    def _schedule_tick(self) -> None:
-        self.sim.schedule(self.period, self._tick, daemon=True)
-
-    def _tick(self) -> None:
-        if not self._running:
-            return
-        self.evaluate(self.monitor.firing_alerts())
-        self._schedule_tick()
+        self._ticker.stop()
 
     # -- the decision procedure -----------------------------------------------------
 

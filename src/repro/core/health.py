@@ -17,15 +17,18 @@ detector in the style of grid membership services:
 or on a recurring simulator event (:meth:`start`).  :class:`HeartbeatSource`
 emits a service's heartbeats across the simulated network, so crashes,
 partitions and downed links silence them exactly as they would in a real
-deployment.
+deployment.  A monitor owns the sources made by :meth:`add_source`:
+``unwatch`` stops one, and ``stop`` / ``start`` stop and resume its
+polling and every source together.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Callable
 
 from repro.errors import NetworkError, ServiceError
+from repro.network.clock import Ticker
 from repro.obs import active as _obs
 from repro.obs.vocab import EVENT_LEASE_TRANSITION
 
@@ -70,7 +73,8 @@ class HeartbeatMonitor:
         self.on_suspect: list[Callable[[str], None]] = []
         self.on_dead: list[Callable[[str], None]] = []
         self.on_recover: list[Callable[[str], None]] = []
-        self._poll_handle = None
+        self._sources: dict[str, HeartbeatSource] = {}
+        self._poller: Ticker | None = None
         self.polls = 0
 
     # -- membership -------------------------------------------------------------
@@ -85,6 +89,19 @@ class HeartbeatMonitor:
 
     def unwatch(self, name: str) -> None:
         self._leases.pop(name, None)
+        source = self._sources.pop(name, None)
+        if source is not None:
+            source.stop()
+
+    def add_source(self, network, name: str, host: str, monitor_host: str,
+                   interval: float = 0.5) -> HeartbeatSource:
+        """Start (and keep) the source beating ``name`` from ``host`` to
+        ``monitor_host``; a name already beating keeps its source."""
+        if name not in self._sources:
+            self._sources[name] = HeartbeatSource(
+                monitor=self, network=network, name=name, host=host,
+                monitor_host=monitor_host, interval=interval)
+        return self._sources[name].start()
 
     def lease(self, name: str) -> Lease:
         try:
@@ -177,22 +194,22 @@ class HeartbeatMonitor:
     # -- recurring evaluation ----------------------------------------------------
 
     def start(self, period: float = 0.5) -> None:
-        """Poll on a recurring simulator event every ``period`` seconds."""
+        """Start every source, and poll every ``period`` seconds unless
+        already polling."""
         if period <= 0:
             raise ServiceError("poll period must be positive")
-        if self._poll_handle is not None:
-            return
-
-        def tick() -> None:
-            self.poll()
-            self._poll_handle = self.sim.schedule(period, tick, daemon=True)
-
-        self._poll_handle = self.sim.schedule(period, tick, daemon=True)
+        for source in self._sources.values():
+            source.start()
+        if self._poller is None or not self._poller.running:
+            self._poller = Ticker(self.sim, period, self.poll)
+        self._poller.start()
 
     def stop(self) -> None:
-        if self._poll_handle is not None:
-            self._poll_handle.cancel()
-            self._poll_handle = None
+        """Stop polling and every source."""
+        if self._poller is not None:
+            self._poller.stop()
+        for source in self._sources.values():
+            source.stop()
 
     def __repr__(self) -> str:
         by_state: dict[str, int] = {}
@@ -220,22 +237,13 @@ class HeartbeatSource:
     beat_bytes: int = 64
     beats_sent: int = 0
     beats_lost: int = 0
-    _stopped: bool = field(default=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._ticker = Ticker(self.network.sim, self.interval, self._emit)
 
     def start(self) -> HeartbeatSource:
         self.monitor.watch(self.name)
-        # a restarted source must beat again: stop() parks the tick loop
-        # by raising this flag, so re-arming without clearing it would
-        # schedule a loop that exits on its first tick forever
-        self._stopped = False
-
-        def tick() -> None:
-            if self._stopped:
-                return
-            self._emit()
-            self.network.sim.schedule(self.interval, tick, daemon=True)
-
-        self.network.sim.schedule(self.interval, tick, daemon=True)
+        self._ticker.start()
         return self
 
     def _emit(self) -> None:
@@ -253,16 +261,14 @@ class HeartbeatSource:
             self.beats_lost += 1
             return
         self.beats_sent += 1
-        name = self.name
-        self.network.sim.schedule(delay,
-                                  lambda: self._deliver(name))
+        self.network.sim.schedule(delay, self._deliver)
 
-    def _deliver(self, name: str) -> None:
-        if self.monitor.is_watched(name):
-            self.monitor.beat(name)
+    def _deliver(self) -> None:
+        if self.monitor.is_watched(self.name):
+            self.monitor.beat(self.name)
 
     def stop(self) -> None:
-        self._stopped = True
+        self._ticker.stop()
 
 
 __all__ = [

@@ -20,7 +20,7 @@ from repro.core.distribution import (
     TilePlan,
     explode_to_grain,
 )
-from repro.core.health import DEAD, HeartbeatMonitor, HeartbeatSource
+from repro.core.health import DEAD, HeartbeatMonitor
 from repro.core.migration import SHED_QUANTUM, WorkloadMigrator
 from repro.core.scheduler import Placement, RenderServiceScheduler
 from repro.errors import NetworkError, ServiceError, SessionError
@@ -96,7 +96,6 @@ class CollaborativeSession:
         self.placement: Placement | None = None
         # -- fault tolerance state (see enable_fault_tolerance) --
         self.health: HeartbeatMonitor | None = None
-        self._heartbeats: dict[str, HeartbeatSource] = {}
         self._heartbeat_interval: float = 0.5
         #: services declared dead and recovered from (never re-recruited)
         self.failed_services: set[str] = set()
@@ -155,7 +154,8 @@ class CollaborativeSession:
         attachment = self.attachment(render_service)
         render_service.close_render_session(attachment.render_session_id)
         del self._attachments[render_service.name]
-        self._stop_heartbeat(render_service.name)
+        if self.health is not None:
+            self.health.unwatch(render_service.name)
 
     def recruit_more(self, limit: int | None = None) -> list:
         """Attach more render services: from the shared pool, or via UDDI.
@@ -425,8 +425,7 @@ class CollaborativeSession:
     def enable_fault_tolerance(self, heartbeat_interval: float = 0.5,
                                suspect_after: float = 1.5,
                                dead_after: float = 4.0,
-                               auto_recover: bool = True,
-                               monitor: HeartbeatMonitor | None = None
+                               auto_recover: bool = True
                                ) -> HeartbeatMonitor:
         """Watch every attached render service with heartbeat leases.
 
@@ -437,9 +436,9 @@ class CollaborativeSession:
         monitor polls on a recurring simulator event, so the caller only
         has to pump the simulator (``network.sim.run_until``).
         """
-        sim = self.data_service.network.sim
-        self.health = monitor if monitor is not None else HeartbeatMonitor(
-            sim, suspect_after=suspect_after, dead_after=dead_after)
+        self.health = HeartbeatMonitor(
+            self.data_service.network.sim, suspect_after=suspect_after,
+            dead_after=dead_after)
         self._heartbeat_interval = heartbeat_interval
         if auto_recover:
             self.health.on_dead.append(self._on_service_dead)
@@ -449,21 +448,9 @@ class CollaborativeSession:
         return self.health
 
     def _start_heartbeat(self, service) -> None:
-        if self.health is None or service.name in self._heartbeats:
-            return
-        source = HeartbeatSource(
-            monitor=self.health, network=self.data_service.network,
-            name=service.name, host=service.host,
-            monitor_host=self.data_service.host,
-            interval=self._heartbeat_interval)
-        self._heartbeats[service.name] = source.start()
-
-    def _stop_heartbeat(self, name: str) -> None:
-        source = self._heartbeats.pop(name, None)
-        if source is not None:
-            source.stop()
-        if self.health is not None:
-            self.health.unwatch(name)
+        self.health.add_source(
+            self.data_service.network, service.name, service.host,
+            self.data_service.host, self._heartbeat_interval)
 
     def _on_service_dead(self, name: str) -> None:
         if name in self._attachments:
@@ -495,7 +482,8 @@ class CollaborativeSession:
         if attachment is None:
             raise SessionError(f"render service {name!r} is not attached")
         self.failed_services.add(name)
-        self._stop_heartbeat(name)
+        if self.health is not None:
+            self.health.unwatch(name)
         orphans = set(attachment.share)
         # the dead service can't unsubscribe itself — do it for it
         session = self.data_service.session(self.session_id)

@@ -24,8 +24,9 @@ workers against one :class:`~repro.farm.queue_service.FrameQueueService`:
 
 from __future__ import annotations
 
-from repro.core.health import HeartbeatMonitor, HeartbeatSource
+from repro.core.health import HeartbeatMonitor
 from repro.errors import NetworkError, ServiceError, SessionError
+from repro.network.clock import Ticker
 from repro.obs import active as _obs
 from repro.obs.vocab import FARM_BACKLOG_KIND
 from repro.services.protocol import (
@@ -57,7 +58,6 @@ class RenderFarmController:
         self.failed_workers: set[str] = set()
         #: render-session cache, (worker, data session) -> rsid
         self._rsids: dict[tuple[str, str], str] = {}
-        self._sources: dict[str, HeartbeatSource] = {}
         self.monitor = HeartbeatMonitor(self.sim,
                                         suspect_after=suspect_after,
                                         dead_after=dead_after)
@@ -66,7 +66,7 @@ class RenderFarmController:
         self.frames_rendered = 0
         self.frames_lost = 0
         self.ships_dropped = 0
-        self._tick_handle = None
+        self._ticker = Ticker(self.sim, poll_period, self._tick)
         for worker in workers:
             self.add_worker(worker)
 
@@ -89,18 +89,11 @@ class RenderFarmController:
         self.failed_workers.discard(service.name)
         # the queue's tenant lease caps are fractions of the pool size
         self.queue.register_worker(service.name)
-        source = HeartbeatSource(
-            monitor=self.monitor, network=self.network,
-            name=service.name, host=service.host,
-            monitor_host=self.queue.host,
-            interval=self.heartbeat_interval).start()
-        self._sources[service.name] = source
+        self.monitor.add_source(self.network, service.name, service.host,
+                                self.queue.host, self.heartbeat_interval)
 
     def remove_worker(self, name: str) -> None:
         self._workers.pop(name, None)
-        source = self._sources.pop(name, None)
-        if source is not None:
-            source.stop()
         self.monitor.unwatch(name)
         self._busy.discard(name)
         self.queue.unregister_worker(name)
@@ -190,27 +183,21 @@ class RenderFarmController:
     # -- dispatch --------------------------------------------------------------------
 
     def start(self) -> RenderFarmController:
-        """Run heartbeat polling and the dispatch tick on the clock."""
+        """Run heartbeats, their polling and the dispatch tick on the
+        clock; ``stop()`` halts all three and a later ``start()`` resumes
+        them."""
         self.monitor.start(self.poll_period)
-        if self._tick_handle is None:
-            def tick() -> None:
-                self.queue.requeue_expired()
-                self.dispatch()
-                self._tick_handle = self.sim.schedule(self.poll_period,
-                                                      tick, daemon=True)
-
-            self._tick_handle = self.sim.schedule(self.poll_period, tick,
-                                                  daemon=True)
+        self._ticker.start()
         self.dispatch()
         return self
 
     def stop(self) -> None:
         self.monitor.stop()
-        if self._tick_handle is not None:
-            self._tick_handle.cancel()
-            self._tick_handle = None
-        for source in self._sources.values():
-            source.stop()
+        self._ticker.stop()
+
+    def _tick(self) -> None:
+        self.queue.requeue_expired()
+        self.dispatch()
 
     def prewarm(self, session_id: str) -> int:
         """Bootstrap every idle worker's render session for one scene.
@@ -245,11 +232,7 @@ class RenderFarmController:
 
     def dispatch(self) -> int:
         """Offer every idle live worker one pull; returns pulls started."""
-        started = 0
-        for worker in self.idle_workers():
-            if self._pull(worker):
-                started += 1
-        return started
+        return sum(self._pull(worker) for worker in self.idle_workers())
 
     def _pull(self, worker) -> bool:
         """One worker pulls exactly one frame; False when nothing started."""

@@ -55,9 +55,12 @@ pending frames would go unserved past ``starvation_after``, notes
 those jobs into the ``rave_farm_starved_jobs`` gauge the monitor's
 sustained ``farm-starvation`` alert fires on.  The queue exports its own
 telemetry (kind ``farm``): queue depth, active leases and per-job
-progress and priority gauges, set where a frame changes state, the
+progress and priority gauges, set where a frame changes state, and the
 ``rave_farm_frames_total`` completion counter (the monitor derives the
-frames/sec from it), and ``farm:`` events for every decision.
+frames/sec from it).  Every decision is noted as a ``farm:`` event
+straight to the flight recorder, as the session grid notes its own: not
+through the telemetry ring too, which the monitor would relay into the
+same recorder a second time.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ from __future__ import annotations
 import math
 import zlib
 from collections import deque
+from functools import cached_property
 
 from repro.core.grid import TenantQuota
 from repro.errors import ServiceError
@@ -158,6 +162,8 @@ class FrameQueueService:
             registry.gauge("rave_farm_queue_depth", "pending frames"),
             registry.gauge("rave_farm_active_leases", "frames out on lease"))
         self._job_gauges: dict[str, tuple] = {}
+        #: each job's lease-wait histogram, made by its first lease
+        self._job_waits: dict[str, object] = {}
         # the one value that moves with the clock alone (a client may
         # advance it analytically, running no event)
         self.telemetry.add_collector(
@@ -368,10 +374,12 @@ class FrameQueueService:
         self.leases_issued += 1
         self._tenant_leases[job.tenant] = \
             self._tenant_leases.get(job.tenant, 0) + 1
-        self.telemetry.registry.histogram(
-            "rave_farm_job_wait_seconds",
-            "pending-to-lease wait per frame",
-            job=job_id, tenant=job.tenant or "-").observe(wait)
+        if job_id not in self._job_waits:
+            self._job_waits[job_id] = self.telemetry.registry.histogram(
+                "rave_farm_job_wait_seconds",
+                "pending-to-lease wait per frame",
+                job=job_id, tenant=job.tenant or "-")
+        self._job_waits[job_id].observe(wait)
         trace = None
         if job.trace_id:
             trace = TraceContext(
@@ -402,25 +410,18 @@ class FrameQueueService:
         """
         result: FarmResult = unframe_farm_result(data)
         job = self._jobs.get(result.job_id)
-        if job is None:
-            self.invalid_results += 1
-            self.telemetry.registry.counter(
-                "rave_farm_invalid_results_total",
-                "results naming no known job or frame").inc()
-            self._note("invalid",
-                       f"result for unknown job {result.job_id!r} "
-                       f"from {result.worker} dropped")
-            return False
-        record = job.frames.get(result.frame)
+        record = None if job is None else job.frames.get(result.frame)
         if record is None:
             self.invalid_results += 1
             self.telemetry.registry.counter(
                 "rave_farm_invalid_results_total",
                 "results naming no known job or frame").inc()
-            self._note("invalid",
-                       f"{result.job_id}#{result.frame} from "
-                       f"{result.worker} dropped (frame outside "
-                       f"{job.start_frame}..{job.end_frame})")
+            self._note("invalid", (
+                f"result for unknown job {result.job_id!r} from "
+                f"{result.worker} dropped" if job is None else
+                f"{result.job_id}#{result.frame} from {result.worker} "
+                f"dropped (frame outside {job.start_frame}.."
+                f"{job.end_frame})"))
             return False
         if record.state != FRAME_LEASED or record.worker != result.worker:
             self.duplicates_dropped += 1
@@ -453,10 +454,7 @@ class FrameQueueService:
         self._tenant_leases[job.tenant] = max(
             0, self._tenant_leases.get(job.tenant, 0) - 1)
         self._frames_total.inc()
-        self.telemetry.registry.histogram(
-            "rave_farm_render_seconds",
-            "per-frame render latency reported by workers").observe(
-                result.render_seconds)
+        self._render_seconds.observe(result.render_seconds)
         self._note("complete",
                    f"{result.job_id}#{result.frame} by {result.worker} "
                    f"({result.render_seconds:.3f}s render)",
@@ -535,6 +533,13 @@ class FrameQueueService:
 
     # -- telemetry -------------------------------------------------------------------
 
+    @cached_property
+    def _render_seconds(self):
+        """Made by the first completed frame, so none is scraped before."""
+        return self.telemetry.registry.histogram(
+            "rave_farm_render_seconds",
+            "per-frame render latency reported by workers")
+
     def _touch(self, job: RenderJob | None = None) -> None:
         """Push the state gauges (``job``'s too) and arm the starvation
         check; called wherever a frame changes state."""
@@ -586,7 +591,6 @@ class FrameQueueService:
         self._arm_starvation_check(math.nextafter(self.now, math.inf))
 
     def _note(self, kind: str, detail: str, trace: str = "") -> None:
-        self.telemetry.event(EVENT_FARM_PREFIX + kind, self.now, detail)
         obs = _obs()
         if obs.enabled:
             obs.recorder.note(EVENT_FARM_PREFIX + kind, time=self.now,

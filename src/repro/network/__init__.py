@@ -19,7 +19,7 @@ replacement for that infrastructure:
 from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.network.clock": ("SimClock", "Simulator"),
+    "repro.network.clock": ("SimClock", "Simulator", "Ticker"),
     "repro.network.faults": ("FaultEvent", "FaultInjector"),
     "repro.network.simnet": ("Host", "Link", "Network", "TransferRecord",
                              "WirelessCell"),

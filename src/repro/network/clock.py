@@ -16,6 +16,8 @@ Overlap in simulated time has one primitive: :meth:`Simulator.branch`
 runs an activity on a child clock and reports how long it took without
 moving the parent, and :meth:`Simulator.fork_join` runs a list of
 activities that way and charges the parent the critical path only.
+Recurring daemon work has one primitive too: a :class:`Ticker` runs a
+callback every ``period`` seconds and stops and restarts as one loop.
 :class:`SimClock` is constructed, and a simulator's ``clock`` assigned,
 in this module and nowhere else.
 """
@@ -140,6 +142,48 @@ class ClockBranch:
     def elapsed(self) -> float:
         """Simulated seconds the branch has consumed since it started."""
         return self._child.now - self.start
+
+
+class Ticker:
+    """Runs ``callback`` as daemon work every ``period`` simulated seconds.
+
+    :meth:`start` arms the first run ``period`` from now, and each run
+    re-arms after its callback returns, from the clock as it left it.
+    Starting a running ticker or stopping a stopped one does nothing, and
+    a callback may stop or restart its own ticker: one loop runs.
+    """
+
+    __slots__ = ("sim", "period", "callback", "_handle")
+
+    def __init__(self, sim: Simulator, period: float,
+                 callback: Callable[[], Any]) -> None:
+        if period <= 0:
+            raise ValueError(f"ticker period must be positive, got {period!r}")
+        self.sim = sim
+        self.period = period
+        self.callback = callback
+        self._handle: EventHandle | None = None
+
+    @property
+    def running(self) -> bool:
+        return self._handle is not None
+
+    def start(self) -> None:
+        if self._handle is None:
+            self._handle = self.sim.schedule(self.period, self._fire,
+                                             daemon=True)
+
+    def stop(self) -> None:
+        if self._handle is not None:
+            self._handle.cancel()
+            self._handle = None
+
+    def _fire(self) -> None:
+        handle = self._handle
+        self.callback()
+        if self._handle is handle:
+            self._handle = self.sim.schedule(self.period, self._fire,
+                                             daemon=True)
 
 
 class Simulator:

@@ -35,6 +35,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.errors import MarshallingError, NetworkError, ServiceError
+from repro.network.clock import Ticker
 from repro.obs import active as _obs
 from repro.obs.quantiles import (
     buckets_from_snapshot,
@@ -197,8 +198,10 @@ class MonitorService:
         self._tail_keys: dict[str, tuple[dict, list[str]]] = {}
         #: (rule, service) pairs already noted to the flight recorder
         self._alerted: set[tuple[str, str]] = set()
-        self._running = False
-        #: the session autoscaler publishing through this monitor, if any
+        self._ticker = Ticker(container.network.sim, period, self._tick)
+        #: the autoscaler publishing through this monitor, if any (set by
+        #: its constructor): the snapshot, and so the dashboard, carries
+        #: its pool-size history and every grow/release decision
         self.autoscaler = None
 
     @property
@@ -273,26 +276,18 @@ class MonitorService:
     def start(self) -> None:
         """Begin the recurring scrape tick on the simulated clock.
 
-        The tick is a daemon event: it drives scrapes whenever the
-        simulation runs but never keeps ``sim.run()`` alive by itself.
+        The tick is a daemon :class:`~repro.network.clock.Ticker`: it
+        drives scrapes whenever the simulation runs but never keeps
+        ``sim.run()`` alive by itself.
         """
-        if self._running:
-            return
-        self._running = True
-        self._schedule_tick()
+        self._ticker.start()
 
     def stop(self) -> None:
-        self._running = False
-
-    def _schedule_tick(self) -> None:
-        self.network.sim.schedule(self.period, self._tick, daemon=True)
+        self._ticker.stop()
 
     def _tick(self) -> None:
-        if not self._running:
-            return
         self.scrape_all()
         self.observe_grid(self.network.sim.now)
-        self._schedule_tick()
 
     def scrape_all(self) -> None:
         for name in sorted(self._targets):
@@ -521,16 +516,6 @@ class MonitorService:
         self._alerted = keys
 
     # -- evaluation + publication ---------------------------------------------------
-
-    def attach_autoscaler(self, autoscaler) -> None:
-        """Publish an autoscaler's pool history through this monitor.
-
-        The :class:`~repro.core.autoscale.RecruitmentAutoscaler` calls
-        this on construction; the snapshot (and therefore the dashboard)
-        then carries an ``autoscale`` section with the pool-size history
-        and every grow/release decision.
-        """
-        self.autoscaler = autoscaler
 
     def firing_alerts(self):
         """Alerts currently sustained (``rules.Alert`` objects)."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 from repro.core.capacity import (
     DEFAULT_TARGET_FPS,
@@ -128,7 +128,19 @@ class RenderService:
     def reported_fps(self, fps: float) -> None:
         self._reported_fps = fps
         if fps != float("inf"):
-            self.telemetry.registry.gauge("rave_rs_fps").set(fps)
+            self._fps_gauge.set(fps)
+
+    # made by their first use and kept: a service that never reported
+    # or rendered a frame exports no fps or frame families
+    @cached_property
+    def _fps_gauge(self):
+        return self.telemetry.registry.gauge("rave_rs_fps")
+
+    @cached_property
+    def _frame_instruments(self):
+        registry = self.telemetry.registry
+        return (registry.counter("rave_rs_frames_total"),
+                registry.histogram("rave_rs_frame_seconds"))
 
     @property
     def host(self) -> str:
@@ -451,10 +463,9 @@ class RenderService:
             self.reported_fps = fps
         else:
             self.reported_fps = alpha * fps + (1 - alpha) * self.reported_fps
-        registry = self.telemetry.registry
-        registry.counter("rave_rs_frames_total").inc()
-        registry.histogram("rave_rs_frame_seconds").observe(
-            timing.total_seconds)
+        frames, seconds = self._frame_instruments
+        frames.inc()
+        seconds.observe(timing.total_seconds)
 
     def __repr__(self) -> str:
         return (f"RenderService(name={self.name!r}, host={self.host!r}, "

@@ -198,6 +198,22 @@ class TestAutoscalerWiring:
         assert "render pool (autoscale)" in text
         assert "(no scale events)" in text
 
+    def test_a_restart_inside_one_period_runs_one_loop(self):
+        """A restart used to leave the parked tick running beside the
+        new one: 20 evaluations in 10 s instead of 10."""
+        tb = monitored_testbed()
+        scaler = RecruitmentAutoscaler(small_session(tb), tb.monitor,
+                                       period=1.0)
+        evaluations = []
+        scaler.evaluate = lambda alerts: evaluations.append(tb.clock.now)
+        sim = tb.network.sim
+        scaler.start()
+        sim.run_until(sim.now + 0.5)
+        scaler.stop()
+        scaler.start()
+        sim.run_until(sim.now + 10.0)
+        assert len(evaluations) == 10
+
     def test_period_defaults_to_the_monitor_scrape_period(self):
         tb = build_testbed(monitor_host=MONITOR_HOST, autoscale=True,
                            monitor_period=0.5)

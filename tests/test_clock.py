@@ -9,7 +9,7 @@ from typing import Any
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.network.clock import SimClock, Simulator
+from repro.network.clock import SimClock, Simulator, Ticker
 
 
 class TestSimClock:
@@ -404,3 +404,164 @@ class TestForkJoin:
             total += max((offset + c) - offset
                          for c in costs[first:first + step])
         assert sim.now == start + total
+
+
+class ReferenceLoop:
+    """The monitor's and the autoscaler's hand-written daemon loop, kept
+    as the reference for :class:`Ticker`, with one fix: each ``start()``
+    opens a generation and a tick of an older one fires as a no-op, so a
+    restart inside one period no longer leaves the parked loop running."""
+
+    def __init__(self, sim, period, callback):
+        self.sim, self.period, self.callback = sim, period, callback
+        self._running = False
+        self._generation = 0
+
+    def start(self):
+        if self._running:
+            return
+        self._running = True
+        self._generation += 1
+        self._schedule_tick(self._generation)
+
+    def stop(self):
+        self._running = False
+
+    def _schedule_tick(self, generation):
+        self.sim.schedule(self.period, lambda: self._tick(generation),
+                          daemon=True)
+
+    def _tick(self, generation):
+        if not self._running or generation != self._generation:
+            return
+        self.callback()
+        self._schedule_tick(generation)
+
+
+PERIODS = (0.25, 0.5, 1.0, 1.5)
+#: what a loop's callback does on one of its runs
+ACTIONS = ("none", "none", "advance", "stop", "restart", "start",
+           "stop-other", "start-other")
+#: (op, loop, delay index, action index)
+TICKER_OPS = st.lists(st.tuples(
+    st.sampled_from(["start", "stop", "run", "run", "event"]),
+    st.integers(0, 1), st.integers(0, 4), st.integers(0, 7)), max_size=40)
+
+
+class TestTicker:
+    def test_a_nonpositive_period_is_refused(self):
+        for period in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                Ticker(Simulator(), period, lambda: None)
+
+    def test_start_and_stop_are_idempotent(self):
+        sim = Simulator()
+        fired = []
+        ticker = Ticker(sim, 1.0, lambda: fired.append(sim.now))
+        ticker.start()
+        sim.run_until(0.5)
+        ticker.start()
+        sim.run_until(3.0)
+        assert fired == [1.0, 2.0, 3.0]
+        ticker.stop()
+        ticker.stop()
+        sim.run_until(10.0)
+        assert fired == [1.0, 2.0, 3.0] and not ticker.running
+        assert sim.pending == 0            # the stopped run was cancelled
+
+    def test_a_restart_inside_one_period_runs_one_loop(self):
+        sim = Simulator()
+        fired = []
+        ticker = Ticker(sim, 1.0, lambda: fired.append(sim.now))
+        ticker.start()
+        sim.run_until(0.5)
+        ticker.stop()
+        ticker.start()
+        sim.run_until(10.0)
+        assert fired == [1.5 + k for k in range(9)]
+
+    def test_each_run_rearms_from_the_clock_the_callback_left(self):
+        sim = Simulator()
+        fired = []
+
+        def slow():
+            fired.append(sim.now)
+            sim.clock.advance(0.25)
+
+        Ticker(sim, 1.0, slow).start()
+        sim.run_until(4.0)
+        assert fired == [1.0, 2.25, 3.5]
+
+    @settings(max_examples=300, deadline=None)
+    @given(periods=st.tuples(st.sampled_from(PERIODS),
+                             st.sampled_from(PERIODS)),
+           scripts=st.tuples(
+               st.lists(st.integers(0, 7), min_size=1, max_size=6),
+               st.lists(st.integers(0, 7), min_size=1, max_size=6)),
+           ops=TICKER_OPS)
+    def test_fires_like_the_reference_loop(self, periods, scripts, ops):
+        """Two loops per simulator, started and stopped from outside and
+        from inside their callbacks (a callback may also advance the
+        clock), between ``run_until`` calls and other events: a Ticker
+        fires the same callbacks at the same times as the reference loop.
+        (Not ``step``: a stopped reference loop leaves its tick queued,
+        and a step that pops it runs nothing.)"""
+        worlds = {}
+        for world, make in (("ticker", Ticker), ("ref", ReferenceLoop)):
+            sim = Simulator()
+            fired = []
+            loops = []
+
+            def act(action, k, sim=sim, loops=loops):
+                other = loops[1 - k]
+                if action == "advance":
+                    sim.clock.advance(0.125)
+                elif action == "stop":
+                    loops[k].stop()
+                elif action == "restart":
+                    loops[k].stop()
+                    loops[k].start()
+                elif action == "start":
+                    loops[k].start()
+                elif action == "stop-other":
+                    other.stop()
+                elif action == "start-other":
+                    other.start()
+
+            def callback(k, sim=sim, fired=fired, runs=[0, 0], act=act):
+                fired.append((k, sim.now))
+                script = scripts[k]
+                act(ACTIONS[script[runs[k] % len(script)]], k)
+                runs[k] += 1
+
+            for k in (0, 1):
+                loops.append(make(sim, periods[k],
+                                  lambda k=k, cb=callback: cb(k)))
+            worlds[world] = (sim, fired, loops, act)
+
+        def running(world):
+            _, _, loops, _ = worlds[world]
+            if world == "ticker":
+                return [loop.running for loop in loops]
+            return [loop._running for loop in loops]
+
+        for op, k, delay, action in ops:
+            for world, (sim, fired, loops, act) in worlds.items():
+                if op == "start":
+                    loops[k].start()
+                elif op == "stop":
+                    loops[k].stop()
+                elif op == "run":
+                    sim.run_until(sim.now + (0.0, 0.5, 1.0, 2.5, 6.0)[delay])
+                else:
+                    def event(fired=fired, sim=sim, act=act, k=k,
+                              action=ACTIONS[action]):
+                        fired.append(("event", sim.now))
+                        act(action, k)
+                    sim.schedule((0.0, 0.25, 1.0, 1.5, 3.0)[delay], event)
+            assert worlds["ticker"][1] == worlds["ref"][1]
+            assert worlds["ticker"][0].now == worlds["ref"][0].now
+            assert running("ticker") == running("ref")
+        for sim, *_ in worlds.values():
+            sim.run_until(sim.now + 20.0)
+        assert worlds["ticker"][1] == worlds["ref"][1]

@@ -350,6 +350,16 @@ class TestHeartbeatMonitor:
         assert dead == ["rs-a"]
         mon.stop()
 
+    def test_a_restart_inside_one_period_polls_once_per_period(self):
+        sim, mon = self.make()
+        mon.watch("rs-a")
+        mon.start(period=0.5)
+        sim.run_until(0.25)
+        mon.stop()
+        mon.start(period=0.5)
+        sim.run_until(5.25)
+        assert mon.polls == 10
+
     def test_invalid_thresholds_rejected(self):
         sim = Simulator()
         with pytest.raises(ServiceError):
@@ -394,6 +404,20 @@ class TestHeartbeatSource:
         assert mon.state("rs-a") == ALIVE
         source.stop()
         mon.stop()
+
+    def test_a_restart_inside_one_interval_beats_once_per_interval(self):
+        """A restart used to leave the parked loop beating beside the
+        new one: 20 beats in 5 s instead of 10."""
+        net = star_network()
+        mon = HeartbeatMonitor(net.sim, suspect_after=1.0, dead_after=3.0)
+        source = HeartbeatSource(monitor=mon, network=net, name="rs-a",
+                                 host="a", monitor_host="c",
+                                 interval=0.5).start()
+        net.sim.run_until(0.25)
+        source.stop()
+        source.start()
+        net.sim.run_until(5.25)
+        assert source.beats_sent == 10
 
     def test_crash_silences_beats_and_kills_lease(self):
         net = star_network()

@@ -290,6 +290,19 @@ class TestMonitorService:
         pump(tb, 3.0)
         assert tb.monitor.scrapes == before
 
+    def test_a_restart_inside_one_period_runs_one_scrape_loop(self):
+        """A restart used to leave the parked loop running beside the
+        new one: 134 scrapes of the 7 targets in 10 s instead of 64."""
+        tb = monitored_testbed()
+        sim = tb.network.sim
+        sim.run_until(sim.now + 0.5)
+        tb.monitor.stop()
+        tb.monitor.start()
+        before = tb.monitor.scrapes
+        sim.run_until(sim.now + 10.0)
+        assert len(tb.monitor.targets()) == 7
+        assert tb.monitor.scrapes - before == 64
+
     def test_discover_finds_targets_through_uddi(self):
         from repro.services.container import ServiceContainer
 

@@ -579,6 +579,33 @@ class TestDaemonRaceRule:
             """})
         assert not lint(root, "daemon-race").findings
 
+    def test_a_ticker_callback_is_a_schedule_callback(self, tmp_path):
+        root = make_tree(tmp_path, {self.CONTRACT_FILE: """
+            from repro.network.clock import Ticker
+
+            class FrameQueueService:
+                def __init__(self, sim):
+                    self._job_pending = {}
+                    self._ticker = Ticker(
+                        sim, 1.0, lambda: self._job_pending.clear())
+
+                def submit(self, job):
+                    self._job_pending[job] = []
+
+                def rogue_start(self, sim):
+                    Ticker(sim, period=1.0,
+                           callback=lambda: self._job_pending.pop(1))
+
+                def start(self, sim):
+                    Ticker(sim, 1.0, self.submit)
+            """})
+        result = lint(root, "daemon-race")
+        assert symbols(result) == {
+            "FrameQueueService.__init__:_job_pending",
+            "FrameQueueService.rogue_start:_job_pending"}
+        assert all("schedule callback" in f.message
+                   for f in result.findings)
+
     def test_undeclared_shared_state_needs_two_callbacks(self, tmp_path):
         root = make_tree(tmp_path, {"src/repro/collect.py": """
             class Collector:

@@ -20,6 +20,7 @@ The farm contract under test, layer by layer:
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro import obs
 from repro.core.grid import TenantQuota
 from repro.errors import MarshallingError, ServiceError
 from repro.data.generators import galleon
@@ -618,25 +619,24 @@ class TestFairScheduler:
     def test_an_unscraped_farm_notes_each_starvation_onset_once(self):
         tb, queue = self.queue(starvation_after=5.0)
         sim = tb.network.sim
+        with obs.observed() as bundle:
+            def starved():
+                return bundle.recorder.events("farm:starved")
 
-        def starved():
-            return [e for e in queue.telemetry.events()
-                    if e.kind == "farm:starved"]
-
-        queue.submit(job(start=1, end=4))
-        submitted = sim.now
-        sim.run_until(sim.now + 20.0)
-        assert [e.detail for e in starved()] \
-            == [f"{JOB}: no lease for 5s+ with 4 pending"]
-        assert starved()[0].time == pytest.approx(submitted + 5.0)
-        unframe_farm_lease(queue.lease("w0"))   # served: the onset ends
-        leased = sim.now
-        sim.run_until(sim.now + 4.0)
-        assert len(starved()) == 1
-        sim.run_until(sim.now + 20.0)
-        assert [e.detail for e in starved()][1:] \
-            == [f"{JOB}: no lease for 5s+ with 3 pending"]
-        assert starved()[1].time == pytest.approx(leased + 5.0)
+            queue.submit(job(start=1, end=4))
+            submitted = sim.now
+            sim.run_until(sim.now + 20.0)
+            assert [e.detail for e in starved()] \
+                == [f"{JOB}: no lease for 5s+ with 4 pending"]
+            assert starved()[0].time == pytest.approx(submitted + 5.0)
+            unframe_farm_lease(queue.lease("w0"))   # served: the onset ends
+            leased = sim.now
+            sim.run_until(sim.now + 4.0)
+            assert len(starved()) == 1
+            sim.run_until(sim.now + 20.0)
+            assert [e.detail for e in starved()][1:] \
+                == [f"{JOB}: no lease for 5s+ with 3 pending"]
+            assert starved()[1].time == pytest.approx(leased + 5.0)
         assert queue.telemetry.scrapes == 0
 
     def test_lease_wait_lands_in_the_histogram(self):
@@ -732,6 +732,23 @@ class TestFarmController:
         # both workers genuinely shared the range
         assert {f.worker for f in j.frames.values()} \
             == {"rs-onyx", "rs-v880z"}
+
+    def test_a_restarted_farm_keeps_its_workers_alive(self):
+        """``stop(); start()`` used to leave the heartbeat sources
+        stopped, so every worker was declared dead within 10 s."""
+        tb = farm_testbed()
+        farm = tb.render_farm()
+        dead = []
+        farm.monitor.on_dead.append(dead.append)
+        farm.start()
+        sim = tb.network.sim
+        sim.run_until(sim.now + 2.0)
+        farm.stop()
+        farm.start()
+        sim.run_until(sim.now + 10.0)
+        assert farm.pool_size() == 5
+        assert dead == [] and farm.failed_workers == set()
+        farm.stop()
 
     def test_each_worker_holds_at_most_one_lease(self):
         tb = farm_testbed()
